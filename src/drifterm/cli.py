@@ -18,6 +18,8 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    HarnessError,
+    calibrate_ccal,
     config_from_dict,
     fit_slope,
     rows_from_csv,
@@ -41,6 +43,7 @@ from .rates import (
 )
 from .risk import risk_report
 from .weights import (
+    DEFAULT_EXP_RANGE,
     WeightFamily,
     WeightSpec,
     build_weight_net,
@@ -48,23 +51,19 @@ from .weights import (
     make_weights,
 )
 
-_FAMILIES = {"uniform": WeightFamily.UNIFORM_WINDOW, "exp": WeightFamily.EXPONENTIAL,
-             "brown": WeightFamily.BROWN_DES}
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
 def _cmd_weights(args) -> int:
-    family = _FAMILIES[args.family]
+    family = WeightFamily(args.family)
     spec = WeightSpec(family, t=args.t, n=args.n, param=args.param)
     w = make_weights(spec)
     if family is WeightFamily.UNIFORM_WINDOW:
         prange = (1.0, float(args.t))
     elif family is WeightFamily.EXPONENTIAL:
-        prange = (0.0, 10.0)
+        prange = (0.0, DEFAULT_EXP_RANGE)
     else:
         prange = (0.0, 1.0)
     consts = class_constants(family, prange, (1, args.t))
@@ -163,7 +162,7 @@ def _weights_from_json(path: str, n: int):
         from .weights import _from_entries
 
         return _from_entries(np.asarray(d["entries"], dtype=float))
-    spec = WeightSpec(_FAMILIES[d["family"]], t=d.get("t", n), n=d.get("n", n),
+    spec = WeightSpec(WeightFamily(d["family"]), t=d.get("t", n), n=d.get("n", n),
                       param=d["param"])
     return make_weights(spec)
 
@@ -219,11 +218,11 @@ def _cmd_rates(args) -> int:
     wc = d["weight_class"]
     hc = d["hypothesis_class"]
     log_n1 = weight_class_log_covering(
-        _FAMILIES[wc["family"]],
+        WeightFamily(wc["family"]),
         wc.get("scope", "union"),
         t=wc.get("t"),
         n=wc.get("n", d["n"]),
-        exp_range=wc.get("exp_range", 10.0),
+        exp_range=wc.get("exp_range", DEFAULT_EXP_RANGE),
     )
     log_ninf = hypothesis_log_covering(
         hc["kind"],
@@ -328,13 +327,11 @@ def _cmd_slopes(args) -> int:
 def _cmd_calibrate(args) -> int:
     with open(args.results, "r", encoding="utf-8") as f:
         rows = rows_from_csv(f.read())
-    ratios = []
-    for row in rows:
-        denom = row.certificate - row.drift_error
-        if denom <= 0:
-            raise SystemExit("certificate rate part must be positive")
-        ratios.append(row.excess_risk / denom)
-    _emit({"c_cal": float(np.quantile(np.asarray(ratios), 0.99)), "rows": len(rows)})
+    try:
+        c_cal = calibrate_ccal(rows)
+    except HarnessError as exc:
+        raise SystemExit(str(exc)) from None
+    _emit({"c_cal": c_cal, "rows": len(rows)})
     return 0
 
 
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pw = sub.add_parser("weights", help="emit a weight vector and class constants as JSON")
-    pw.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    pw.add_argument("--family", choices=[f.value for f in WeightFamily], required=True)
     pw.add_argument("--t", type=int, required=True)
     pw.add_argument("--n", type=int, required=True)
     pw.add_argument("--param", type=float, required=True)

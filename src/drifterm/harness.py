@@ -44,6 +44,7 @@ from .rates import (
 )
 from .risk import drift_error, excess_risk, learning_error
 from .weights import (
+    ANALYTIC_NORM_BOUNDS,
     DEFAULT_EXP_RANGE,
     WeightFamily,
     WeightSpec,
@@ -72,10 +73,21 @@ class WeightPolicy:
     params: tuple[float, ...] | None = None
     exp_range: float = DEFAULT_EXP_RANGE
 
-    def specs(self, n: int) -> list[WeightSpec]:
+    def _sweep(self, n: int) -> tuple[WeightFamily, tuple[float, ...]]:
         if self.params is None:
-            return [WeightSpec(WeightFamily.UNIFORM_WINDOW, t=n, n=n, param=float(n))]
-        return [WeightSpec(self.family, t=n, n=n, param=float(p)) for p in self.params]
+            return WeightFamily.UNIFORM_WINDOW, (float(n),)
+        return self.family, self.params
+
+    def specs(self, n: int) -> list[WeightSpec]:
+        family, params = self._sweep(n)
+        return [WeightSpec(family, t=n, n=n, param=float(p)) for p in params]
+
+    def rate_inputs(self, n: int):
+        """(c1, bw, eps -> log N1) of the swept weight class at horizon n."""
+        family, _ = self._sweep(n)
+        c1, bw = ANALYTIC_NORM_BOUNDS[family]
+        log_n1 = weight_class_log_covering(family, "union", n=n, exp_range=self.exp_range)
+        return c1, bw, log_n1
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,26 @@ class HypothesisPolicy:
             q = self.q if self.q is not None else basis_size(w_l2)
             return HypothesisClassSpec.step(q, self.b_bound)
         return HypothesisClassSpec.relu(self.nu, self.ell, self.param_bound, self.b_bound)
+
+    def rate_inputs(self, spec: ProcessSpec):
+        """(alpha, c_inf, (eps, w_l2) -> log Ninf, approximation error) at horizon spec.n.
+
+        alpha is the covering growth exponent in the weight norm: 2/3 for
+        classes sized from ||w||, 0 for fixed ones.  c_inf is the class's
+        own sup-norm link at the smallest weight norm 1/sqrt(n).
+        """
+        n = spec.n
+        c_inf = self.class_spec(spec, 1.0 / math.sqrt(n)).c_inf
+        if self.kind is HypothesisKind.LINEAR_BALL:
+            log_ninf = hypothesis_log_covering("linear", p=spec.p, b_bound=self.b_bound)
+            return 0.0, c_inf, log_ninf, None
+        if self.kind is HypothesisKind.STEP_BASIS:
+            log_ninf = hypothesis_log_covering("step", q=self.q, b_bound=self.b_bound)
+            if self.q is not None:
+                return 0.0, c_inf, log_ninf, lambda u: 1.0 / self.q  # 1-Lipschitz targets
+            return 2.0 / 3.0, c_inf, log_ninf, lambda u: 1.0 / basis_size(u)
+        log_ninf = hypothesis_log_covering("relu", n=n, b_bound=self.b_bound)
+        return 2.0 / 3.0, c_inf, log_ninf, lambda u: u ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -190,49 +222,14 @@ def _row_task(payload: tuple) -> tuple[float, float]:
     return learn, exc
 
 
-def _rate_inputs(cfg: ExperimentConfig, spec: ProcessSpec):
-    """Weight-class constants, covering bounds, and approximation error for one n."""
-    n = spec.n
-    fam = cfg.weights.family if cfg.weights.params is not None else WeightFamily.UNIFORM_WINDOW
-    if fam is WeightFamily.UNIFORM_WINDOW:
-        c1, bw = 1.0, 1.0
-    elif fam is WeightFamily.EXPONENTIAL:
-        c1, bw = 1.0, 2.0
-    else:
-        c1, bw = 3.0, 18.0 * math.e**2
-    log_n1 = weight_class_log_covering(fam, "union", n=n, exp_range=cfg.weights.exp_range)
-
-    hyp = cfg.hypothesis
-    if hyp.kind is HypothesisKind.LINEAR_BALL:
-        log_ninf = hypothesis_log_covering("linear", p=spec.p, b_bound=hyp.b_bound)
-        c_inf = math.sqrt(lambda_min(spec))
-        alpha = 0.0
-        approx_err = None
-    elif hyp.kind is HypothesisKind.STEP_BASIS:
-        log_ninf = hypothesis_log_covering("step", q=hyp.q, b_bound=hyp.b_bound)
-        if hyp.q is not None:
-            c_inf = 1.0 / math.sqrt(hyp.q)
-            alpha = 0.0
-            approx_err = lambda u: 1.0 / hyp.q  # 1-Lipschitz targets
-        else:
-            c_inf = 1.0 / math.sqrt(basis_size(1.0 / math.sqrt(n)))
-            alpha = 2.0 / 3.0
-            approx_err = lambda u: 1.0 / basis_size(u)
-    else:
-        log_ninf = hypothesis_log_covering("relu", n=n, b_bound=hyp.b_bound)
-        c_inf = 0.0
-        alpha = 2.0 / 3.0
-        approx_err = lambda u: u ** (2.0 / 3.0)
-    return c1, bw, log_n1, log_ninf, c_inf, alpha, approx_err
-
-
 def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
     """Rate function for one grid n, with the scale constant found by doubling."""
     n = spec.n
     profile = mixing_profile(spec)
     mb = m_beta(profile, n, cfg.delta).m
     kr = k_rho_sum(profile)
-    c1, bw, log_n1, log_ninf, c_inf, alpha, approx_err = _rate_inputs(cfg, spec)
+    c1, bw, log_n1 = cfg.weights.rate_inputs(n)
+    alpha, c_inf, log_ninf, approx_err = cfg.hypothesis.rate_inputs(spec)
     params = RateParameters(
         c1=c1,
         cw=1.0 / math.sqrt(n),  # ||w||^2 >= 1/n whenever the entries sum to one
@@ -413,15 +410,18 @@ def fit_slope(
     )
 
 
-def calibrate_ccal(result: ExperimentResult) -> float:
+def calibrate_ccal(rows) -> float:
     """99th percentile of excess risk over the rate part of the certificate.
+
+    ``rows`` are the rows of a run, or the same rows read back from its
+    ``rows.csv``.
 
     The drift term is subtracted from the stored certificate so the ratio
     compares the stochastic error against r(||w||)^2 log^2(1/delta) alone;
     a zero denominator is an error.
     """
     ratios = []
-    for row in result.rows:
+    for row in rows:
         denom = row.certificate - row.drift_error
         if denom <= 0:
             raise HarnessError("certificate rate part must be positive for calibration")

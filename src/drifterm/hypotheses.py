@@ -63,8 +63,7 @@ class HypothesisClassSpec:
     """A regression class with its complexity constants.
 
     ``c_inf`` is the constant linking the class's L2 distances to sup-norm
-    distances (0 when no such link is claimed); ``alpha`` is the covering
-    growth exponent in the weight norm.
+    distances (0 when no such link is claimed).
     """
 
     kind: HypothesisKind
@@ -73,7 +72,6 @@ class HypothesisClassSpec:
     nu: int | None = None
     ell: int | None = None
     param_bound: float | None = None
-    alpha: float = 0.0
     c_inf: float = 0.0
 
     def __post_init__(self) -> None:
@@ -92,7 +90,6 @@ class HypothesisClassSpec:
         return HypothesisClassSpec(
             kind=HypothesisKind.LINEAR_BALL,
             b_bound=b_bound,
-            alpha=0.0,
             c_inf=math.sqrt(lambda_min),
         )
 
@@ -101,14 +98,12 @@ class HypothesisClassSpec:
         """q-bin step functions on [0,1) with values clipped to [-b, b].
 
         Under the uniform covariate law the bin indicators are orthogonal
-        with second moment 1/q, giving c_inf = 1/sqrt(q); the covering
-        exponent is 2/3 when q is tied to the weight norm via basis_size.
+        with second moment 1/q, giving c_inf = 1/sqrt(q).
         """
         return HypothesisClassSpec(
             kind=HypothesisKind.STEP_BASIS,
             b_bound=b_bound,
             q=q,
-            alpha=2.0 / 3.0,
             c_inf=1.0 / math.sqrt(q),
         )
 
@@ -121,7 +116,6 @@ class HypothesisClassSpec:
             nu=nu,
             ell=ell,
             param_bound=param_bound,
-            alpha=2.0 / 3.0,
             c_inf=0.0,
         )
 

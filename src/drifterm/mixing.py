@@ -106,23 +106,6 @@ class MixingProfile:
             rho_tail = None  # periodic/reducible: tail not summable
         return MixingProfile(beta=beta, rho=rho, kind=ProfileKind.EXACT, rho_tail=rho_tail)
 
-    @staticmethod
-    def polynomial(exponent: float, *, scale: float = 1.0) -> "MixingProfile":
-        """beta(k) = rho(k) = min(1, scale * k^-exponent); needs exponent > 1 for k_rho."""
-        if exponent <= 0:
-            raise MixingError("exponent must be positive")
-
-        def coef(k: int) -> float:
-            return min(1.0, scale * k ** (-exponent)) if k >= 1 else 1.0
-
-        tail = None
-        if exponent > 1:
-
-            def tail(k: int) -> float:  # integral comparison bound
-                return scale * k ** (1.0 - exponent) / (exponent - 1.0)
-
-        return MixingProfile(beta=coef, rho=coef, kind=ProfileKind.ANALYTIC_BOUND, rho_tail=tail)
-
 
 class BlockLength(NamedTuple):
     """Block length result; ``satisfied`` is False when no m <= n qualifies."""

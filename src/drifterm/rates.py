@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hypotheses import basis_size
-from .weights import WeightFamily, covering_number_bound
+from .weights import DEFAULT_EXP_RANGE, WeightFamily, covering_number_bound
 
 
 class RateError(ValueError):
@@ -326,7 +326,7 @@ def weight_class_log_covering(
     *,
     t: int | None = None,
     n: int | None = None,
-    exp_range: float = 10.0,
+    exp_range: float = DEFAULT_EXP_RANGE,
 ) -> Callable[[float], float]:
     """log of the analytic covering-number bound for a weight class."""
 

@@ -36,6 +36,15 @@ class WeightFamily(Enum):
     BROWN_DES = "brown"
 
 
+# Analytic norm extremes (c1 = sup ||w||_1, bw = sup ||w||_inf / ||w||^2) of
+# each family over its whole parameter domain and every anchor time.
+ANALYTIC_NORM_BOUNDS = {
+    WeightFamily.UNIFORM_WINDOW: (1.0, 1.0),
+    WeightFamily.EXPONENTIAL: (1.0, 2.0),
+    WeightFamily.BROWN_DES: (3.0, 18.0 * math.e**2),
+}
+
+
 class WeightDomainError(ValueError):
     """A weight parameter lies outside its family's domain."""
 

@@ -437,7 +437,7 @@ def test_criterion_8_brute_force_oracles():
 
 
 def test_criterion_9_weight_uniform_certificate(baseline_result):
-    c_cal = calibrate_ccal(baseline_result[0])
+    c_cal = calibrate_ccal(baseline_result[0].rows)
     pinned = abs(c_cal - C_CAL_FIXTURE) <= 1e-6 * C_CAL_FIXTURE
 
     # fresh-seed dominance on the baseline config itself

@@ -156,6 +156,15 @@ class TestRunPipeline:
         code, out = run_cli(capsys, "calibrate", "--results", str(out_dir / "rows.csv"))
         assert json.loads(out)["c_cal"] > 0
 
+    def test_calibrate_header_only_csv(self, capsys, tmp_path):
+        from drifterm.harness import CSV_HEADER
+
+        rows = tmp_path / "rows.csv"
+        rows.write_text(CSV_HEADER + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--results", str(rows)])
+        assert exc.value.code == "no rows to calibrate on"
+
     def test_env_seed_override(self, capsys, tmp_path, cfg_file, monkeypatch):
         out_a = tmp_path / "a"
         run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_a))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from drifterm.harness import (
     HypothesisPolicy,
     Row,
     WeightPolicy,
+    build_rate,
     calibrate_ccal,
     config_from_dict,
     config_hash,
@@ -28,6 +30,7 @@ from drifterm.processes import (
     ProcessKind,
     ProcessSpec,
 )
+from drifterm.rates import RatePreconditionError
 from drifterm.weights import WeightFamily
 
 
@@ -95,6 +98,94 @@ class TestRunExperiment:
         a = run_experiment(small_config(base_seed=1))
         b = run_experiment(small_config(base_seed=2))
         assert rows_to_csv(a.rows) != rows_to_csv(b.rows)
+
+
+LINEAR_IID = ProcessSpec(
+    kind=ProcessKind.DRIFTING_LINEAR,
+    n=256,
+    p=2,
+    law=CovariateLaw.BALL,
+    core=DependenceCore(),
+    drift=DriftSpec.constant([0.3, -0.2]),
+    noise_sd=0.3,
+    y_bound=2.0,
+)
+
+INTERVAL_AR1 = ProcessSpec(
+    kind=ProcessKind.DRIFTING_LINEAR,
+    n=256,
+    p=1,
+    law=CovariateLaw.INTERVAL,
+    core=DependenceCore(kind="ar1", phi=0.6),
+    drift=DriftSpec.constant([1.0]),
+    noise_sd=0.3,
+    y_bound=2.3,
+)
+
+RATE_CLASSES = {
+    "linear": (LINEAR_IID, HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL)),
+    "step": (INTERVAL_AR1, HypothesisPolicy(kind=HypothesisKind.STEP_BASIS)),
+    "step_q8": (INTERVAL_AR1, HypothesisPolicy(kind=HypothesisKind.STEP_BASIS, q=8)),
+    "relu": (
+        INTERVAL_AR1,
+        HypothesisPolicy(kind=HypothesisKind.RELU_NET, nu=8, ell=2, param_bound=1.0),
+    ),
+}
+
+# (class, family, n) -> (scale constant, min_slack) found by build_rate.
+RATE_PINS = {
+    ("linear", "uniform", 256): (16.0, 1.0786582429415734),
+    ("linear", "uniform", 1024): (16.0, 1.2619929526108948),
+    ("linear", "exp", 256): (32.0, 1.1998357651349008),
+    ("linear", "exp", 1024): (32.0, 1.3073617032008829),
+    ("linear", "brown", 256): (64.0, 1.836176186881131),
+    ("linear", "brown", 1024): (32.0, 1.02330094171669),
+    ("step", "uniform", 256): (16.0, 1.5597167154404963),
+    ("step", "uniform", 1024): (16.0, 1.7598984919508383),
+    ("step", "exp", 256): (32.0, 1.4441920833962605),
+    ("step", "exp", 1024): (32.0, 1.60063739891265),
+    ("step_q8", "uniform", 256): (64.0, 1.1512659707314117),
+    ("step_q8", "uniform", 1024): (64.0, 1.2327123590096296),
+    ("step_q8", "exp", 256): (128.0, 1.7958242436268543),
+    ("step_q8", "exp", 1024): (128.0, 1.942651384045209),
+    ("relu", "uniform", 256): (16.0, 1.0106822494279055),
+    ("relu", "uniform", 1024): (16.0, 1.0623818155198466),
+    ("relu", "exp", 256): (32.0, 1.1399455828340035),
+    ("relu", "exp", 1024): (32.0, 1.2180771447101695),
+}
+
+
+def rate_config(klass: str, family: str, n: int, params=(0.1,)):
+    proc, hyp = RATE_CLASSES[klass]
+    cfg = ExperimentConfig(
+        process=proc,
+        weights=WeightPolicy(family=WeightFamily(family), params=params),
+        hypothesis=hyp,
+        n_grid=(n,),
+        replications=1,
+    )
+    return cfg, replace(proc, n=n)
+
+
+class TestBuildRate:
+    @pytest.mark.parametrize("key", sorted(RATE_PINS), ids=lambda key: "-".join(map(str, key)))
+    def test_pinned_scale_and_slack(self, key):
+        klass, family, n = key
+        rate, report = build_rate(*rate_config(klass, family, n))
+        a, slack = RATE_PINS[key]
+        assert rate.params.a == a
+        assert report.all_pass
+        assert report.min_slack == pytest.approx(slack, rel=1e-12)
+
+    @pytest.mark.parametrize("klass", ["step", "step_q8", "relu"])
+    def test_brown_weights_exceed_n_on_ar1(self, klass):
+        with pytest.raises(RatePreconditionError):
+            build_rate(*rate_config(klass, "brown", 256))
+
+    def test_no_params_means_full_uniform_window(self):
+        rate, report = build_rate(*rate_config("linear", "brown", 256, params=None))
+        assert rate.params.a == 16.0
+        assert report.min_slack == pytest.approx(1.0786582429415734, rel=1e-12)
 
 
 class TestConfigValidation:
@@ -183,25 +274,8 @@ class TestFitSlope:
 class TestCalibration:
     def test_homogeneity(self):
         res = run_experiment(small_config(replications=10))
-        c = calibrate_ccal(res)
-        doubled = type(res)(
-            config=res.config,
-            rows=tuple(
-                Row(
-                    n=r.n,
-                    param=r.param,
-                    w_l2=r.w_l2,
-                    seed=r.seed,
-                    learning_error=r.learning_error,
-                    drift_error=r.drift_error,
-                    excess_risk=2.0 * r.excess_risk,
-                    certificate=r.certificate,
-                )
-                for r in res.rows
-            ),
-            slope=None,
-            manifest=res.manifest,
-        )
+        c = calibrate_ccal(res.rows)
+        doubled = [replace(r, excess_risk=2.0 * r.excess_risk) for r in res.rows]
         assert calibrate_ccal(doubled) == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_unit_bound_gives_at_most_one(self):
@@ -209,19 +283,15 @@ class TestCalibration:
             Row(n=10, param=1.0, w_l2=0.3, seed=0, learning_error=0.1,
                 drift_error=0.0, excess_risk=0.5, certificate=1.0)
         ]
-        res = run_experiment(small_config(n_grid=(64,), replications=1))
-        fake = type(res)(config=res.config, rows=tuple(rows), slope=None, manifest={})
-        assert calibrate_ccal(fake) <= 1.0
+        assert calibrate_ccal(rows) <= 1.0
 
     def test_zero_denominator_rejected(self):
         rows = [
             Row(n=10, param=1.0, w_l2=0.3, seed=0, learning_error=0.1,
                 drift_error=1.0, excess_risk=0.5, certificate=1.0)
         ]
-        res = run_experiment(small_config(n_grid=(64,), replications=1))
-        fake = type(res)(config=res.config, rows=tuple(rows), slope=None, manifest={})
         with pytest.raises(HarnessError):
-            calibrate_ccal(fake)
+            calibrate_ccal(rows)
 
 
 class TestOutlierFlagging:
