@@ -10,6 +10,7 @@ config's base seed for ``run``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,12 +29,14 @@ from .harness import (
 from .hypotheses import (
     FittedHypothesis,
     HypothesisClassSpec,
+    HypothesisError,
     HypothesisKind,
     fit_weighted_erm,
 )
-from .mixing import MixingProfile, k_rho, m_beta
-from .processes import SamplePath, simulate, write_path_csv
+from .mixing import MixingError, MixingProfile, k_rho, m_beta
+from .processes import ProcessSpecError, SamplePath, simulate, write_path_csv
 from .rates import (
+    RateError,
     RateParameters,
     RateVariant,
     bound_certificate,
@@ -41,15 +44,28 @@ from .rates import (
     hypothesis_log_covering,
     weight_class_log_covering,
 )
-from .risk import risk_report
+from .risk import RiskError, risk_report
 from .weights import (
     DEFAULT_EXP_RANGE,
+    WeightDomainError,
     WeightFamily,
     WeightSpec,
     build_weight_net,
     class_constants,
     make_weights,
 )
+
+# drifterm's own errors: reported as one line on stderr, exit status 1.
+_USER_ERRORS = (
+    HarnessError,
+    ProcessSpecError,
+    WeightDomainError,
+    HypothesisError,
+    RateError,
+    MixingError,
+    RiskError,
+)
+
 
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
@@ -78,13 +94,7 @@ def _cmd_weights(args) -> int:
         "linf": w.linf,
         "sum": w.sum,
         "n_eff": w.n_eff,
-        "class_constants": {
-            "c1": consts.c1,
-            "cw": consts.cw,
-            "bw": consts.bw,
-            "n_eff_max": consts.n_eff_max,
-            "exact": consts.exact,
-        },
+        "class_constants": dataclasses.asdict(consts),
     }
     if args.net_eps is not None:
         net = build_weight_net(family, prange, args.t, args.net_eps)
@@ -259,7 +269,7 @@ def _cmd_rates(args) -> int:
         "variant": args.variant,
         "a": rate.params.a,
         "rate_table": table,
-        "condition_report": report.to_dict(),
+        "condition_report": dataclasses.asdict(report),
     })
     return 0
 
@@ -283,7 +293,7 @@ def _cmd_risk(args) -> int:
         raise SystemExit("risk reports support linear and step fits")
     w = _weights_from_json(args.w, spec.n)
     report = risk_report(fit, spec, w, args.t)
-    _emit(report.to_dict())
+    _emit({**dataclasses.asdict(report), "decomposition_ok": report.decomposition_ok})
     return 0
 
 
@@ -292,8 +302,6 @@ def _cmd_run(args) -> int:
         cfg = config_from_dict(json.load(f))
     env_seed = os.environ.get("DRIFTERM_SEED")
     if env_seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, base_seed=int(env_seed))
     result = run_experiment(cfg, jobs=args.jobs, out_dir=args.out)
     summary = {
@@ -314,24 +322,14 @@ def _cmd_slopes(args) -> int:
     with open(args.results, "r", encoding="utf-8") as f:
         rows = rows_from_csv(f.read())
     slope = fit_slope(rows, args.x, args.y, min_points=args.min_points)
-    _emit({
-        "slope": slope.slope,
-        "stderr": slope.stderr,
-        "r2": slope.r2,
-        "x_field": slope.x_field,
-        "y_field": slope.y_field,
-    })
+    _emit(dataclasses.asdict(slope))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     with open(args.results, "r", encoding="utf-8") as f:
         rows = rows_from_csv(f.read())
-    try:
-        c_cal = calibrate_ccal(rows)
-    except HarnessError as exc:
-        raise SystemExit(str(exc)) from None
-    _emit({"c_cal": c_cal, "rows": len(rows)})
+    _emit({"c_cal": calibrate_ccal(rows), "rows": len(rows)})
     return 0
 
 
@@ -405,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

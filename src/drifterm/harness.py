@@ -12,30 +12,27 @@ results do not depend on worker count or completion order.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import hashlib
 import json
 import math
+import operator
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
 from .hypotheses import HypothesisClassSpec, HypothesisKind, basis_size, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
-from .processes import (
-    CovariateLaw,
-    DependenceCore,
-    DriftSpec,
-    ProcessKind,
-    ProcessSpec,
-    lambda_min,
-    mixing_profile,
-    simulate,
-)
+from .processes import ProcessSpec, lambda_min, mixing_profile, simulate
 from .rates import (
     RateParameters,
+    RatePreconditionError,
     RateVariant,
     bound_certificate,
     find_scale_constant,
@@ -46,12 +43,11 @@ from .risk import drift_error, excess_risk, learning_error
 from .weights import (
     ANALYTIC_NORM_BOUNDS,
     DEFAULT_EXP_RANGE,
+    WeightDomainError,
     WeightFamily,
     WeightSpec,
     make_weights,
 )
-
-CSV_HEADER = "n,param,w_l2,seed,learning_error,drift_error,excess_risk,certificate"
 
 MAX_ROW_FAILURE_FRACTION = 0.01
 
@@ -153,6 +149,11 @@ class ExperimentConfig:
             raise HarnessError("need at least one replication")
         if not 0 < self.delta < 1:
             raise HarnessError("delta must be in (0,1)")
+        try:
+            for n in self.n_grid:
+                self.weights.specs(n)
+        except WeightDomainError as exc:
+            raise HarnessError(f"weights.params: {exc}") from exc
         if self.slope_target is not None and self._sweep_axis() == "n":
             if self.replications < 30:
                 raise HarnessError("slope experiments need >= 30 replications")
@@ -181,6 +182,12 @@ class Row:
     @property
     def n_eff(self) -> float:
         return 1.0 / self.w_l2**2
+
+
+# The rows.csv columns are the Row fields, in order; each parses with its type.
+_ROW_TYPES = typing.get_type_hints(Row)
+_row_values = operator.attrgetter(*_ROW_TYPES)
+CSV_HEADER = ",".join(_ROW_TYPES)
 
 
 @dataclass(frozen=True)
@@ -267,9 +274,13 @@ def run_experiment(
 
     for i_n, n in enumerate(cfg.n_grid):
         spec = replace(cfg.process, n=n)
-        rate, _ = build_rate(cfg, spec)
+        wspecs = cfg.weights.specs(n)
+        try:
+            rate, _ = build_rate(cfg, spec)
+        except RatePreconditionError as exc:
+            raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
         rate_constants[n] = rate.params.a
-        for i_param, wspec in enumerate(cfg.weights.specs(n)):
+        for i_param, wspec in enumerate(wspecs):
             w = make_weights(wspec)
             class_spec = cfg.hypothesis.class_spec(spec, w.l2)
             drift = drift_error(spec, w, n)
@@ -392,8 +403,8 @@ def fit_slope(
         raise HarnessError(f"need >= {min_points} distinct x values, got {len(groups)}")
     xs = np.array(sorted(groups))
     ys = np.array([np.mean(groups[x]) for x in xs])
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise HarnessError("log-log slope needs positive x and y")
+    if not np.all(np.isfinite(xs) & (xs > 0) & np.isfinite(ys) & (ys > 0)):
+        raise HarnessError("log-log slope needs finite, positive x and y")
     lx, ly = np.log(xs), np.log(ys)
     design = np.vstack([np.ones_like(lx), lx]).T
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -435,97 +446,89 @@ def calibrate_ccal(rows) -> float:
 # Serialization
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    proc = cfg.process
-    d = {
-        "process": {
-            "kind": proc.kind.value,
-            "n": proc.n,
-            "p": proc.p,
-            "law": proc.law.value,
-            "core": dataclasses.asdict(proc.core),
-            "drift": dataclasses.asdict(proc.drift) if proc.drift else None,
-            "noise_sd": proc.noise_sd,
-            "y_bound": proc.y_bound,
-            "mean": proc.mean,
-            "var_start": proc.var_start,
-            "var_end": proc.var_end,
-            "noise_mode": proc.noise_mode,
-            "noise_phi": proc.noise_phi,
-        },
-        "weights": {
-            "family": cfg.weights.family.value,
-            "params": list(cfg.weights.params) if cfg.weights.params is not None else None,
-            "exp_range": cfg.weights.exp_range,
-        },
-        "hypothesis": {
-            "kind": cfg.hypothesis.kind.value,
-            "b_bound": cfg.hypothesis.b_bound,
-            "q": cfg.hypothesis.q,
-            "nu": cfg.hypothesis.nu,
-            "ell": cfg.hypothesis.ell,
-            "param_bound": cfg.hypothesis.param_bound,
-        },
-        "n_grid": list(cfg.n_grid),
-        "replications": cfg.replications,
-        "delta": cfg.delta,
-        "base_seed": cfg.base_seed,
-        "rate_variant": cfg.rate_variant.value,
-        "mc_draws": cfg.mc_draws,
-        "slope_target": cfg.slope_target,
-        "slope_band": list(cfg.slope_band) if cfg.slope_band else None,
-    }
-    return d
+def config_to_dict(cfg) -> dict:
+    """A config as JSON data, field by field: dataclass -> dict, Enum -> value, tuple -> list."""
+    if dataclasses.is_dataclass(cfg):
+        return {f.name: config_to_dict(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, Enum):
+        return cfg.value
+    if isinstance(cfg, tuple):
+        return [config_to_dict(v) for v in cfg]
+    return cfg
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    pd = d["process"]
-    drift = DriftSpec(**{**pd["drift"], "a": tuple(pd["drift"]["a"]),
-                         "b": tuple(pd["drift"]["b"]) if pd["drift"].get("b") else None}) \
-        if pd.get("drift") else None
-    process = ProcessSpec(
-        kind=ProcessKind(pd["kind"]),
-        n=pd.get("n", max(d["n_grid"])),
-        p=pd["p"],
-        law=CovariateLaw(pd["law"]),
-        core=DependenceCore(**pd.get("core", {})),
-        drift=drift,
-        noise_sd=pd.get("noise_sd", 0.0),
-        y_bound=pd.get("y_bound", 1.0),
-        mean=pd.get("mean", 0.0),
-        var_start=pd.get("var_start", 1.0),
-        var_end=pd.get("var_end", 1.0),
-        noise_mode=pd.get("noise_mode", "iid"),
-        noise_phi=pd.get("noise_phi", 0.0),
-    )
-    wd = d.get("weights", {})
-    weights = WeightPolicy(
-        family=WeightFamily(wd.get("family", "uniform")),
-        params=tuple(wd["params"]) if wd.get("params") is not None else None,
-        exp_range=wd.get("exp_range", DEFAULT_EXP_RANGE),
-    )
-    hd = d.get("hypothesis", {})
-    hypothesis = HypothesisPolicy(
-        kind=HypothesisKind(hd.get("kind", "linear")),
-        b_bound=hd.get("b_bound", 1.0),
-        q=hd.get("q"),
-        nu=hd.get("nu"),
-        ell=hd.get("ell"),
-        param_bound=hd.get("param_bound"),
-    )
-    return ExperimentConfig(
-        process=process,
-        weights=weights,
-        hypothesis=hypothesis,
-        n_grid=tuple(d["n_grid"]),
-        replications=d["replications"],
-        delta=d.get("delta", 0.05),
-        base_seed=d.get("base_seed", 0),
-        rate_variant=RateVariant(d.get("rate_variant", "i")),
-        mc_draws=d.get("mc_draws", 100_000),
-        slope_target=d.get("slope_target"),
-        slope_band=tuple(d["slope_band"]) if d.get("slope_band") else None,
-    )
+    """Decode a config over the dataclass fields and their type hints.
+
+    Omitted keys take the dataclass defaults, an omitted object (``weights``,
+    ``hypothesis``, ``process.core``) is built from its own defaults, and an
+    omitted ``process.n`` is the largest grid point.  A JSON int in a float
+    field is kept as given, so the config hash does not move.  Unknown or
+    missing keys, wrong types, bad enum values and a dataclass's own
+    validation errors raise HarnessError naming the dotted field path.
+    """
+    process = d.get("process") if isinstance(d, dict) else None
+    if isinstance(process, dict) and "n" not in process and "n_grid" in d:
+        n_grid = _decode(tuple[int, ...], d["n_grid"], "n_grid")
+        if n_grid:
+            d = {**d, "process": {**process, "n": max(n_grid)}}
+    return _decode(ExperimentConfig, d, "")
+
+
+def _decode(tp, value, path: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value, path)
+    if dataclasses.is_dataclass(tp):
+        return _decode_dataclass(tp, value, path)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            choices = ", ".join(repr(m.value) for m in tp)
+            raise HarnessError(f"{path}: {value!r} is not one of {choices}") from None
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise HarnessError(f"{path}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise HarnessError(f"{path}: expected {len(args)} items, got {len(value)}")
+        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise HarnessError(f"{path}: expected {tp.__name__}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _decode_dataclass(cls, value, path: str):
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise HarnessError(f"{where}: expected an object, got {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    for key in value:
+        if key not in fields:
+            close = difflib.get_close_matches(str(key), fields, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise HarnessError(f"{prefix}{key}: unknown key{hint}")
+    required = [name for name, f in fields.items() if f.default is dataclasses.MISSING]
+    for name in required:
+        if name not in value and not dataclasses.is_dataclass(hints[name]):
+            raise HarnessError(f"{prefix}{name}: missing required key")
+    kwargs = {
+        name: _decode(hints[name], value.get(name, {}), prefix + name)
+        for name in fields
+        if name in value or name in required
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the dataclass's own validation
+        raise HarnessError(f"{where}: {exc}") from exc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -549,33 +552,35 @@ def build_manifest(cfg, rate_constants, failures, n_rows) -> dict:
 
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.param!r},{r.w_l2!r},{r.seed},{r.learning_error!r},"
-            f"{r.drift_error!r},{r.excess_risk!r},{r.certificate!r}"
-        )
+    lines.extend(",".join(map(str, _row_values(r))) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_from_csv(text: str) -> list[Row]:
-    lines = [ln for ln in text.strip().split("\n") if ln]
+    """Rows of a ``rows.csv``; a wrong header, a wrong field count, or a value
+    that does not parse or is not finite raises HarnessError naming the line."""
+    lines = text.split("\n")
     if lines[0] != CSV_HEADER:
-        raise HarnessError(f"unexpected CSV header {lines[0]!r}")
+        raise HarnessError(f"rows.csv line 1: expected the header {CSV_HEADER!r}, got {lines[0]!r}")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append(
-            Row(
-                n=int(parts[0]),
-                param=float(parts[1]),
-                w_l2=float(parts[2]),
-                seed=int(parts[3]),
-                learning_error=float(parts[4]),
-                drift_error=float(parts[5]),
-                excess_risk=float(parts[6]),
-                certificate=float(parts[7]),
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_ROW_TYPES):
+            raise HarnessError(
+                f"rows.csv line {lineno}: expected {len(_ROW_TYPES)} fields, got {len(parts)}"
             )
-        )
+        values = {}
+        for (name, kind), part in zip(_ROW_TYPES.items(), parts):
+            where = f"rows.csv line {lineno}: {name}"
+            try:
+                values[name] = kind(part)
+            except ValueError:
+                raise HarnessError(f"{where}: expected {kind.__name__}, got {part!r}") from None
+            if not math.isfinite(values[name]):
+                raise HarnessError(f"{where}: non-finite {part}")
+        rows.append(Row(**values))
     return rows
 
 

@@ -58,6 +58,14 @@ class DriftSpec:
     at: int | None = None
     cycles: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("constant", "linear", "switch", "sinusoidal"):
+            raise ProcessSpecError(f"unknown drift kind {self.kind!r}")
+        if self.kind != "constant" and (self.b is None or len(self.b) != len(self.a)):
+            raise ProcessSpecError(f"{self.kind} drift needs b with as many entries as a")
+        if self.kind == "switch" and self.at is None:
+            raise ProcessSpecError("switch drift needs the change point at")
+
     @staticmethod
     def constant(value) -> "DriftSpec":
         return DriftSpec(kind="constant", a=tuple(float(v) for v in value))
@@ -106,11 +114,9 @@ class DriftSpec:
             b = np.asarray(self.b, dtype=float)
             out = np.where((times <= self.at)[:, None], a[None, :], b[None, :])
             return out
-        if self.kind == "sinusoidal":
-            b = np.asarray(self.b, dtype=float)
-            phase = np.sin(2.0 * math.pi * self.cycles * (times - 1.0) / n)
-            return a[None, :] + phase[:, None] * b[None, :]
-        raise ProcessSpecError(f"unknown drift kind {self.kind!r}")
+        b = np.asarray(self.b, dtype=float)  # sinusoidal
+        phase = np.sin(2.0 * math.pi * self.cycles * (times - 1.0) / n)
+        return a[None, :] + phase[:, None] * b[None, :]
 
     def bound(self) -> float:
         """Upper bound on ||beta*_t||_2 over the path."""

@@ -178,24 +178,6 @@ class ConditionReport:
     lipschitz_estimate: float
     min_slack: float
 
-    def to_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "min_slack": self.min_slack,
-            "points": [
-                {
-                    "u": p.u,
-                    "rate_sq": p.rate_sq,
-                    "required_growth": p.required_growth,
-                    "required_approx": p.required_approx,
-                    "growth_ok": p.growth_ok,
-                    "approx_ok": p.approx_ok,
-                }
-                for p in self.points
-            ],
-        }
-
 
 def default_condition_grid(params: RateParameters, points: int = 256) -> np.ndarray:
     """256 log-spaced norms on [cw, c1] plus both endpoints."""

@@ -63,18 +63,6 @@ class RiskReport:
         bound = DECOMPOSITION_CONSTANT * (self.learning_error + self.drift_error)
         return self.excess_risk <= bound + slack + 1e-12
 
-    def to_dict(self) -> dict:
-        return {
-            "excess_risk": self.excess_risk,
-            "learning_error": self.learning_error,
-            "drift_error": self.drift_error,
-            "discrepancy_sum": self.discrepancy_sum,
-            "excess_stderr": self.excess_stderr,
-            "learning_stderr": self.learning_stderr,
-            "modes": self.modes,
-            "decomposition_ok": self.decomposition_ok,
-        }
-
 
 def _population_target(spec: ProcessSpec, coef: np.ndarray):
     """Population regression function as a comparison operand."""

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import drifterm
 
 from drifterm.cli import main
 
@@ -164,6 +170,32 @@ class TestRunPipeline:
         with pytest.raises(SystemExit) as exc:
             main(["calibrate", "--results", str(rows)])
         assert exc.value.code == "no rows to calibrate on"
+
+    def test_slopes_rejects_nan_row(self, capsys, tmp_path, cfg_file):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_dir))
+        lines = (out_dir / "rows.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = "nan"  # learning_error
+        lines[2] = ",".join(fields)
+        (out_dir / "rows.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["slopes", "--results", str(out_dir / "rows.csv"), "--min-points", "2"])
+        assert exc.value.code == "rows.csv line 3: learning_error: non-finite nan"
+
+    def test_misspelt_key_is_a_one_line_error(self, tmp_path, cfg_file):
+        cfg = json.loads(Path(cfg_file).read_text())
+        cfg["replicatons"] = cfg.pop("replications")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "drifterm.cli", "run", "--config", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "replicatons: unknown key; did you mean 'replications'?\n"
 
     def test_env_seed_override(self, capsys, tmp_path, cfg_file, monkeypatch):
         out_a = tmp_path / "a"

@@ -155,7 +155,8 @@ RATE_PINS = {
 }
 
 
-def rate_config(klass: str, family: str, n: int, params=(0.1,)):
+# build_rate reads only the weight family; 1.0 is a valid parameter of all three.
+def rate_config(klass: str, family: str, n: int, params=(1.0,)):
     proc, hyp = RATE_CLASSES[klass]
     cfg = ExperimentConfig(
         process=proc,
@@ -181,6 +182,14 @@ class TestBuildRate:
     def test_brown_weights_exceed_n_on_ar1(self, klass):
         with pytest.raises(RatePreconditionError):
             build_rate(*rate_config(klass, "brown", 256))
+
+    @pytest.mark.parametrize("klass", ["step", "relu"])
+    def test_brown_weights_on_ar1_fail_the_run_with_harness_error(self, klass):
+        cfg, _ = rate_config(klass, "brown", 256)
+        with pytest.raises(
+            HarnessError, match=r"brown weights at n=256: .*dependence constant .* exceeds n=256"
+        ):
+            run_experiment(cfg)
 
     def test_no_params_means_full_uniform_window(self):
         rate, report = build_rate(*rate_config("linear", "brown", 256, params=None))
@@ -209,6 +218,14 @@ class TestConfigValidation:
                 replications=30,
                 slope_target=-1.0,
             )
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("uniform", (0.5,)), ("uniform", (200.0,)), ("exp", (0.1, -1.0)), ("brown", (1.5,))],
+    )
+    def test_weight_params_checked_against_the_family(self, family, params):
+        with pytest.raises(HarnessError, match=r"^weights\.params: "):
+            small_config(weights=WeightPolicy(family=WeightFamily(family), params=params))
 
     def test_config_roundtrip(self):
         cfg = small_config(
@@ -270,6 +287,12 @@ class TestFitSlope:
         with pytest.raises(HarnessError):
             fit_slope(rows, "n", "learning_error")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        rows = self._rows([2, 4, 8, 16, 32], [1.0, 1.0, bad, 1.0, 1.0])
+        with pytest.raises(HarnessError, match="finite, positive"):
+            fit_slope(rows, "n", "learning_error")
+
 
 class TestCalibration:
     def test_homogeneity(self):
@@ -316,6 +339,31 @@ class TestCsvRoundtrip:
     def test_header_and_roundtrip(self):
         res = run_experiment(small_config())
         text = rows_to_csv(res.rows)
+        assert CSV_HEADER == "n,param,w_l2,seed,learning_error,drift_error,excess_risk,certificate"
         assert text.splitlines()[0] == CSV_HEADER
         back = rows_from_csv(text)
+        assert back == list(res.rows)
         assert rows_to_csv(back) == text
+
+    GOOD = "64,64.0,0.125,7,0.01,0.0,0.02,0.5"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"^rows\.csv line 1: expected the header"),
+            ("n,param\n", r"^rows\.csv line 1: expected the header"),
+            (f"{CSV_HEADER}\n{GOOD}\n64,64.0,0.125\n", r"^rows\.csv line 3: expected 8 fields, got 3"),
+            (f"{CSV_HEADER}\n{GOOD},9.0\n", r"^rows\.csv line 2: expected 8 fields, got 9"),
+            (f"{CSV_HEADER}\n64,64.0,0.125,7,nan,0.0,0.02,0.5\n", r"^rows\.csv line 2: learning_error: non-finite nan"),
+            (f"{CSV_HEADER}\n64,64.0,0.125,7,0.01,0.0,inf,0.5\n", r"^rows\.csv line 2: excess_risk: non-finite inf"),
+            (f"{CSV_HEADER}\n64.5,64.0,0.125,7,0.01,0.0,0.02,0.5\n", r"^rows\.csv line 2: n: expected int, got '64\.5'"),
+            (f"{CSV_HEADER}\n64,64.0,0.125,7,abc,0.0,0.02,0.5\n", r"^rows\.csv line 2: learning_error: expected float, got 'abc'"),
+        ],
+        ids=["empty", "bad-header", "short-line", "extra-column", "nan", "inf", "float-n", "text"],
+    )
+    def test_malformed_rows_rejected(self, text, message):
+        with pytest.raises(HarnessError, match=message):
+            rows_from_csv(text)
+
+    def test_header_only_gives_no_rows(self):
+        assert rows_from_csv(CSV_HEADER + "\n") == []

@@ -94,6 +94,19 @@ class TestSimulate:
                 y_bound=2.0,  # needs ~1 + 4.002
             )
 
+    @pytest.mark.parametrize(
+        "kind, a, b, at",
+        [
+            ("wobble", (0.1,), None, None),
+            ("linear", (0.1,), None, None),
+            ("sinusoidal", (0.1,), (0.2, 0.3), None),
+            ("switch", (0.1,), (0.2,), None),
+        ],
+    )
+    def test_drift_validation(self, kind, a, b, at):
+        with pytest.raises(ProcessSpecError):
+            DriftSpec(kind, a, b, at=at)
+
     def test_covariate_second_moment_matches(self):
         spec = linear_spec(n=100_000, p=3, drift=DriftSpec.constant([0.1, 0.1, 0.1]))
         path = simulate(spec, 21)
