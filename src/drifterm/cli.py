@@ -20,21 +20,19 @@ import numpy as np
 from . import __version__
 from .harness import (
     HarnessError,
+    HypothesisPolicy,
     calibrate_ccal,
     config_from_dict,
+    config_to_dict,
+    decode,
+    decode_call,
     fit_slope,
     rows_from_csv,
     run_experiment,
 )
-from .hypotheses import (
-    FittedHypothesis,
-    HypothesisClassSpec,
-    HypothesisError,
-    HypothesisKind,
-    fit_weighted_erm,
-)
+from .hypotheses import FittedHypothesis, HypothesisClassSpec, HypothesisError, fit_weighted_erm
 from .mixing import MixingError, MixingProfile, k_rho, m_beta
-from .processes import ProcessSpecError, SamplePath, simulate, write_path_csv
+from .processes import ProcessSpec, ProcessSpecError, read_path_csv, simulate, write_path_csv
 from .rates import (
     RateError,
     RateParameters,
@@ -50,6 +48,8 @@ from .weights import (
     WeightDomainError,
     WeightFamily,
     WeightSpec,
+    WeightVector,
+    _from_entries,
     build_weight_net,
     class_constants,
     make_weights,
@@ -132,87 +132,69 @@ def _cmd_mixing(args) -> int:
     return 0
 
 
-def _load_process_spec(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    if "process" not in d:
-        d = {"process": d, "n_grid": [d.get("n", 100)], "replications": 1}
-    cfg = config_from_dict(d)
-    return cfg.process
+def _read_json(file: str):
+    with open(file, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise HarnessError(f"{file}: {exc}") from None
+
+
+def _read_spec(file: str) -> ProcessSpec:
+    """A config's process, or a bare process object, whose ``n`` is then required."""
+    d = _read_json(file)
+    if isinstance(d, dict) and "process" in d:
+        return config_from_dict(d).process
+    return decode(ProcessSpec, d, "process")
+
+
+def _read_weights(file: str, n: int) -> WeightVector:
+    """A WeightSpec object, with ``t`` and ``n`` defaulting to n, or an ``entries`` list."""
+    d = decode(dict, _read_json(file), "weights")
+    if "entries" in d:
+        return decode_call(_from_entries, d, "weights")
+    return make_weights(decode_call(WeightSpec, d, "weights", {"t": n, "n": n}))
+
+
+def _read_fit(file: str) -> FittedHypothesis:
+    """The fit that ``drifterm fit`` wrote: its class, and its coef, bins or layers."""
+    d = decode(dict, _read_json(file), "fit")
+    layers = decode(tuple[dict, ...] | None, d.get("layers"), "fit.layers") or ()
+    return FittedHypothesis(
+        class_spec=decode(HypothesisClassSpec, d.get("class", {}), "fit.class"),
+        coef=decode(np.ndarray | None, d.get("coef"), "fit.coef"),
+        bins=decode(np.ndarray | None, d.get("bins"), "fit.bins"),
+        layers=tuple(decode_call(_layer, v, f"fit.layers[{i}]") for i, v in enumerate(layers))
+        or None,
+    )
+
+
+def _layer(W: tuple[np.ndarray, ...], b: np.ndarray):
+    return np.array(W), b
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_process_spec(args.spec)
+    spec = _read_spec(args.spec)
     path = simulate(spec, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         write_path_csv(path, f)
     return 0
 
 
-def _read_path_csv(data_file: str, spec) -> SamplePath:
-    raw = np.loadtxt(data_file, delimiter=",", skiprows=1)
-    y = raw[:, 1].copy()
-    z = raw[:, 2:].copy()
-    return SamplePath(y=y, z=z, seed=-1, spec=spec)
-
-
-def _class_spec_from_dict(d: dict) -> HypothesisClassSpec:
-    kind = HypothesisKind(d["kind"])
-    if kind is HypothesisKind.LINEAR_BALL:
-        return HypothesisClassSpec.linear(d["b_bound"], d.get("lambda_min", 1.0))
-    if kind is HypothesisKind.STEP_BASIS:
-        return HypothesisClassSpec.step(d["q"], d["b_bound"])
-    return HypothesisClassSpec.relu(d["nu"], d["ell"], d["param_bound"], d["b_bound"])
-
-
-def _weights_from_json(path: str, n: int):
-    with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    if "entries" in d:
-        from .weights import _from_entries
-
-        return _from_entries(np.asarray(d["entries"], dtype=float))
-    spec = WeightSpec(WeightFamily(d["family"]), t=d.get("t", n), n=d.get("n", n),
-                      param=d["param"])
-    return make_weights(spec)
-
-
 def _cmd_fit(args) -> int:
-    spec = _load_process_spec(args.spec) if args.spec else None
-    with open(args.klass, "r", encoding="utf-8") as f:
-        class_spec = _class_spec_from_dict(json.load(f))
-    raw = np.loadtxt(args.data, delimiter=",", skiprows=1)
-    n = raw.shape[0] - 1
-    if spec is None:
-        from .processes import CovariateLaw, DependenceCore, DriftSpec, ProcessKind, ProcessSpec
-
-        p = raw.shape[1] - 2
-        law = CovariateLaw.INTERVAL if p == 1 and raw[:, 2].min() >= 0 else CovariateLaw.BALL
-        spec = ProcessSpec(
-            kind=ProcessKind.DRIFTING_LINEAR,
-            n=n,
-            p=p,
-            law=law,
-            core=DependenceCore(),
-            drift=DriftSpec.constant([0.0] * p),
-            noise_sd=0.0,
-            y_bound=float(np.abs(raw[:, 1]).max()) + 1.0,
-        )
-    path = _read_path_csv(args.data, spec)
-    w = _weights_from_json(args.weights, n)
-    fit = fit_weighted_erm(path, w, class_spec, seed=args.seed)
-    out = {
-        "kind": class_spec.kind.value,
-        "fit_meta": fit.fit_meta,
-    }
+    spec = _read_spec(args.spec)
+    policy = decode(HypothesisPolicy, _read_json(args.klass), "hypothesis")
+    with open(args.data, "r", encoding="utf-8") as f:
+        path = read_path_csv(f.read(), spec, args.data)
+    w = _read_weights(args.weights, spec.n)
+    fit = fit_weighted_erm(path, w, policy.class_spec(spec, w.l2), seed=args.seed)
+    out = {"class": config_to_dict(fit.class_spec), "fit_meta": fit.fit_meta}
     if fit.coef is not None:
         out["coef"] = [float(v) for v in fit.coef]
     if fit.bins is not None:
         out["bins"] = [float(v) for v in fit.bins]
     if fit.layers is not None:
-        out["layers"] = [
-            {"W": Wm.tolist(), "b": bv.tolist()} for Wm, bv in fit.layers
-        ]
+        out["layers"] = [{"W": Wm.tolist(), "b": bv.tolist()} for Wm, bv in fit.layers]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(out, f, indent=2, sort_keys=True)
@@ -222,45 +204,25 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# Defaults for the RateParameters scalars of ``rates --params``.  find_scale_constant
+# searches ``a`` and sets k = a^2 n^2 itself, so those two are only checked.
+_RATE_DEFAULTS = {"c_p": 1.0, "c_inf": 0.0, "c_l": 1.0, "alpha": 0.0, "a": 1.0, "k": 1.0,
+                  "delta": 0.05}
+
+
 def _cmd_rates(args) -> int:
-    with open(args.params, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    wc = d["weight_class"]
-    hc = d["hypothesis_class"]
-    log_n1 = weight_class_log_covering(
-        WeightFamily(wc["family"]),
-        wc.get("scope", "union"),
-        t=wc.get("t"),
-        n=wc.get("n", d["n"]),
-        exp_range=wc.get("exp_range", DEFAULT_EXP_RANGE),
+    d = decode(dict, _read_json(args.params), "params")
+    wc, hc = d.pop("weight_class", {}), d.pop("hypothesis_class", {})
+    params = decode_call(RateParameters, d, "params", _RATE_DEFAULTS,
+                         given={"log_n1_w": None, "log_ninf_h": None})
+    params = dataclasses.replace(
+        params,
+        log_n1_w=decode_call(weight_class_log_covering, wc, "params.weight_class",
+                             {"scope": "union", "n": params.n}),
+        log_ninf_h=decode_call(hypothesis_log_covering, hc, "params.hypothesis_class",
+                               {"n": params.n}),
     )
-    log_ninf = hypothesis_log_covering(
-        hc["kind"],
-        p=hc.get("p"),
-        b_bound=hc.get("b_bound", 1.0),
-        q=hc.get("q"),
-        n=hc.get("n", d["n"]),
-        sizing_const=hc.get("sizing_const", 1.0),
-    )
-    params = RateParameters(
-        c1=d["c1"],
-        cw=d["cw"],
-        bw=d["bw"],
-        m_beta=d["m_beta"],
-        k_rho=d["k_rho"],
-        c_p=d.get("c_p", 1.0),
-        c_inf=d.get("c_inf", 0.0),
-        c_l=d.get("c_l", 1.0),
-        alpha=d.get("alpha", 0.0),
-        a=d.get("a", 1.0),
-        k=d.get("k", float(d["n"]) ** 2),
-        delta=d.get("delta", 0.05),
-        n=d["n"],
-        log_n1_w=log_n1,
-        log_ninf_h=log_ninf,
-    )
-    variant = RateVariant(args.variant)
-    rate, report = find_scale_constant(variant, params)
+    rate, report = find_scale_constant(RateVariant(args.variant), params)
     grid = np.geomspace(params.cw, params.c1, args.grid)
     table = [{"u": float(u), "r": rate(float(u)),
               "certificate": bound_certificate(rate, float(u), params.delta)}
@@ -275,31 +237,16 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    spec = _load_process_spec(args.spec)
-    with open(args.fit, "r", encoding="utf-8") as f:
-        fd = json.load(f)
-    kind = HypothesisKind(fd["kind"])
-    if kind is HypothesisKind.LINEAR_BALL:
-        coef = np.asarray(fd["coef"], dtype=float)
-        class_spec = HypothesisClassSpec.linear(
-            max(1.0, float(np.linalg.norm(coef))), 1.0
-        )
-        fit = FittedHypothesis(class_spec=class_spec, coef=coef)
-    elif kind is HypothesisKind.STEP_BASIS:
-        bins = np.asarray(fd["bins"], dtype=float)
-        class_spec = HypothesisClassSpec.step(len(bins), max(1.0, float(np.abs(bins).max())))
-        fit = FittedHypothesis(class_spec=class_spec, bins=bins)
-    else:
-        raise SystemExit("risk reports support linear and step fits")
-    w = _weights_from_json(args.w, spec.n)
+    spec = _read_spec(args.spec)
+    fit = _read_fit(args.fit)
+    w = _read_weights(args.w, spec.n)
     report = risk_report(fit, spec, w, args.t)
     _emit({**dataclasses.asdict(report), "decomposition_ok": report.decomposition_ok})
     return 0
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        cfg = config_from_dict(json.load(f))
+    cfg = config_from_dict(_read_json(args.config))
     env_seed = os.environ.get("DRIFTERM_SEED")
     if env_seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=int(env_seed))
@@ -363,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--data", required=True)
     pf.add_argument("--weights", required=True)
     pf.add_argument("--class", dest="klass", required=True)
-    pf.add_argument("--spec", default=None)
+    pf.add_argument("--spec", required=True)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out", default=None)
     pf.set_defaults(func=_cmd_fit)

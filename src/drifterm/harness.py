@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import hashlib
+import inspect
 import json
 import math
 import operator
@@ -26,10 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .hypotheses import HypothesisClassSpec, HypothesisKind, basis_size, fit_weighted_erm
+from .hypotheses import HypothesisClassSpec, HypothesisError, HypothesisKind, basis_size
+from .hypotheses import fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
-from .processes import ProcessSpec, lambda_min, mixing_profile, simulate
+from .processes import ProcessSpec, lambda_min, mixing_profile, read_csv, simulate
 from .rates import (
     RateParameters,
     RatePreconditionError,
@@ -98,12 +100,16 @@ class HypothesisPolicy:
     param_bound: float | None = None
 
     def class_spec(self, spec: ProcessSpec, w_l2: float) -> HypothesisClassSpec:
-        if self.kind is HypothesisKind.LINEAR_BALL:
-            return HypothesisClassSpec.linear(self.b_bound, lambda_min(spec))
-        if self.kind is HypothesisKind.STEP_BASIS:
-            q = self.q if self.q is not None else basis_size(w_l2)
-            return HypothesisClassSpec.step(q, self.b_bound)
-        return HypothesisClassSpec.relu(self.nu, self.ell, self.param_bound, self.b_bound)
+        """The class of one cell; a class the policy cannot build raises HarnessError."""
+        try:
+            if self.kind is HypothesisKind.LINEAR_BALL:
+                return HypothesisClassSpec.linear(self.b_bound, lambda_min(spec))
+            if self.kind is HypothesisKind.STEP_BASIS:
+                q = self.q if self.q is not None else basis_size(w_l2)
+                return HypothesisClassSpec.step(q, self.b_bound)
+            return HypothesisClassSpec.relu(self.nu, self.ell, self.param_bound, self.b_bound)
+        except HypothesisError as exc:
+            raise HarnessError(f"hypothesis: {exc}") from exc
 
     def rate_inputs(self, spec: ProcessSpec):
         """(alpha, c_inf, (eps, w_l2) -> log Ninf, approximation error) at horizon spec.n.
@@ -154,6 +160,7 @@ class ExperimentConfig:
                 self.weights.specs(n)
         except WeightDomainError as exc:
             raise HarnessError(f"weights.params: {exc}") from exc
+        self.hypothesis.class_spec(self.process, 1.0)
         if self.slope_target is not None and self._sweep_axis() == "n":
             if self.replications < 30:
                 raise HarnessError("slope experiments need >= 30 replications")
@@ -469,27 +476,35 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """
     process = d.get("process") if isinstance(d, dict) else None
     if isinstance(process, dict) and "n" not in process and "n_grid" in d:
-        n_grid = _decode(tuple[int, ...], d["n_grid"], "n_grid")
+        n_grid = decode(tuple[int, ...], d["n_grid"], "n_grid")
         if n_grid:
             d = {**d, "process": {**process, "n": max(n_grid)}}
-    return _decode(ExperimentConfig, d, "")
+    return decode(ExperimentConfig, d, "")
 
 
-def _decode(tp, value, path: str):
+def decode(tp, value, path: str):
+    """The JSON data ``value`` as type ``tp``; a mismatch raises HarnessError naming ``path``.
+
+    ``tp`` is a dataclass, an Enum, ``X | None``, a tuple, a 1-D float
+    ``np.ndarray``, or a plain type (a JSON int is accepted for float, a
+    NaN or an infinity is not).
+    """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value, path)
+        return decode(tp, value, path)
     if dataclasses.is_dataclass(tp):
-        return _decode_dataclass(tp, value, path)
+        return decode_call(tp, value, path)
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return tp(value)
         except ValueError:
             choices = ", ".join(repr(m.value) for m in tp)
             raise HarnessError(f"{path}: {value!r} is not one of {choices}") from None
+    if tp is np.ndarray:
+        return np.array(decode(tuple[float, ...], value, path), dtype=float)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise HarnessError(f"{path}: expected a list, got {type(value).__name__}")
@@ -497,37 +512,50 @@ def _decode(tp, value, path: str):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise HarnessError(f"{path}: expected {len(args)} items, got {len(value)}")
-        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+        return tuple(decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     accepted = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise HarnessError(f"{path}: expected {tp.__name__}, got {type(value).__name__} {value!r}")
+    if tp is float and not math.isfinite(value):  # json reads NaN and Infinity
+        raise HarnessError(f"{path}: non-finite {value}")
     return value
 
 
-def _decode_dataclass(cls, value, path: str):
+def decode_call(fn, value, path: str, defaults: dict | None = None, given: dict | None = None):
+    """``fn``, a dataclass or a function, called with the JSON object ``value`` as keywords.
+
+    Each key must name a parameter of ``fn`` and is decoded against its type
+    hint.  ``defaults`` fill the keys that ``value`` omits; ``given`` are
+    passed as they are and are not keys.  A parameter with no default is a
+    required key, except that an omitted dataclass-typed one is built from
+    its own defaults.  A ValueError from ``fn``, such as a dataclass's own
+    validation, becomes a HarnessError naming the path.
+    """
     where = path or "config"
     if not isinstance(value, dict):
         raise HarnessError(f"{where}: expected an object, got {type(value).__name__}")
+    value = {**(defaults or {}), **value}
+    given = given or {}
     prefix = f"{path}." if path else ""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    hints = typing.get_type_hints(cls)
+    params = {k: p for k, p in inspect.signature(fn).parameters.items() if k not in given}
+    hints = typing.get_type_hints(fn)
     for key in value:
-        if key not in fields:
-            close = difflib.get_close_matches(str(key), fields, n=1)
+        if key not in params:
+            close = difflib.get_close_matches(str(key), params, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise HarnessError(f"{prefix}{key}: unknown key{hint}")
-    required = [name for name, f in fields.items() if f.default is dataclasses.MISSING]
+    required = [name for name, p in params.items() if p.default is p.empty]
     for name in required:
         if name not in value and not dataclasses.is_dataclass(hints[name]):
             raise HarnessError(f"{prefix}{name}: missing required key")
     kwargs = {
-        name: _decode(hints[name], value.get(name, {}), prefix + name)
-        for name in fields
+        name: decode(hints[name], value.get(name, {}), prefix + name)
+        for name in params
         if name in value or name in required
     }
     try:
-        return cls(**kwargs)
-    except ValueError as exc:  # the dataclass's own validation
+        return fn(**kwargs, **given)
+    except ValueError as exc:  # fn's own validation
         raise HarnessError(f"{where}: {exc}") from exc
 
 
@@ -559,29 +587,7 @@ def rows_to_csv(rows) -> str:
 def rows_from_csv(text: str) -> list[Row]:
     """Rows of a ``rows.csv``; a wrong header, a wrong field count, or a value
     that does not parse or is not finite raises HarnessError naming the line."""
-    lines = text.split("\n")
-    if lines[0] != CSV_HEADER:
-        raise HarnessError(f"rows.csv line 1: expected the header {CSV_HEADER!r}, got {lines[0]!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_ROW_TYPES):
-            raise HarnessError(
-                f"rows.csv line {lineno}: expected {len(_ROW_TYPES)} fields, got {len(parts)}"
-            )
-        values = {}
-        for (name, kind), part in zip(_ROW_TYPES.items(), parts):
-            where = f"rows.csv line {lineno}: {name}"
-            try:
-                values[name] = kind(part)
-            except ValueError:
-                raise HarnessError(f"{where}: expected {kind.__name__}, got {part!r}") from None
-            if not math.isfinite(values[name]):
-                raise HarnessError(f"{where}: non-finite {part}")
-        rows.append(Row(**values))
-    return rows
+    return [Row(*values) for values in read_csv(text, _ROW_TYPES, "rows.csv", HarnessError)]
 
 
 def write_result(result: ExperimentResult, out_dir: str) -> None:

@@ -41,7 +41,7 @@ class CovariateLaw(Enum):
 
 
 class ProcessSpecError(ValueError):
-    """Invalid generator configuration."""
+    """Invalid generator configuration, or a path file that does not fit it."""
 
 
 @dataclass(frozen=True)
@@ -373,11 +373,54 @@ def sample_covariates(
     return u
 
 
+def _path_csv_columns(p: int) -> list[str]:
+    return ["t", "y"] + [f"z_{j + 1}" for j in range(p)]
+
+
 def write_path_csv(path: SamplePath, stream) -> None:
     """CSV with header t,y,z_1..z_p, times 1..n+1."""
-    p = path.z.shape[1]
-    header = "t,y," + ",".join(f"z_{j + 1}" for j in range(p))
-    stream.write(header + "\n")
+    stream.write(",".join(_path_csv_columns(path.z.shape[1])) + "\n")
     for i in range(path.y.shape[0]):
         zs = ",".join(repr(float(v)) for v in path.z[i])
         stream.write(f"{i + 1},{float(path.y[i])!r},{zs}\n")
+
+
+def read_csv(text: str, columns: dict, name: str, error=ProcessSpecError) -> list[list]:
+    """The rows of a CSV whose header is the ``columns`` names, each value parsed with its type.
+
+    A wrong header, a line with the wrong number of fields, or a value that
+    does not parse or is not finite raises ``error`` naming the line and
+    column.  Empty lines are skipped.
+    """
+    header = ",".join(columns)
+    lines = text.split("\n")
+    if lines[0] != header:
+        raise error(f"{name} line 1: expected the header {header!r}, got {lines[0]!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise error(f"{name} line {lineno}: expected {len(columns)} fields, got {len(parts)}")
+        row = []
+        for (column, kind), part in zip(columns.items(), parts):
+            where = f"{name} line {lineno}: {column}"
+            try:
+                row.append(kind(part))
+            except ValueError:
+                raise error(f"{where}: expected {kind.__name__}, got {part!r}") from None
+            if not math.isfinite(row[-1]):
+                raise error(f"{where}: non-finite {part}")
+        rows.append(row)
+    return rows
+
+
+def read_path_csv(text: str, spec: ProcessSpec, name: str) -> SamplePath:
+    """The path in a CSV that ``write_path_csv`` wrote, checked against ``spec``:
+    the header t,y,z_1..z_p for spec.p, n+1 rows, and finite values."""
+    rows = read_csv(text, dict.fromkeys(_path_csv_columns(spec.p), float), name)
+    if len(rows) != spec.n + 1:
+        raise ProcessSpecError(f"{name}: expected n+1 = {spec.n + 1} rows, got {len(rows)}")
+    raw = np.array(rows)
+    return SamplePath(y=raw[:, 1].copy(), z=raw[:, 2:].copy(), seed=-1, spec=spec)

@@ -317,6 +317,7 @@ def weight_class_log_covering(
             covering_number_bound(family, scope, eps, t=t, n=n, exp_range=exp_range)
         )
 
+    log_cover(1.0)  # check the scope and its t or n now, not at the first use
     return log_cover
 
 

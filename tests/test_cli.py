@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +11,26 @@ import pytest
 import drifterm
 
 from drifterm.cli import main
+from drifterm.harness import HypothesisPolicy, decode
+from drifterm.hypotheses import fit_weighted_erm
+from drifterm.processes import ProcessSpec, simulate
+from drifterm.risk import risk_report
+from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def drifterm_process(*argv, cwd=None):
+    """``drifterm argv`` in a fresh interpreter, as a shell runs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "drifterm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
+    )
 
 
 PROCESS = {
@@ -93,7 +109,7 @@ class TestSimulateAndFit:
         wfile = tmp_path / "w.json"
         wfile.write_text(json.dumps({"family": "uniform", "t": 50, "n": 50, "param": 50}))
         cfile = tmp_path / "cls.json"
-        cfile.write_text(json.dumps({"kind": "linear", "b_bound": 1.0, "lambda_min": 1 / 6}))
+        cfile.write_text(json.dumps({"kind": "linear", "b_bound": 1.0}))
         ofile = tmp_path / "fit.json"
         code, _ = run_cli(
             capsys, "fit", "--data", str(out_csv), "--weights", str(wfile),
@@ -188,11 +204,7 @@ class TestRunPipeline:
         cfg["replicatons"] = cfg.pop("replications")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
-        env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "drifterm.cli", "run", "--config", str(bad)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = drifterm_process("run", "--config", str(bad))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "replicatons: unknown key; did you mean 'replications'?\n"
@@ -204,3 +216,155 @@ class TestRunPipeline:
         out_b = tmp_path / "b"
         run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_b))
         assert (out_a / "rows.csv").read_text() != (out_b / "rows.csv").read_text()
+
+
+RATES = {
+    "n": 10_000, "c1": 1.0, "cw": 0.01, "bw": 2.0, "m_beta": 8,
+    "k_rho": 1.0, "c_inf": 1.0, "alpha": 0.0, "delta": 0.05,
+    "weight_class": {"family": "exp", "scope": "union"},
+    "hypothesis_class": {"kind": "step", "q": 1, "b_bound": 1.0},
+}
+FIT = ("fit", "--data", "path.csv", "--weights", "w.json", "--class", "cls.json",
+       "--spec", "spec.json", "--out", "fit.json")
+RISK = ("risk", "--fit", "fit.json", "--spec", "spec.json", "--w", "w.json")
+
+
+@pytest.fixture
+def inputs(tmp_path, capsys, monkeypatch):
+    """Valid CLI input files in the working directory; spec.json is a bare process."""
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "spec.json": PROCESS,
+        "w.json": {"family": "uniform", "param": 50},
+        "cls.json": {"kind": "linear", "b_bound": 1.0},
+        "rates.json": RATES,
+    }
+    for name, d in files.items():
+        (tmp_path / name).write_text(json.dumps(d))
+    run_cli(capsys, "simulate", "--spec", "spec.json", "--seed", "3", "--out", "path.csv")
+    return tmp_path
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize(
+        "argv, name, content, message",
+        [
+            (("rates", "--params", "rates.json", "--variant", "ii"), "rates.json",
+             {k: v for k, v in RATES.items() if k != "c1"}, "params.c1: missing required key"),
+            (FIT, "cls.json", {"kind": "step", "q": 4, "typo": 3}, "hypothesis.typo: unknown key"),
+            (FIT, "w.json", {"family": "uniform", "parm": 10},
+             "weights.parm: unknown key; did you mean 'param'?"),
+            (FIT, "cls.json", {"kind": "relu"},
+             "hypothesis: network class needs nu, ell, param_bound"),
+            (FIT, "spec.json", {k: v for k, v in PROCESS.items() if k != "n"},
+             "process.n: missing required key"),
+            (FIT, "w.json", {"entries": [float("nan")] + [0.02] * 49},
+             "weights.entries[0]: non-finite nan"),
+        ],
+        ids=["rates-without-c1", "class-unknown-key", "weights-misspelt-key", "relu-class-bare",
+             "process-without-n", "nan-weight-entry"],
+    )
+    def test_bad_input_is_a_one_line_error(self, inputs, argv, name, content, message):
+        (inputs / name).write_text(json.dumps(content))
+        proc = drifterm_process(*argv, cwd=inputs)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == message + "\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [rows[0].replace("z_2", "z_3")] + rows[1:],
+             "path.csv line 1: expected the header 't,y,z_1,z_2', got 't,y,z_1,z_3'"),
+            (lambda rows: rows[:2], "path.csv: expected n+1 = 51 rows, got 1"),
+            (lambda rows: rows[:2] + ["2,0.5,nan,0.1"] + rows[3:], "path.csv line 3: z_1: non-finite nan"),
+            (lambda rows: rows[:2] + ["2,abc,0.1,0.1"] + rows[3:],
+             "path.csv line 3: y: expected float, got 'abc'"),
+            (lambda rows: rows[:2] + ["2,0.5,0.1"] + rows[3:], "path.csv line 3: expected 4 fields, got 3"),
+        ],
+        ids=["header", "one-row", "nan-covariate", "text", "short-line"],
+    )
+    def test_path_csv_is_checked_against_the_spec(self, inputs, edit, message):
+        rows = (inputs / "path.csv").read_text().splitlines()
+        (inputs / "path.csv").write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(list(FIT))
+        assert exc.value.code == message
+
+    @pytest.mark.parametrize(
+        "nested, message",
+        [
+            ({"weight_class": {"family": "exp", "scope": "x"}},
+             "params.weight_class: scope must be 'single' or 'union', got 'x'"),
+            ({"hypothesis_class": {"kind": "step", "qq": 1}},
+             "params.hypothesis_class.qq: unknown key; did you mean 'q'?"),
+        ],
+        ids=["scope", "covering-key"],
+    )
+    def test_rates_covering_objects_are_strict(self, inputs, nested, message):
+        (inputs / "rates.json").write_text(json.dumps({**RATES, **nested}))
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--params", "rates.json", "--variant", "ii"])
+        assert exc.value.code == message
+
+
+class TestRiskUsesTheFittedClass:
+    def test_linear_b_bound_3_matches_risk_report(self, inputs, capsys):
+        process = {**PROCESS, "n": 200,
+                   "drift": {"kind": "linear", "a": [0.3, -0.2], "b": [-0.1, 0.4]}}
+        (inputs / "spec.json").write_text(json.dumps(process))
+        (inputs / "cls.json").write_text(json.dumps({"kind": "linear", "b_bound": 3.0}))
+        (inputs / "w.json").write_text(json.dumps({"family": "exp", "param": 0.05}))
+        run_cli(capsys, "simulate", "--spec", "spec.json", "--seed", "3", "--out", "path.csv")
+        run_cli(capsys, *FIT)
+        code, out = run_cli(capsys, *RISK, "--t", "200")
+        assert code == 0
+
+        spec = decode(ProcessSpec, process, "process")
+        w = make_weights(WeightSpec(WeightFamily.EXPONENTIAL, t=200, n=200, param=0.05))
+        class_spec = HypothesisPolicy(b_bound=3.0).class_spec(spec, w.l2)
+        expected = risk_report(fit_weighted_erm(simulate(spec, 3), w, class_spec), spec, w, 200)
+        report = json.loads(out)
+        assert report["discrepancy_sum"] == expected.discrepancy_sum
+        assert report == json.loads(json.dumps(
+            {**dataclasses.asdict(expected), "decomposition_ok": expected.decomposition_ok}
+        ))
+
+    def test_relu_fit_gets_a_report(self, inputs, capsys):
+        klass = {"kind": "relu", "nu": 4, "ell": 1, "param_bound": 2.0}
+        (inputs / "cls.json").write_text(json.dumps(klass))
+        run_cli(capsys, *FIT)
+        fit = json.loads((inputs / "fit.json").read_text())
+        assert fit["class"]["kind"] == "relu" and len(fit["layers"]) == 2
+        code, out = run_cli(capsys, *RISK, "--t", "50")
+        report = json.loads(out)
+        assert code == 0
+        assert report["discrepancy_sum"] is None
+        assert report["modes"]["learning_error"] == "monte_carlo"
+        assert report["learning_error"] >= 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_walk(tmp_path):
+    """The README's simulate, fit, rates and risk lines run on its example input files."""
+    text = README.read_text()
+    examples = re.findall(r"```json (\S+)\n(.*?)```", text, flags=re.S)
+    assert sorted(name for name, _ in examples) == [
+        "cls.json", "rateparams.json", "spec.json", "w.json"
+    ]
+    for name, body in examples:
+        (tmp_path / name).write_text(body)
+    commands = re.findall(
+        r"^drifterm ((?:simulate|fit|rates|risk) .*)$", text.replace("\\\n", " "), flags=re.M
+    )
+    assert [c.split()[0] for c in commands] == ["simulate", "fit", "rates", "risk"]
+    out = {}
+    for command in commands:
+        proc = drifterm_process(*command.split(), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        out[command.split()[0]] = proc.stdout
+    assert json.loads((tmp_path / "fit.json").read_text())["class"]["b_bound"] == 3.0
+    assert json.loads(out["rates"])["condition_report"]["all_pass"]
+    assert json.loads(out["risk"])["decomposition_ok"]

@@ -89,17 +89,19 @@ def experiment_configs(draw):
     }[family]
     params = draw(maybe(st.lists(param, min_size=1, max_size=4).map(tuple)))
     band = draw(maybe(st.tuples(finite, finite)))
+    kind = draw(st.sampled_from(HypothesisKind))
+    net = (lambda s: s) if kind is HypothesisKind.RELU_NET else maybe  # a network needs all three
     try:
         return ExperimentConfig(
             process=draw(process_specs()),
             weights=WeightPolicy(family, params, exp_range=draw(positive)),
             hypothesis=HypothesisPolicy(
-                kind=draw(st.sampled_from(HypothesisKind)),
+                kind=kind,
                 b_bound=draw(positive),
                 q=draw(maybe(st.integers(1, 64))),
-                nu=draw(maybe(st.integers(1, 16))),
-                ell=draw(maybe(st.integers(1, 4))),
-                param_bound=draw(maybe(positive)),
+                nu=draw(net(st.integers(1, 16))),
+                ell=draw(net(st.integers(1, 4))),
+                param_bound=draw(net(positive)),
             ),
             n_grid=n_grid,
             replications=draw(st.integers(1, 500)),
@@ -197,6 +199,10 @@ def without_key(path: str, base=BASE) -> dict:
         (without_key("process.kind"), r"^process\.kind: missing required key"),
         (with_key("delta", True), r"^delta: expected float, got bool"),
         ([BASE], r"^config: expected an object, got list"),
+        (with_key("hypothesis", {"kind": "relu"}), r"^hypothesis: network class needs nu, ell, param_bound"),
+        (with_key("hypothesis.b_bound", -1.0), r"^hypothesis: b_bound must be positive"),
+        (with_key("process.noise_sd", float("nan")), r"^process\.noise_sd: non-finite nan"),
+        (with_key("slope_band", [float("-inf"), -0.85]), r"^slope_band\[0\]: non-finite -inf"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):

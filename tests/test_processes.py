@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from drifterm.processes import (
     mixing_profile,
     population_optimum_next,
     population_optimum_weighted,
+    read_path_csv,
     second_moment,
     sigma2_path,
     simulate,
+    write_path_csv,
 )
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
@@ -259,3 +262,17 @@ def test_lambda_min_values():
     assert lambda_min(linear_spec(p=2)) == pytest.approx(1 / 6)
     spec = linear_spec(p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
     assert lambda_min(spec) == pytest.approx(1 / 3)
+
+
+def test_path_csv_round_trip():
+    spec = linear_spec(n=40, p=3, drift=DriftSpec.constant([0.3, -0.2, 0.1]))
+    path = simulate(spec, 11)
+    out = io.StringIO()
+    write_path_csv(path, out)
+    back = read_path_csv(out.getvalue(), spec, "path.csv")
+    np.testing.assert_array_equal(back.y, path.y)
+    np.testing.assert_array_equal(back.z, path.z)
+    with pytest.raises(ProcessSpecError, match=r"^path\.csv line 1: expected the header 't,y,z_1,z_2'"):
+        read_path_csv(out.getvalue(), linear_spec(n=40), "path.csv")
+    with pytest.raises(ProcessSpecError, match=r"^path\.csv: expected n\+1 = 42 rows, got 41"):
+        read_path_csv(out.getvalue(), linear_spec(n=41, p=3, drift=spec.drift), "path.csv")
