@@ -160,12 +160,15 @@ def _read_fit(file: str) -> FittedHypothesis:
     """The fit that ``drifterm fit`` wrote: its class, and its coef, bins or layers."""
     d = decode(dict, _read_json(file), "fit")
     layers = decode(tuple[dict, ...] | None, d.get("layers"), "fit.layers") or ()
-    return FittedHypothesis(
-        class_spec=decode(HypothesisClassSpec, d.get("class", {}), "fit.class"),
-        coef=decode(np.ndarray | None, d.get("coef"), "fit.coef"),
-        bins=decode(np.ndarray | None, d.get("bins"), "fit.bins"),
-        layers=tuple(decode_call(_layer, v, f"fit.layers[{i}]") for i, v in enumerate(layers))
-        or None,
+    return decode_call(
+        FittedHypothesis,
+        {key: d[key] for key in ("coef", "bins") if key in d},
+        "fit",
+        given={
+            "class_spec": decode(HypothesisClassSpec, d.get("class", {}), "fit.class"),
+            "layers": tuple(decode_call(_layer, v, f"fit.layers[{i}]") for i, v in enumerate(layers))
+            or None,
+        },
     )
 
 

@@ -130,6 +130,15 @@ class FittedHypothesis:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
     fit_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        kind, q = self.class_spec.kind, self.class_spec.q
+        if kind is HypothesisKind.LINEAR_BALL and self.coef is None:
+            raise HypothesisError("linear hypothesis needs coef")
+        if kind is HypothesisKind.STEP_BASIS and (self.bins is None or len(self.bins) != q):
+            raise HypothesisError(f"step hypothesis needs bins of length q={q}")
+        if kind is HypothesisKind.RELU_NET and not self.layers:
+            raise HypothesisError("network hypothesis needs layers")
+
     @property
     def kind(self) -> HypothesisKind:
         return self.class_spec.kind
@@ -376,10 +385,13 @@ def l2_distance(
 ) -> tuple[float, float, str]:
     """Squared L2 distance between two hypotheses under the covariate law.
 
-    Returns (value, stderr, mode).  Linear pairs use the exact quadratic
-    form in the second-moment matrix; step pairs (including constants)
-    integrate exactly over the common bin refinement of the uniform law;
-    every other pairing is Monte Carlo over fresh covariate draws.
+    Returns (value, stderr, mode).  Exact, with stderr 0, for linear pairs
+    (the quadratic form in the second-moment matrix) and, under the
+    uniform interval law, for step pairs including constants (integrated
+    over the common bin refinement) and for a step function against a
+    univariate linear one, in either order.  Every other pairing (networks,
+    or step functions off the interval law) is Monte Carlo over ``draws``
+    fresh covariate draws.
     """
     g = _as_hypothesis(g)
     kinds = (f.kind, g.kind)
@@ -388,21 +400,37 @@ def l2_distance(
             raise HypothesisError("linear pairs need the second-moment matrix")
         d = f.coef - g.coef
         return float(d @ second_moment @ d), 0.0, "exact"
-    if (
-        kinds == (HypothesisKind.STEP_BASIS, HypothesisKind.STEP_BASIS)
-        and law is CovariateLaw.INTERVAL
-    ):
-        edges = np.union1d(_step_edges(f), _step_edges(g))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-        diff = f.bins[_bin_index(mids, f.class_spec.q)] - g.bins[_bin_index(mids, g.class_spec.q)]
-        return float(np.sum(widths * diff**2)), 0.0, "exact"
+    if law is CovariateLaw.INTERVAL:
+        if kinds == (HypothesisKind.STEP_BASIS, HypothesisKind.STEP_BASIS):
+            edges = np.union1d(_step_edges(f), _step_edges(g))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            widths = np.diff(edges)
+            diff = f.bins[_bin_index(mids, f.class_spec.q)] - g.bins[_bin_index(mids, g.class_spec.q)]
+            return float(np.sum(widths * diff**2)), 0.0, "exact"
+        if set(kinds) == {HypothesisKind.STEP_BASIS, HypothesisKind.LINEAR_BALL}:
+            step, lin = (f, g) if f.kind is HypothesisKind.STEP_BASIS else (g, f)
+            if lin.coef.shape[0] == 1:
+                return _step_linear_l2(step, float(lin.coef[0])), 0.0, "exact"
     rng = np.random.default_rng(seed)
     z = sample_covariates(law, p, draws, rng)
     sq = (f.predict(z) - g.predict(z)) ** 2
     value = float(sq.mean())
     stderr = float(sq.std(ddof=1) / math.sqrt(draws))
     return value, stderr, "monte_carlo"
+
+
+def _step_linear_l2(step: FittedHypothesis, slope: float) -> float:
+    """Integral over [0, 1) of (step(z) - slope z)^2.
+
+    Per bin [lo, hi) of width w and midpoint m the integral is
+    c^2 w - c slope (hi^2 - lo^2) + slope^2 (hi^3 - lo^3) / 3, written here
+    as the equal w ((c - slope m)^2 + (slope w)^2 / 12), which does not
+    cancel when the fit is close to the line.
+    """
+    edges = _step_edges(step)
+    widths = np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return float(np.sum(widths * ((step.bins - slope * mids) ** 2 + (slope * widths) ** 2 / 12.0)))
 
 
 def sup_distance(f: FittedHypothesis, g, *, grid_points: int = 8192) -> float:

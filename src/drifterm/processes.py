@@ -10,6 +10,7 @@ noise or a constant-mean model with drifting variance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +60,10 @@ class DriftSpec:
     cycles: float = 1.0
 
     def __post_init__(self) -> None:
+        # float tuples keep the spec hashable, so beta_path can be memoised
+        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        if self.b is not None:
+            object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         if self.kind not in ("constant", "linear", "switch", "sinusoidal"):
             raise ProcessSpecError(f"unknown drift kind {self.kind!r}")
         if self.kind != "constant" and (self.b is None or len(self.b) != len(self.a)):
@@ -68,33 +73,19 @@ class DriftSpec:
 
     @staticmethod
     def constant(value) -> "DriftSpec":
-        return DriftSpec(kind="constant", a=tuple(float(v) for v in value))
+        return DriftSpec(kind="constant", a=value)
 
     @staticmethod
     def linear(start, end) -> "DriftSpec":
-        return DriftSpec(
-            kind="linear",
-            a=tuple(float(v) for v in start),
-            b=tuple(float(v) for v in end),
-        )
+        return DriftSpec(kind="linear", a=start, b=end)
 
     @staticmethod
     def switch(first, second, at: int) -> "DriftSpec":
-        return DriftSpec(
-            kind="switch",
-            a=tuple(float(v) for v in first),
-            b=tuple(float(v) for v in second),
-            at=int(at),
-        )
+        return DriftSpec(kind="switch", a=first, b=second, at=int(at))
 
     @staticmethod
     def sinusoidal(center, amplitude, cycles: float = 1.0) -> "DriftSpec":
-        return DriftSpec(
-            kind="sinusoidal",
-            a=tuple(float(v) for v in center),
-            b=tuple(float(v) for v in amplitude),
-            cycles=float(cycles),
-        )
+        return DriftSpec(kind="sinusoidal", a=center, b=amplitude, cycles=float(cycles))
 
     @property
     def dim(self) -> int:
@@ -235,10 +226,14 @@ def lambda_min(spec: ProcessSpec) -> float:
     return 1.0 / 3.0
 
 
+@functools.lru_cache(maxsize=16)
 def beta_path(spec: ProcessSpec) -> np.ndarray:
+    """Coefficients for times 1..n+1, memoised per spec and returned read-only."""
     if not spec.is_linear_kind:
         raise ProcessSpecError("coefficient path is defined for the linear kinds")
-    return spec.drift.path(spec.n)
+    betas = spec.drift.path(spec.n)
+    betas.flags.writeable = False
+    return betas
 
 
 def sigma2_path(spec: ProcessSpec) -> np.ndarray:

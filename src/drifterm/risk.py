@@ -99,8 +99,10 @@ def learning_error(
 ) -> tuple[float, float, str]:
     """Squared L2 distance from the fit to the weighted population optimum.
 
-    Exact quadratic form for linear fits; Monte Carlo with reported
-    standard error otherwise.
+    Exact, with stderr 0, wherever ``l2_distance`` has a closed form: linear
+    fits, and step fits on the interval law (the target is linear, or a
+    constant for the variance-drift generator).  Network fits, and step
+    fits off the interval law, are Monte Carlo with reported standard error.
     """
     target = population_optimum_weighted(spec, w)
     return _distance_to_target(fit, spec, target, draws, seed)
@@ -135,6 +137,42 @@ def excess_risk(
     return _distance_to_target(fit, spec, target, draws, seed)
 
 
+def _discrepancy_gaps(
+    spec: ProcessSpec,
+    class_spec: HypothesisClassSpec,
+    s: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray | None:
+    """Closed-form discrepancies for the time pairs (s[i], t[i]), all in one pass.
+
+    For the constant-mean variance-drift generator the gap is
+    variance(s) - variance(t) for every hypothesis.  For the linear
+    generators E_u[(Y - h)^2] is the quadratic form of beta*_u in the
+    second-moment matrix M plus terms linear in beta*_u, so the gap is the
+    difference of the quadratic forms plus the supremum of the linear part:
+    2B ||M (beta*_s - beta*_t)|| over the coefficient ball, or
+    2B |beta*_s - beta*_t| sum_j int_bin_j z over step functions clipped to
+    [-B, B].  None for network classes.
+    """
+    if spec.kind is ProcessKind.DRIFTING_VARIANCE:
+        var = sigma2_path(spec)
+        return var[s - 1] - var[t - 1]
+    if class_spec.kind is HypothesisKind.RELU_NET:
+        return None
+    betas = beta_path(spec)
+    bs, bt = betas[s - 1], betas[t - 1]
+    M = second_moment(spec)
+    base = np.einsum("ij,jk,ik->i", bs, M, bs) - np.einsum("ij,jk,ik->i", bt, M, bt)
+    B = class_spec.b_bound
+    if class_spec.kind is HypothesisKind.LINEAR_BALL:
+        return base + 2.0 * B * np.linalg.norm((bs - bt) @ M, axis=1)
+    # step class over a univariate linear generator: per-bin linear sup
+    q = class_spec.q
+    edges = np.arange(q + 1, dtype=float) / q
+    m1 = 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)  # integral of z over each bin
+    return base + 2.0 * B * np.abs(bs[:, 0] - bt[:, 0]) * float(np.sum(m1))
+
+
 def discrepancy(
     spec: ProcessSpec,
     class_spec: HypothesisClassSpec,
@@ -143,45 +181,25 @@ def discrepancy(
 ) -> float | None:
     """Worst-case expected-loss gap sup_h E_s[loss] - E_t[loss] over the class.
 
-    Closed forms: for the constant-mean variance-drift generator the gap
-    is variance(s) - variance(t) for every hypothesis (any class); for the
-    linear generators the supremum over a coefficient ball or over step
-    functions is attained at explicit extremes.  Returns None for network
-    classes (no closed form; grid maximization would not certify a sup).
+    The closed forms are those of ``_discrepancy_gaps``.  Returns None for
+    network classes (no closed form; grid maximization would not certify a
+    sup).
     """
     if not (1 <= s <= spec.n + 1 and 1 <= t <= spec.n + 1):
         raise RiskError("times must lie in 1..n+1")
-    if spec.kind is ProcessKind.DRIFTING_VARIANCE:
-        var = sigma2_path(spec)
-        return float(var[s - 1] - var[t - 1])
-    if class_spec.kind is HypothesisKind.RELU_NET:
-        return None
-    betas = beta_path(spec)
-    bs, bt = betas[s - 1], betas[t - 1]
-    M = second_moment(spec)
-    base = float(bs @ M @ bs - bt @ M @ bt)
-    B = class_spec.b_bound
-    if class_spec.kind is HypothesisKind.LINEAR_BALL:
-        # E_u[(Y - h_beta)^2] = (beta*_u - beta)^T M (beta*_u - beta) + noise;
-        # the difference is linear in beta, maximized on the ball boundary.
-        return base + 2.0 * B * float(np.linalg.norm(M @ (bs - bt)))
-    # step class over a univariate linear generator: per-bin linear sup
-    q = class_spec.q
-    edges = np.arange(q + 1, dtype=float) / q
-    m1 = 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)  # integral of z over each bin
-    gap = float(bs[0] - bt[0])
-    return base + 2.0 * B * float(np.sum(np.abs(gap * m1)))
+    gaps = _discrepancy_gaps(spec, class_spec, np.array([s]), np.array([t]))
+    return None if gaps is None else float(gaps[0])
 
 
 def discrepancy_sum(spec: ProcessSpec, class_spec: HypothesisClassSpec) -> float | None:
-    """Sum of consecutive discrepancies over times 2..n+1."""
-    total = 0.0
-    for t in range(2, spec.n + 2):
-        d = discrepancy(spec, class_spec, t, t - 1)
-        if d is None:
-            return None
-        total += d
-    return total
+    """Sum of the consecutive discrepancies disc(t, t-1) over times t = 2..n+1.
+
+    One vectorised pass over a single coefficient (or variance) path, so
+    the cost is O(n); None for network classes.
+    """
+    times = np.arange(2, spec.n + 2)
+    gaps = _discrepancy_gaps(spec, class_spec, times, times - 1)
+    return None if gaps is None else float(np.sum(gaps))
 
 
 def risk_report(
@@ -194,7 +212,9 @@ def risk_report(
     seed: int = 0,
     include_discrepancy: bool = True,
 ) -> RiskReport:
-    """Assemble every decomposition term for one fit at target time t+1."""
+    """Assemble every decomposition term for one fit at target time t+1, t in 1..n."""
+    if not 1 <= t <= spec.n:
+        raise RiskError(f"t={t} outside 1..n={spec.n}")
     learn, learn_se, learn_mode = learning_error(fit, spec, w, draws=draws, seed=seed)
     exc, exc_se, exc_mode = excess_risk(fit, spec, t, draws=draws, seed=seed + 1)
     drift = drift_error(spec, w, t)

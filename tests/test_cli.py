@@ -271,6 +271,31 @@ class TestStrictInputs:
         assert proc.stdout == ""
         assert proc.stderr == message + "\n"
 
+    def test_risk_target_time_beyond_n(self, inputs, capsys):
+        run_cli(capsys, *FIT)
+        proc = drifterm_process(*RISK, "--t", "100", cwd=inputs)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "t=100 outside 1..n=50\n"
+
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            ({"class": {"kind": "linear", "b_bound": 1.0}}, "fit: linear hypothesis needs coef"),
+            ({"class": {"kind": "step", "b_bound": 1.0, "q": 3}, "bins": [0.1, 0.2]},
+             "fit: step hypothesis needs bins of length q=3"),
+            ({"class": {"kind": "relu", "b_bound": 1.0, "nu": 4, "ell": 1, "param_bound": 1.0},
+              "coef": [0.1, 0.2]}, "fit: network hypothesis needs layers"),
+        ],
+        ids=["linear-without-coef", "step-short-bins", "relu-without-layers"],
+    )
+    def test_fit_json_without_its_parameters(self, inputs, fit, message):
+        (inputs / "fit.json").write_text(json.dumps(fit))
+        proc = drifterm_process(*RISK, "--t", "50", cwd=inputs)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == message + "\n"
+
     @pytest.mark.parametrize(
         "edit, message",
         [

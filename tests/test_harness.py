@@ -22,6 +22,7 @@ from drifterm.harness import (
     rows_to_csv,
     run_experiment,
 )
+from drifterm import hypotheses
 from drifterm.hypotheses import HypothesisKind
 from drifterm.processes import (
     CovariateLaw,
@@ -153,6 +154,43 @@ RATE_PINS = {
     ("relu", "exp", 256): (32.0, 1.1399455828340035),
     ("relu", "exp", 1024): (32.0, 1.2180771447101695),
 }
+
+
+class TestMonteCarloOnlyWithoutClosedForm:
+    """Covariate draws happen only where a distance has no closed form."""
+
+    def test_step_grid_on_interval_law_draws_no_covariates(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo covariates drawn for a step-vs-linear distance")
+
+        monkeypatch.setattr(hypotheses, "sample_covariates", forbidden)
+        cfg = small_config(
+            process=replace(INTERVAL_AR1, core=DependenceCore()),
+            hypothesis=HypothesisPolicy(kind=HypothesisKind.STEP_BASIS),
+        )
+        res = run_experiment(cfg)
+        assert len(res.rows) == 6
+        assert res.manifest["failures"] == []
+
+    def test_relu_cell_still_reaches_monte_carlo(self, monkeypatch):
+        draws = []
+        sample = hypotheses.sample_covariates
+
+        def counted(law, p, n, rng):
+            draws.append(n)
+            return sample(law, p, n, rng)
+
+        monkeypatch.setattr(hypotheses, "sample_covariates", counted)
+        cfg = small_config(
+            process=replace(INTERVAL_AR1, core=DependenceCore()),
+            hypothesis=RATE_CLASSES["relu"][1],
+            n_grid=(32,),
+            replications=1,
+            mc_draws=500,
+        )
+        res = run_experiment(cfg)
+        assert len(res.rows) == 1
+        assert draws == [500, 500]  # the learning and the excess distance
 
 
 # build_rate reads only the weight family; 1.0 is a valid parameter of all three.

@@ -240,8 +240,8 @@ class TestL2Distance:
             hi = lo + 1 / 3
             hand += a[j] ** 2 * (hi - lo) - a[j] * b * (hi**2 - lo**2) + b**2 * (hi**3 - lo**3) / 3
         v, se, mode = l2_distance(step_fit(a), linear_fit([b], lam=1 / 3), CovariateLaw.INTERVAL, seed=4)
-        assert mode == "monte_carlo"
-        assert abs(v - hand) <= 3 * se
+        assert mode == "exact" and se == 0.0
+        assert v == pytest.approx(hand, abs=1e-14)
 
     def test_step_pairs_exact_on_refinement(self):
         f = step_fit([0.2, 0.8])
@@ -257,6 +257,53 @@ class TestL2Distance:
         v, _, mode = l2_distance(f, 0.5, CovariateLaw.INTERVAL)
         assert mode == "exact"
         assert v == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.3**2)
+
+
+    @given(
+        q=st.integers(1, 40),
+        unit_bins=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40),
+        b_bound=st.floats(0.1, 3.0),
+        slope=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_step_vs_linear_exact_matches_monte_carlo(self, q, unit_bins, b_bound, slope, seed):
+        bins = b_bound * np.array(unit_bins[:q])
+        step = FittedHypothesis(class_spec=HypothesisClassSpec.step(q, b_bound), bins=bins)
+        line = linear_fit([slope])
+        forward = l2_distance(step, line, CovariateLaw.INTERVAL)
+        backward = l2_distance(line, step, CovariateLaw.INTERVAL)
+        assert forward == backward
+        value, se, mode = forward
+        assert mode == "exact" and se == 0.0
+        z = np.random.default_rng(seed).random(1_000_000)
+        sq = (bins[np.minimum((z * q).astype(int), q - 1)] - slope * z) ** 2
+        mc_se = sq.std(ddof=1) / math.sqrt(z.size)
+        assert abs(value - sq.mean()) <= 4.0 * mc_se + 1e-12
+
+    def test_step_vs_multivariate_linear_stays_monte_carlo(self):
+        f, g = step_fit([0.2, 0.8]), linear_fit([0.5, 0.1])
+        _, se, mode = l2_distance(f, g, CovariateLaw.BALL, p=2, draws=2000)
+        assert mode == "monte_carlo" and se > 0
+
+
+class TestFittedHypothesisParameters:
+    @pytest.mark.parametrize(
+        "spec, params, message",
+        [
+            (HypothesisClassSpec.linear(1.0, 1.0), {}, "linear hypothesis needs coef"),
+            (HypothesisClassSpec.linear(1.0, 1.0), {"bins": np.zeros(1)}, "linear hypothesis needs coef"),
+            (HypothesisClassSpec.step(3, 1.0), {}, "step hypothesis needs bins of length q=3"),
+            (HypothesisClassSpec.step(3, 1.0), {"bins": np.zeros(2)},
+             "step hypothesis needs bins of length q=3"),
+            (HypothesisClassSpec.relu(4, 1, 1.0, 1.0), {"coef": np.zeros(1)},
+             "network hypothesis needs layers"),
+        ],
+        ids=["linear-none", "linear-bins-only", "step-none", "step-short", "relu-none"],
+    )
+    def test_missing_parameters_rejected(self, spec, params, message):
+        with pytest.raises(HypothesisError, match=f"^{message}$"):
+            FittedHypothesis(class_spec=spec, **params)
 
 
 class TestSupDistance:

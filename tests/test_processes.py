@@ -276,3 +276,27 @@ def test_path_csv_round_trip():
         read_path_csv(out.getvalue(), linear_spec(n=40), "path.csv")
     with pytest.raises(ProcessSpecError, match=r"^path\.csv: expected n\+1 = 42 rows, got 41"):
         read_path_csv(out.getvalue(), linear_spec(n=41, p=3, drift=spec.drift), "path.csv")
+
+
+class TestBetaPathMemo:
+    def test_read_only(self):
+        betas = beta_path(linear_spec(drift=DriftSpec.linear([0.3, -0.2], [0.1, 0.4])))
+        assert not betas.flags.writeable
+        with pytest.raises(ValueError):
+            betas[0, 0] = 1.0
+
+    def test_equal_specs_give_equal_paths(self):
+        drift = DriftSpec.sinusoidal([0.3, -0.2], [0.2, 0.15], cycles=3.0)
+        a = beta_path(linear_spec(n=300, drift=drift))
+        b = beta_path(linear_spec(n=300, drift=DriftSpec.sinusoidal((0.3, -0.2), (0.2, 0.15), 3)))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, drift.path(300))
+        assert beta_path(linear_spec(n=301, drift=drift)).shape == (302, 2)
+
+    def test_list_valued_drift_is_normalised(self):
+        drift = DriftSpec("linear", [0, 1], [np.float64(0.5), 0])
+        assert drift.a == (0.0, 1.0) and drift.b == (0.5, 0.0)
+        assert all(type(v) is float for v in drift.a + drift.b)
+        assert drift == DriftSpec.linear((0.0, 1.0), (0.5, 0.0))
+        betas = beta_path(linear_spec(n=4, noise_sd=0.1, drift=drift))
+        np.testing.assert_allclose(betas[-1], [0.5, 0.0])

@@ -19,6 +19,7 @@ from drifterm.processes import (
     simulate,
 )
 from drifterm.risk import (
+    RiskError,
     discrepancy,
     discrepancy_sum,
     drift_error,
@@ -185,6 +186,74 @@ class TestDiscrepancy:
         assert discrepancy_sum(spec, cls) is None
 
 
+DRIFTS = {
+    "constant": lambda a, b: DriftSpec.constant(a),
+    "linear": lambda a, b: DriftSpec.linear(a, b),
+    "switch": lambda a, b: DriftSpec.switch(a, b, at=7),
+    "sinusoidal": lambda a, b: DriftSpec.sinusoidal(a, b, cycles=1.5),
+}
+
+
+def brute_force_ball_gap(M, bs, bt, b_bound, angles=20_000):
+    """max over a fine angle grid on the B-circle of E_s[loss] - E_t[loss]."""
+    theta = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
+    h = b_bound * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+    def loss(beta):
+        return np.einsum("ij,jk,ik->i", beta - h, M, beta - h)
+
+    return float(np.max(loss(bs) - loss(bt)))
+
+
+def brute_force_step_gap(q, bs, bt, b_bound):
+    """Per-bin max over the endpoints +-B of int_bin (bs z - c)^2 - (bt z - c)^2 dz.
+
+    The bin integrals use two-point Gauss-Legendre quadrature, exact for
+    these quadratics.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(2)
+    total = 0.0
+    for j in range(q):
+        lo, hi = j / q, (j + 1) / q
+        z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        wz = 0.5 * (hi - lo) * weights
+        total += max(
+            float(wz @ ((bs * z - c) ** 2 - (bt * z - c) ** 2)) for c in (-b_bound, b_bound)
+        )
+    return total
+
+
+class TestDiscrepancySumBruteForce:
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_linear_ball(self, drift):
+        spec = linear_spec(n=12, drift=DRIFTS[drift]([0.3, -0.2], [-0.4, 0.5]))
+        cls = HypothesisClassSpec.linear(0.8, lambda_min(spec))
+        betas, M = spec.drift.path(spec.n), second_moment(spec)
+        brute = sum(
+            brute_force_ball_gap(M, betas[t - 1], betas[t - 2], 0.8) for t in range(2, spec.n + 2)
+        )
+        assert discrepancy_sum(spec, cls) == pytest.approx(brute, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_step(self, drift):
+        spec = linear_spec(
+            n=12, p=1, law=CovariateLaw.INTERVAL, drift=DRIFTS[drift]([0.3], [-0.6])
+        )
+        cls = HypothesisClassSpec.step(5, 0.7)
+        betas = spec.drift.path(spec.n)[:, 0]
+        brute = sum(
+            brute_force_step_gap(5, betas[t - 1], betas[t - 2], 0.7) for t in range(2, spec.n + 2)
+        )
+        assert discrepancy_sum(spec, cls) == pytest.approx(brute, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("cls", [HypothesisClassSpec.step(3, 1.0), HypothesisClassSpec.linear(1.0, 1.0)])
+    def test_variance_sum_telescopes(self, cls):
+        spec = variance_spec(n=9, var_start=2.0, var_end=0.5)
+        brute = sum(discrepancy(spec, cls, t, t - 1) for t in range(2, 11))
+        assert discrepancy_sum(spec, cls) == pytest.approx(brute, abs=1e-14)
+        assert discrepancy_sum(spec, cls) == pytest.approx(0.5 - 2.0, abs=1e-14)
+
+
 class TestExcessRisk:
     def test_bayes_predictor_zero(self):
         spec = linear_spec()
@@ -226,6 +295,14 @@ class TestRiskReport:
         assert report.drift_error >= 0
         assert report.discrepancy_sum == pytest.approx(0.0, abs=1e-12)
         assert report.decomposition_ok
+
+    @pytest.mark.parametrize("t", [0, 51, 100])
+    def test_target_time_outside_path_rejected(self, t):
+        spec = linear_spec(n=50)
+        w = uniform_w(50)
+        fit = fit_weighted_erm(simulate(spec, 2), w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        with pytest.raises(RiskError, match=rf"^t={t} outside 1\.\.n=50$"):
+            risk_report(fit, spec, w, t)
 
     def test_decomposition_identity_randomized(self):
         # for exact linear computations the inequality
