@@ -270,8 +270,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute the full grid; deterministic given (config, base_seed).
 
-    Row-level failures are recorded in the manifest and tolerated up to
-    1% of the grid; beyond that the run aborts.
+    With ``jobs > 1`` the first row runs in this process and the rest in
+    ``jobs`` workers forked after it, so the workers start with what that
+    row imported or memoised; the rows do not depend on ``jobs``.
+    Row-level failures (an exception, or a non-finite learning or excess
+    value) are recorded in the manifest and tolerated up to 1% of the grid;
+    beyond that the run aborts.
     """
     rows: list[Row] = []
     failures: list[dict] = []
@@ -301,9 +305,11 @@ def run_experiment(
                 )
                 meta.append((n, wspec.param, w.l2, path_seed, drift, certificate))
 
-    if jobs > 1:
+    if jobs > 1 and payloads:
+        # forked after row 0, so no worker imports scipy.signal again
+        outcomes = [_row_task_safe(payloads[0])]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_row_task_safe, payloads, chunksize=8))
+            outcomes += pool.map(_row_task_safe, payloads[1:], chunksize=8)
     else:
         outcomes = [_row_task_safe(p) for p in payloads]
 
@@ -375,9 +381,12 @@ def _flag_outliers(rows) -> list[dict]:
 
 def _row_task_safe(payload):
     try:
-        return _row_task(payload)
-    except Exception as exc:  # row-level isolation; harness applies the 1% budget
-        return f"{type(exc).__name__}: {exc}"
+        learn, exc = _row_task(payload)
+    except Exception as err:  # row-level isolation; harness applies the 1% budget
+        return f"{type(err).__name__}: {err}"
+    if not (math.isfinite(learn) and math.isfinite(exc)):
+        return f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
+    return learn, exc
 
 
 def fit_slope(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .processes import CovariateLaw, SamplePath, sample_covariates
 from .weights import WeightVector
@@ -183,6 +182,8 @@ def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisCla
     if np.linalg.norm(beta) > B:
         # Exact ball-constrained minimizer: (G + lam I) beta = rhs with the
         # unique lam > 0 putting beta on the boundary.
+        from scipy.optimize import brentq
+
         eig_pos = np.maximum(eigvals, 0.0)
 
         def radius_gap(lam: float) -> float:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .mixing import MixingProfile
 
@@ -25,7 +23,7 @@ from .mixing import MixingProfile
 # standard deviation; the rescale stretches the support to +-TRUNC_SUPPORT.
 TRUNC_LIMIT = 4.0
 _PHI4 = math.exp(-TRUNC_LIMIT**2 / 2) / math.sqrt(2 * math.pi)
-_Z4 = 2 * float(ndtr(TRUNC_LIMIT)) - 1
+_Z4 = math.erf(TRUNC_LIMIT / math.sqrt(2))  # P(|x| <= 4) for a standard normal
 TRUNC_SD = math.sqrt(1 - 2 * TRUNC_LIMIT * _PHI4 / _Z4)
 TRUNC_SUPPORT = TRUNC_LIMIT / TRUNC_SD
 
@@ -285,6 +283,8 @@ def _ar1_latent(rng: np.random.Generator, phi: float, shape: tuple[int, int]) ->
         out = e
         out[0] = x0  # stationary start
         return out
+    from scipy.signal import lfilter  # on first use: the slowest import drifterm has
+
     out, _ = lfilter([1.0], [1.0, -phi], e, axis=0, zi=(phi * x0)[None, :])
     return out
 
@@ -296,6 +296,8 @@ def _uniform_core(rng: np.random.Generator, spec: ProcessSpec) -> np.ndarray:
     if core.kind == "iid":
         return rng.random((rows, spec.p))
     if core.kind == "ar1":
+        from scipy.special import ndtr
+
         latent = _ar1_latent(rng, core.phi, (rows, spec.p))
         return ndtr(latent)
     # symmetric 2-state chain drives the first coordinate's half-interval
@@ -351,7 +353,7 @@ def population_optimum_weighted(spec: ProcessSpec, w) -> np.ndarray:
 
 def population_optimum_next(spec: ProcessSpec, t: int) -> np.ndarray:
     """Regression coefficients of the target-time conditional expectation at t+1."""
-    if not 1 <= t + 1 <= spec.n + 1:
+    if not 1 <= t <= spec.n:
         raise IndexError(f"target time {t + 1} outside 2..n+1")
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
         return np.array([spec.mean])

@@ -1,11 +1,15 @@
 """The shipped experiment configs: ``configs/`` and the benchmark's workloads."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import drifterm
 from drifterm.harness import config_from_dict, config_hash
 from drifterm.processes import DependenceCore
 from drifterm.weights import WeightFamily, make_weights
@@ -80,3 +84,24 @@ def test_pins_cover_every_shipped_config():
 @pytest.mark.parametrize("key", sorted(CONFIG_SHA256))
 def test_config_sha256_pinned(key):
     assert config_hash(config_from_dict(shipped_config(key))) == CONFIG_SHA256[key]
+
+
+SCIPY_AFTER_LOADING = """
+import json, sys
+import drifterm.cli
+from drifterm.harness import config_from_dict
+for d in json.load(sys.stdin):
+    config_from_dict(d)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_loading_every_shipped_config_imports_no_scipy():
+    """scipy is imported on first use only; the CLI and the config codec never use it."""
+    configs = [shipped_config(key) for key in sorted(CONFIG_SHA256)]
+    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_AFTER_LOADING],
+        input=json.dumps(configs), env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == []

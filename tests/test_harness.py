@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from drifterm.harness import (
     rows_to_csv,
     run_experiment,
 )
-from drifterm import hypotheses
+import drifterm
+from drifterm import harness, hypotheses
 from drifterm.hypotheses import HypothesisKind
 from drifterm.processes import (
     CovariateLaw,
@@ -99,6 +104,83 @@ class TestRunExperiment:
         a = run_experiment(small_config(base_seed=1))
         b = run_experiment(small_config(base_seed=2))
         assert rows_to_csv(a.rows) != rows_to_csv(b.rows)
+
+
+POOL_OPENS_AFTER_ROW_0 = """
+import json, sys
+from drifterm import harness
+
+opened = []
+
+class Pool(harness.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        opened.append("scipy.signal" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+harness.ProcessPoolExecutor = Pool
+before = "scipy.signal" in sys.modules
+harness.run_experiment(harness.config_from_dict(json.load(sys.stdin)), jobs=2)
+print(json.dumps([before, opened]))
+"""
+
+
+class TestRowPool:
+    def test_workers_fork_after_row_0_imported_scipy_signal(self):
+        """On the AR(1) path the pool opens only once row 0 has imported lfilter."""
+        ar1 = replace(small_config().process, core=DependenceCore(kind="ar1", phi=0.6))
+        cfg = small_config(process=ar1)
+        env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", POOL_OPENS_AFTER_ROW_0],
+            input=json.dumps(config_to_dict(cfg)),
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(out.stdout) == [False, [True]]
+
+    def test_failing_row_0_gives_the_same_result_for_every_jobs(self, monkeypatch):
+        cfg = small_config(n_grid=(64,), replications=100)
+        first_seed = harness._row_seed(cfg.base_seed, 0, 0, 0, 0)
+        real_simulate = harness.simulate
+
+        def simulate(spec, seed):
+            if seed == first_seed:
+                raise RuntimeError("row 0 fails")
+            return real_simulate(spec, seed)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        a = run_experiment(cfg, jobs=1)
+        b = run_experiment(cfg, jobs=2)
+        assert a.manifest["failures"] == b.manifest["failures"] == [
+            {"n": 64, "param": 64, "seed": first_seed, "error": "RuntimeError: row 0 fails"}
+        ]
+        assert len(a.rows) == 99
+        assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
+
+
+class TestNonFiniteOutcome:
+    @pytest.mark.parametrize("measure", ["learning_error", "excess_risk"])
+    def test_counts_as_a_row_failure(self, monkeypatch, measure):
+        cfg = small_config(n_grid=(64,), replications=100)
+        real = getattr(harness, measure)
+        calls = []
+
+        def nan_on_fifth_call(*args, **kwargs):
+            calls.append(None)
+            value, se, mode = real(*args, **kwargs)
+            return (math.nan if len(calls) == 5 else value), se, mode
+
+        monkeypatch.setattr(harness, measure, nan_on_fifth_call)
+        res = run_experiment(cfg, jobs=1)
+        (failure,) = res.manifest["failures"]
+        assert failure["error"].startswith("non-finite outcome: ")
+        assert f"{measure}=nan" in failure["error"]
+        assert len(res.rows) == 99
+        assert "nan" not in rows_to_csv(res.rows)
+
+    def test_beyond_the_budget_the_run_aborts(self, monkeypatch):
+        monkeypatch.setattr(harness, "learning_error", lambda *a, **k: (math.inf, 0.0, "exact"))
+        with pytest.raises(HarnessError, match="6/6 rows failed"):
+            run_experiment(small_config(), jobs=1)
 
 
 LINEAR_IID = ProcessSpec(

@@ -6,6 +6,8 @@ import pytest
 
 from drifterm.mixing import m_beta
 from drifterm.processes import (
+    TRUNC_SD,
+    TRUNC_SUPPORT,
     CovariateLaw,
     DependenceCore,
     DriftSpec,
@@ -191,8 +193,10 @@ class TestPopulationOptima:
         )
         np.testing.assert_allclose(population_optimum_next(spec, 100), [0.0, 1.0])
         np.testing.assert_allclose(population_optimum_next(spec, 10), [1.0, 0.0])
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"target time 102 outside 2\.\.n\+1"):
             population_optimum_next(spec, 101)
+        with pytest.raises(IndexError, match=r"target time 1 outside 2\.\.n\+1"):
+            population_optimum_next(spec, 0)
 
     def test_variance_kind_constant_predictor(self):
         spec = ProcessSpec(
@@ -239,6 +243,12 @@ class TestMixingProfileOfSpec:
         )
         prof = mixing_profile(spec)
         assert prof.beta(1) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_truncated_noise_constants_pinned():
+    # P(|x| <= 4) is math.erf(4 / sqrt 2), the same double as 2 ndtr(4) - 1
+    assert repr(TRUNC_SD) == "0.9994645018070796"
+    assert repr(TRUNC_SUPPORT) == "4.002143140419504"
 
 
 def test_sigma2_path_endpoints():
