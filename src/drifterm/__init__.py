@@ -23,7 +23,6 @@ from .weights import (
 )
 from .mixing import (
     MixingProfile,
-    BlockScheme,
     m_beta,
     k_rho,
     beta_markov_exact,
@@ -60,7 +59,6 @@ from .rates import (
     closed_form_rate,
     check_rate_conditions,
     bound_certificate,
-    time_uniform_certificate,
     find_scale_constant,
     weight_class_log_covering,
     hypothesis_log_covering,

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .hypotheses import HypothesisClassSpec, HypothesisError, HypothesisKind, basis_size
-from .hypotheses import fit_weighted_erm
+from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
 from .processes import ProcessSpec, lambda_min, mixing_profile, read_csv, simulate
@@ -142,7 +142,7 @@ class ExperimentConfig:
     delta: float = 0.05
     base_seed: int = 0
     rate_variant: RateVariant = RateVariant.I
-    mc_draws: int = 100_000
+    mc_draws: int = MC_DRAWS_DEFAULT
     slope_target: float | None = None
     slope_band: tuple[float, float] | None = None
 

@@ -338,12 +338,16 @@ def fit_weighted_erm(
     Only the first n observations of the path enter the fit; the held-out
     final row never does.  Linear and step fits are exact minimizers; the
     network fit is approximate (projected gradient descent) and records
-    its achieved empirical risk.
+    its achieved empirical risk.  A NaN or infinity in the first n
+    covariates, responses or weights is rejected.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
         raise HypothesisError(f"weight length {w.entries.shape[0]} != n={n}")
     z, y, wv = path.z[:n], path.y[:n], w.entries
+    for name, values in (("z", z), ("y", y), ("w", wv)):
+        if not np.isfinite(values).all():
+            raise HypothesisError(f"{name} has non-finite entries")
     if class_spec.kind is HypothesisKind.LINEAR_BALL:
         return _fit_linear(z, y, wv, class_spec)
     if class_spec.kind is HypothesisKind.STEP_BASIS:
@@ -355,7 +359,7 @@ def fit_weighted_erm(
 # Distances
 
 
-def _as_hypothesis(g, template: "FittedHypothesis | None" = None) -> FittedHypothesis:
+def _as_hypothesis(g) -> FittedHypothesis:
     """Coerce a coefficient vector / scalar into a hypothesis for comparisons."""
     if isinstance(g, FittedHypothesis):
         return g
@@ -369,9 +373,55 @@ def _as_hypothesis(g, template: "FittedHypothesis | None" = None) -> FittedHypot
     return FittedHypothesis(class_spec=spec, coef=arr)
 
 
-def _step_edges(f: FittedHypothesis) -> np.ndarray:
-    q = f.class_spec.q
-    return np.arange(q + 1, dtype=float) / q
+def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, slope, intercept) of a univariate hypothesis on [0, 1).
+
+    On the piece [edges[i], edges[i+1]) the hypothesis is
+    slope[i] z + intercept[i].  A network is split layer by layer at the
+    root of every unit's pre-activation inside a current piece; each
+    piece's affine map is carried through the layers exactly.
+    """
+    if f.kind is HypothesisKind.STEP_BASIS:
+        q = f.class_spec.q
+        return np.arange(q + 1, dtype=float) / q, np.zeros(q), f.bins
+    p = f.coef.shape[0] if f.kind is HypothesisKind.LINEAR_BALL else f.layers[0][0].shape[0]
+    if p != 1:
+        raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={p}")
+    if f.kind is HypothesisKind.LINEAR_BALL:
+        return np.array([0.0, 1.0]), f.coef, np.zeros(1)
+    edges = np.array([0.0, 1.0])
+    slope, intercept = np.ones((1, 1)), np.zeros((1, 1))
+    for W, b in f.layers[:-1]:
+        s, c = slope @ W, intercept @ W + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = -c / s
+        inside = (roots > edges[:-1, None]) & (roots < edges[1:, None])
+        parent_edges, edges = edges, np.union1d(edges, roots[inside])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        parent = np.searchsorted(parent_edges, mids, side="right") - 1
+        s, c = s[parent], c[parent]
+        active = s * mids[:, None] + c > 0
+        slope, intercept = s * active, c * active
+    W, b = f.layers[-1]
+    return edges, (slope @ W)[:, 0], (intercept @ W + b)[:, 0]
+
+
+def _difference_pieces(f: FittedHypothesis, g: FittedHypothesis):
+    """f - g as (edges, slope, intercept) on the union of both edge sets.
+
+    An operand of one piece (a line or a constant, as every population
+    target is) needs no merge: the other operand's edges are the union.
+    """
+    ef, sf, cf = _piecewise(f)
+    eg, sg, cg = _piecewise(g)
+    if eg.size == 2:
+        return ef, sf - sg[0], cf - cg[0]
+    if ef.size == 2:
+        return eg, sf[0] - sg, cf[0] - cg
+    edges = np.union1d(ef, eg)
+    i = np.searchsorted(ef, edges[:-1], side="right") - 1
+    j = np.searchsorted(eg, edges[:-1], side="right") - 1
+    return edges, sf[i] - sg[j], cf[i] - cg[j]
 
 
 def l2_distance(
@@ -386,32 +436,26 @@ def l2_distance(
 ) -> tuple[float, float, str]:
     """Squared L2 distance between two hypotheses under the covariate law.
 
-    Returns (value, stderr, mode).  Exact, with stderr 0, for linear pairs
-    (the quadratic form in the second-moment matrix) and, under the
-    uniform interval law, for step pairs including constants (integrated
-    over the common bin refinement) and for a step function against a
-    univariate linear one, in either order.  Every other pairing (networks,
-    or step functions off the interval law) is Monte Carlo over ``draws``
-    fresh covariate draws.
+    Returns (value, stderr, mode).  Linear pairs are exact on every law
+    (the quadratic form in the second-moment matrix).  Under the uniform
+    interval law every pairing of univariate linear, step, constant and
+    ReLU hypotheses is exact: f - g is affine, d(z) = s z + c, on each piece
+    of the merged breakpoints, and a piece of width w and midpoint m adds
+    w (d(m)^2 + (s w)^2 / 12), a form that does not cancel when f is close
+    to g.  Off the interval law (the ball law) every other pairing is Monte
+    Carlo over ``draws`` fresh covariate draws, with its stderr.
     """
     g = _as_hypothesis(g)
-    kinds = (f.kind, g.kind)
-    if kinds == (HypothesisKind.LINEAR_BALL, HypothesisKind.LINEAR_BALL):
+    if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
         if second_moment is None:
             raise HypothesisError("linear pairs need the second-moment matrix")
         d = f.coef - g.coef
         return float(d @ second_moment @ d), 0.0, "exact"
     if law is CovariateLaw.INTERVAL:
-        if kinds == (HypothesisKind.STEP_BASIS, HypothesisKind.STEP_BASIS):
-            edges = np.union1d(_step_edges(f), _step_edges(g))
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            widths = np.diff(edges)
-            diff = f.bins[_bin_index(mids, f.class_spec.q)] - g.bins[_bin_index(mids, g.class_spec.q)]
-            return float(np.sum(widths * diff**2)), 0.0, "exact"
-        if set(kinds) == {HypothesisKind.STEP_BASIS, HypothesisKind.LINEAR_BALL}:
-            step, lin = (f, g) if f.kind is HypothesisKind.STEP_BASIS else (g, f)
-            if lin.coef.shape[0] == 1:
-                return _step_linear_l2(step, float(lin.coef[0])), 0.0, "exact"
+        edges, s, c = _difference_pieces(f, g)
+        mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+        value = float(np.sum(widths * ((s * mids + c) ** 2 + (s * widths) ** 2 / 12.0)))
+        return value, 0.0, "exact"
     rng = np.random.default_rng(seed)
     z = sample_covariates(law, p, draws, rng)
     sq = (f.predict(z) - g.predict(z)) ** 2
@@ -420,47 +464,16 @@ def l2_distance(
     return value, stderr, "monte_carlo"
 
 
-def _step_linear_l2(step: FittedHypothesis, slope: float) -> float:
-    """Integral over [0, 1) of (step(z) - slope z)^2.
-
-    Per bin [lo, hi) of width w and midpoint m the integral is
-    c^2 w - c slope (hi^2 - lo^2) + slope^2 (hi^3 - lo^3) / 3, written here
-    as the equal w ((c - slope m)^2 + (slope w)^2 / 12), which does not
-    cancel when the fit is close to the line.
-    """
-    edges = _step_edges(step)
-    widths = np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return float(np.sum(widths * ((step.bins - slope * mids) ** 2 + (slope * widths) ** 2 / 12.0)))
-
-
-def sup_distance(f: FittedHypothesis, g, *, grid_points: int = 8192) -> float:
+def sup_distance(f: FittedHypothesis, g) -> float:
     """Sup-norm distance over the covariate support.
 
-    Exact for linear pairs (Cauchy-Schwarz over the unit ball), for step
-    pairs (max over the bin refinement), and for step-vs-linear pairs (the
-    per-bin extremes sit at bin edges).  Network pairings fall back to a
-    uniform evaluation grid of ``grid_points`` points.
+    Linear pairs use Cauchy-Schwarz over the unit ball.  Every other pairing
+    of univariate hypotheses is exact on [0, 1): f - g is affine on each
+    piece of the merged breakpoints, so its largest absolute value sits at
+    a piece end (the one-sided limits at the jumps of a step function).
     """
     g = _as_hypothesis(g)
-    kinds = {f.kind, g.kind}
-    if kinds == {HypothesisKind.LINEAR_BALL}:
+    if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
         return float(np.linalg.norm(f.coef - g.coef))
-    if kinds == {HypothesisKind.STEP_BASIS}:
-        edges = np.union1d(_step_edges(f), _step_edges(g))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        diff = f.bins[_bin_index(mids, f.class_spec.q)] - g.bins[_bin_index(mids, g.class_spec.q)]
-        return float(np.max(np.abs(diff)))
-    if kinds == {HypothesisKind.STEP_BASIS, HypothesisKind.LINEAR_BALL}:
-        step, lin = (f, g) if f.kind is HypothesisKind.STEP_BASIS else (g, f)
-        if lin.coef.shape[0] != 1:
-            raise HypothesisError("step-vs-linear sup distance is univariate")
-        q = step.class_spec.q
-        edges = _step_edges(step)
-        slope = float(lin.coef[0])
-        left = np.abs(step.bins - slope * edges[:-1])
-        right = np.abs(step.bins - slope * edges[1:])
-        return float(max(left.max(), right.max()))
-    # network involved: documented uniform grid on [0, 1) (univariate support)
-    zs = (np.arange(grid_points, dtype=float) + 0.5)[:, None] / grid_points
-    return float(np.max(np.abs(f.predict(zs) - g.predict(zs))))
+    edges, s, c = _difference_pieces(f, g)
+    return float(max(np.abs(s * edges[:-1] + c).max(), np.abs(s * edges[1:] + c).max()))

@@ -114,29 +114,6 @@ class BlockLength(NamedTuple):
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class BlockScheme:
-    """Alternating-block layout: length m blocks inside n samples at level delta.
-
-    The sample is conceptually padded with zero-weight observations so the
-    padded length is a multiple of 2m.
-    """
-
-    m: int
-    n: int
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise MixingError(f"block length must be >= 1, got {self.m}")
-        if not 0 < self.delta < 1:
-            raise MixingError(f"delta must be in (0,1), got {self.delta}")
-
-    @property
-    def padded_n(self) -> int:
-        return math.ceil(self.n / (2 * self.m)) * 2 * self.m
-
-
 def m_beta(profile: MixingProfile, n: int, delta: float) -> BlockLength:
     """Smallest m in {1..n} with (n/m) beta(m) <= delta.
 

@@ -282,22 +282,6 @@ def bound_certificate(
     return rate(w_l2) ** 2 * math.log(1.0 / delta) ** 2 + drift_term
 
 
-def time_uniform_certificate(
-    rate: RateFunction,
-    w_l2_sequence: Sequence[float],
-    delta: float,
-    drift_terms: Sequence[float] | None = None,
-) -> float:
-    """Sum of per-time certificates for a sequence of weight choices."""
-    if drift_terms is None:
-        drift_terms = [0.0] * len(w_l2_sequence)
-    if len(drift_terms) != len(w_l2_sequence):
-        raise RateError("one drift term per weight norm")
-    return sum(
-        bound_certificate(rate, u, delta, d) for u, d in zip(w_l2_sequence, drift_terms)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Analytic log-covering bounds used as inputs to the complexity constant.
 
@@ -319,11 +303,6 @@ def weight_class_log_covering(
 
     log_cover(1.0)  # check the scope and its t or n now, not at the first use
     return log_cover
-
-
-def singleton_log_covering() -> Callable[[float], float]:
-    """A one-member weight class needs a single ball at every scale."""
-    return lambda eps: 0.0
 
 
 def hypothesis_log_covering(

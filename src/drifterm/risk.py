@@ -2,9 +2,10 @@
 
 For square loss with a conditional-mean target, the out-of-sample excess
 risk equals the squared L2 distance between the fit and the target-time
-regression function, so every term here reduces to an (exact or Monte
-Carlo) squared distance plus population arithmetic that is exact for the
-shipped generators.
+regression function, so every term here reduces to a squared distance plus
+population arithmetic that is exact for the shipped generators.  The
+distance is exact for linear fits on every law and for every fit on the
+interval law; only step and network fits on the ball law are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import (
+    MC_DRAWS_DEFAULT,
     FittedHypothesis,
     HypothesisClassSpec,
     HypothesisKind,
@@ -94,15 +96,16 @@ def learning_error(
     spec: ProcessSpec,
     w: WeightVector,
     *,
-    draws: int = 100_000,
+    draws: int = MC_DRAWS_DEFAULT,
     seed: int = 0,
 ) -> tuple[float, float, str]:
     """Squared L2 distance from the fit to the weighted population optimum.
 
     Exact, with stderr 0, wherever ``l2_distance`` has a closed form: linear
-    fits, and step fits on the interval law (the target is linear, or a
-    constant for the variance-drift generator).  Network fits, and step
-    fits off the interval law, are Monte Carlo with reported standard error.
+    fits on every law, and step and network fits on the interval law (the
+    target is linear, or a constant for the variance-drift generator).
+    Step and network fits on the ball law are Monte Carlo with reported
+    standard error.
     """
     target = population_optimum_weighted(spec, w)
     return _distance_to_target(fit, spec, target, draws, seed)
@@ -123,7 +126,7 @@ def excess_risk(
     spec: ProcessSpec,
     t: int,
     *,
-    draws: int = 100_000,
+    draws: int = MC_DRAWS_DEFAULT,
     seed: int = 0,
 ) -> tuple[float, float, str]:
     """Out-of-sample excess square loss at target time t+1.
@@ -208,7 +211,7 @@ def risk_report(
     w: WeightVector,
     t: int,
     *,
-    draws: int = 100_000,
+    draws: int = MC_DRAWS_DEFAULT,
     seed: int = 0,
     include_discrepancy: bool = True,
 ) -> RiskReport:

@@ -254,25 +254,20 @@ class TestMonteCarloOnlyWithoutClosedForm:
         assert len(res.rows) == 6
         assert res.manifest["failures"] == []
 
-    def test_relu_cell_still_reaches_monte_carlo(self, monkeypatch):
-        draws = []
-        sample = hypotheses.sample_covariates
+    def test_relu_cell_on_interval_law_draws_no_covariates(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo covariates drawn for a net-vs-linear distance")
 
-        def counted(law, p, n, rng):
-            draws.append(n)
-            return sample(law, p, n, rng)
-
-        monkeypatch.setattr(hypotheses, "sample_covariates", counted)
+        monkeypatch.setattr(hypotheses, "sample_covariates", forbidden)
         cfg = small_config(
             process=replace(INTERVAL_AR1, core=DependenceCore()),
             hypothesis=RATE_CLASSES["relu"][1],
             n_grid=(32,),
             replications=1,
-            mc_draws=500,
         )
         res = run_experiment(cfg)
         assert len(res.rows) == 1
-        assert draws == [500, 500]  # the learning and the excess distance
+        assert res.manifest["failures"] == []
 
 
 # build_rate reads only the weight family; 1.0 is a valid parameter of all three.

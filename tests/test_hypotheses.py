@@ -201,6 +201,38 @@ class TestNetFits:
             assert np.abs(b).max() <= 0.5 + 1e-12
 
 
+NONFINITE_CLASSES = {
+    "linear": HypothesisClassSpec.linear(1.0, 1 / 3),
+    "step": HypothesisClassSpec.step(3, 1.0),
+    "relu": HypothesisClassSpec.relu(2, 1, 1.0, 1.0),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("array", ["z", "y", "w"])
+    @pytest.mark.parametrize("klass", sorted(NONFINITE_CLASSES))
+    def test_rejected_naming_the_array(self, klass, array, bad):
+        spec = linear_spec(8, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
+        path = simulate(spec, 4)
+        z, y, entries = path.z.copy(), path.y.copy(), uniform_w(8).entries.copy()
+        {"z": z[:, 0], "y": y, "w": entries}[array][3] = bad
+        bad_path = type(path)(y=y, z=z, seed=path.seed, spec=path.spec)
+        with pytest.raises(HypothesisError, match=f"^{array} has non-finite entries$"):
+            fit_weighted_erm(bad_path, _from_entries(entries), NONFINITE_CLASSES[klass])
+
+    def test_held_out_row_is_not_read(self):
+        spec = linear_spec(8, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
+        path = simulate(spec, 4)
+        y = path.y.copy()
+        y[8] = math.nan
+        fit = fit_weighted_erm(
+            type(path)(y=y, z=path.z, seed=path.seed, spec=spec), uniform_w(8),
+            NONFINITE_CLASSES["step"],
+        )
+        assert np.isfinite(fit.bins).all()
+
+
 def linear_fit(coef, lam=1 / 6):
     coef = np.asarray(coef, dtype=float)
     return FittedHypothesis(
@@ -215,6 +247,38 @@ def step_fit(values):
         bins=values,
     )
 
+
+def net_fit(layers):
+    layers = tuple((np.asarray(W, dtype=float), np.asarray(b, dtype=float)) for W, b in layers)
+    nu = layers[0][0].shape[1]
+    return FittedHypothesis(
+        class_spec=HypothesisClassSpec.relu(nu, len(layers) - 1, 1.0, 1.0), layers=layers
+    )
+
+
+def random_net(rng, nu, ell):
+    sizes = [1] + [nu] * ell + [1]
+    return net_fit(
+        (rng.uniform(-1, 1, (fan_in, fan_out)), rng.uniform(-1, 1, fan_out))
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+    )
+
+
+def net_slope_bound(net):
+    """Lipschitz bound of a ReLU net: the product of its layers' spectral norms."""
+    return math.prod(np.linalg.norm(W, 2) for W, _ in net.layers)
+
+
+def difference_on(f, g, z, chunk=200_000):
+    """f(z) - g(z) on a 1-D array of covariates, in chunks to bound memory."""
+    return np.concatenate([
+        f.predict(z[i:i + chunk, None]) - g.predict(z[i:i + chunk, None])
+        for i in range(0, z.size, chunk)
+    ])
+
+
+# One-unit net relu(z - 1/2): zero on [0, 1/2), then slope 1.
+HINGE = net_fit([([[1.0]], [-0.5]), ([[1.0]], [0.0])])
 
 class TestL2Distance:
     def test_identical_is_zero(self):
@@ -281,6 +345,51 @@ class TestL2Distance:
         mc_se = sq.std(ddof=1) / math.sqrt(z.size)
         assert abs(value - sq.mean()) <= 4.0 * mc_se + 1e-12
 
+    @given(
+        nu=st.integers(1, 8),
+        ell=st.integers(1, 3),
+        against_step=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_net_exact_matches_monte_carlo(self, nu, ell, against_step, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, nu, ell)
+        other = (step_fit(rng.uniform(-1, 1, rng.integers(1, 20))) if against_step
+                 else linear_fit([rng.uniform(-1, 1)]))
+        value, se, mode = l2_distance(net, other, CovariateLaw.INTERVAL)
+        assert mode == "exact" and se == 0.0
+        assert l2_distance(other, net, CovariateLaw.INTERVAL)[0] == value
+        sq = difference_on(net, other, rng.random(1_000_000)) ** 2
+        mc_se = sq.std(ddof=1) / math.sqrt(sq.size)
+        assert abs(value - sq.mean()) <= 4.0 * mc_se + 1e-12
+
+    def test_one_unit_net_matches_hand_integral(self):
+        # integral over [1/2, 1) of (z - 1/2)^2 = (1/2)^3 / 3 = 1/24
+        value, se, mode = l2_distance(HINGE, 0.0, CovariateLaw.INTERVAL)
+        assert mode == "exact" and se == 0.0
+        assert value == pytest.approx(1 / 24, rel=1e-15)
+
+    @pytest.mark.parametrize("g", ["linear", "step", "constant", "relu"])
+    @pytest.mark.parametrize("f", ["linear", "step", "relu"])
+    def test_every_univariate_pairing_exact_on_interval(self, f, g):
+        operands = {
+            "linear": linear_fit([0.4], lam=1 / 3),
+            "step": step_fit([0.2, -0.1, 0.5]),
+            "constant": 0.3,
+            "relu": random_net(np.random.default_rng(8), 4, 2),
+        }
+        _, se, mode = l2_distance(operands[f], operands[g], CovariateLaw.INTERVAL,
+                                  second_moment=np.array([[1 / 3]]))
+        assert mode == "exact" and se == 0.0
+
+    def test_multivariate_operand_rejected_on_interval(self):
+        with pytest.raises(HypothesisError, match="univariate"):
+            l2_distance(step_fit([0.2, 0.8]), linear_fit([0.5, 0.1]), CovariateLaw.INTERVAL)
+        net = net_fit([(np.ones((2, 3)), np.zeros(3)), (np.ones((3, 1)), np.zeros(1))])
+        with pytest.raises(HypothesisError, match="univariate"):
+            sup_distance(net, 0.0)
+
     def test_step_vs_multivariate_linear_stays_monte_carlo(self):
         f, g = step_fit([0.2, 0.8]), linear_fit([0.5, 0.1])
         _, se, mode = l2_distance(f, g, CovariateLaw.BALL, p=2, draws=2000)
@@ -323,11 +432,41 @@ class TestSupDistance:
         assert sup_distance(f, linear_fit([1.0], lam=1 / 3)) <= 1.0 / q
 
     def test_grid_mode_for_nets(self):
+        # the exact sup of a fitted net against a line bounds a fine grid's
+        # maximum from above, and exceeds it by at most slope bound x spacing
         spec = linear_spec(64, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
         path = simulate(spec, 12)
         net = fit_weighted_erm(path, uniform_w(64), HypothesisClassSpec.relu(4, 1, 1.0, 1.0), seed=2)
-        d = sup_distance(net, linear_fit([0.5], lam=1 / 3))
-        assert np.isfinite(d) and d >= 0
+        line = linear_fit([0.5], lam=1 / 3)
+        d = sup_distance(net, line)
+        points = 8192
+        grid_max = np.abs(difference_on(net, line, (np.arange(points) + 0.5) / points)).max()
+        assert grid_max - 1e-12 <= d <= grid_max + (net_slope_bound(net) + 0.5) / points
+
+    def test_one_unit_net_sup(self):
+        assert sup_distance(HINGE, 0.0) == 0.5
+        assert sup_distance(HINGE, step_fit([0.0, 1.0])) == 1.0  # the jump at 1/2
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_exact_bounds_brute_force_grid(self, case):
+        # grid of 10^6 midpoints: every point of [0, 1) lies within one
+        # spacing of a grid point on the same side of any jump, so the
+        # exact sup exceeds the grid maximum by at most slope bound x spacing
+        rng = np.random.default_rng(100 + case)
+        if case % 3 == 2:  # step against line: the slope bound is the line's
+            f = step_fit(rng.uniform(-1, 1, rng.integers(1, 40)))
+            slope = rng.uniform(-3, 3)
+            g, bound = linear_fit([slope]), abs(slope)
+        else:  # net against a line or a step
+            f = random_net(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+            slope = rng.uniform(-1, 1) if case % 3 == 0 else 0.0
+            g = linear_fit([slope]) if case % 3 == 0 else step_fit(rng.uniform(-1, 1, 7))
+            bound = net_slope_bound(f) + abs(slope)
+        points = 1_000_000
+        grid_max = np.abs(difference_on(f, g, (np.arange(points) + 0.5) / points)).max()
+        d = sup_distance(f, g)
+        assert sup_distance(g, f) == d
+        assert grid_max - 1e-12 <= d <= grid_max + bound / points
 
 
 class TestSupNormLinkConstant:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifterm.mixing import (
-    BlockScheme,
     MixingError,
     MixingProfile,
     ProfileKind,
@@ -157,15 +156,3 @@ class TestBernsteinTail:
         with pytest.raises(MixingError):
             blocked_bernstein_tail(1.0, 1.0, 0, w, 1.0, 0.5)
 
-
-class TestBlockScheme:
-    def test_padding(self):
-        scheme = BlockScheme(m=3, n=20, delta=0.1)
-        assert scheme.padded_n == 24
-        assert scheme.padded_n % (2 * scheme.m) == 0
-
-    def test_validation(self):
-        with pytest.raises(MixingError):
-            BlockScheme(m=0, n=10, delta=0.1)
-        with pytest.raises(MixingError):
-            BlockScheme(m=2, n=10, delta=1.0)

@@ -18,8 +18,6 @@ from drifterm.rates import (
     default_condition_grid,
     find_scale_constant,
     hypothesis_log_covering,
-    singleton_log_covering,
-    time_uniform_certificate,
     weight_class_log_covering,
 )
 from drifterm.weights import WeightFamily
@@ -40,7 +38,7 @@ def make_params(**overrides):
         k=1.0,
         delta=0.05,
         n=10_000,
-        log_n1_w=singleton_log_covering(),
+        log_n1_w=lambda eps: 0.0,
         log_ninf_h=hypothesis_log_covering("singleton"),
     )
     base.update(overrides)
@@ -196,14 +194,6 @@ class TestCertificates:
             cert = bound_certificate(rate, 1 / math.sqrt(n), 0.05)
             ratios.append(cert / (math.log(n) / n))
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9)
-
-    def test_time_uniform_sum(self):
-        params = make_params()
-        rate = closed_form_rate(RateVariant.I, params)
-        us = [0.1, 0.2, 0.3]
-        total = time_uniform_certificate(rate, us, 0.1, [1.0, 2.0, 3.0])
-        parts = sum(bound_certificate(rate, u, 0.1, d) for u, d in zip(us, [1.0, 2.0, 3.0]))
-        assert total == pytest.approx(parts)
 
 
 class TestVariantDominance:
