@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,41 @@ class TestNetFits:
         for W, b in fit.layers:
             assert np.abs(W).max() <= 0.5 + 1e-12
             assert np.abs(b).max() <= 0.5 + 1e-12
+
+
+# sha256 of the fitted layers' bytes and repr of the achieved risk, for fits
+# of (nu, ell, p, weight family, param_bound) at n = 64 and the default step
+# count.  The pins hold the fitter to one exact sequence of float operations:
+# a faster fitter must reproduce every byte.  They depend on the BLAS build.
+FIT_PINS = [
+    (4, 1, 1, "uniform", 1.0, "0.11076416105756046",
+     "1673943989599538bfe2fc263d90639f7a8271e77d7c35c7bf132390ab223f32"),
+    (8, 2, 1, "exp", 1.0, "0.0936001055247128",
+     "a14d7d1535c4609805a40a6b4a1c96399a6d2043112f02b72722c385de048480"),
+    (8, 3, 2, "uniform", 1.0, "0.045081035991249005",
+     "2bc6ec9d005929a3255c6e3687cf4058979ebbacf94ed630000269ab781ac725"),
+    (4, 2, 2, "exp", 0.3, "0.09046957498734347",
+     "6abe5668595cd8671071b07161e746bbc54c80acfac8f8f4ae06b35d82bb53fc"),
+    (8, 1, 2, "uniform", 0.3, "0.07874701110651075",
+     "043f0d4130451ea930773ad2de26571cb4ddbb5d9aa90133f564e0b03d173f16"),
+    (4, 3, 1, "exp", 1.0, "0.06879550960679962",
+     "9e6f066327562642d8ae9787ee97776328e7775bb5b122256f411435030284ea"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FIT_PINS)))
+def test_net_fit_is_pinned_byte_for_byte(case):
+    nu, ell, p, family, param_bound, risk, digest = FIT_PINS[case]
+    n = 64
+    law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
+    path = simulate(linear_spec(n, p=p, law=law), 20 + case)
+    w = uniform_w(n) if family == "uniform" else make_weights(
+        WeightSpec(WeightFamily.EXPONENTIAL, t=n, n=n, param=0.05)
+    )
+    fit = fit_weighted_erm(path, w, HypothesisClassSpec.relu(nu, ell, param_bound, 1.0), seed=case)
+    layer_bytes = b"".join(W.tobytes() + b.tobytes() for W, b in fit.layers)
+    assert repr(fit.fit_meta["empirical_risk"]) == risk
+    assert hashlib.sha256(layer_bytes).hexdigest() == digest
 
 
 NONFINITE_CLASSES = {
