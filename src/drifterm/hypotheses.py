@@ -5,6 +5,12 @@ constrained weighted least squares), piecewise-constant step functions on
 [0, 1) (per-bin weighted means), and box-constrained ReLU networks fitted
 by projected full-batch gradient descent (approximate ERM; the achieved
 empirical risk is recorded).
+
+The network fitter keeps all parameters in one flat vector whose reshaped
+views are the layers' (W, b); each step updates and clips that vector in
+place and saves an improving iterate with one copy.  A fit is
+deterministic per seed and byte-identical to the per-layer loop it
+replaced, which kept each layer in its own arrays.
 """
 
 from __future__ import annotations
@@ -79,8 +85,12 @@ class HypothesisClassSpec:
         if self.kind is HypothesisKind.STEP_BASIS and (self.q is None or self.q < 1):
             raise HypothesisError("step class needs q >= 1")
         if self.kind is HypothesisKind.RELU_NET:
-            if not (self.nu and self.ell and self.param_bound):
+            if self.nu is None or self.ell is None or self.param_bound is None:
                 raise HypothesisError("network class needs nu, ell, param_bound")
+            if self.nu < 1 or self.ell < 1:
+                raise HypothesisError(f"network class needs nu >= 1 and ell >= 1, got {self.nu}, {self.ell}")
+            if not (math.isfinite(self.param_bound) and self.param_bound > 0):
+                raise HypothesisError(f"param_bound must be finite and positive, got {self.param_bound}")
 
     @staticmethod
     def linear(b_bound: float, lambda_min: float) -> "HypothesisClassSpec":
@@ -135,8 +145,24 @@ class FittedHypothesis:
             raise HypothesisError("linear hypothesis needs coef")
         if kind is HypothesisKind.STEP_BASIS and (self.bins is None or len(self.bins) != q):
             raise HypothesisError(f"step hypothesis needs bins of length q={q}")
-        if kind is HypothesisKind.RELU_NET and not self.layers:
-            raise HypothesisError("network hypothesis needs layers")
+        if kind is HypothesisKind.RELU_NET:
+            if not self.layers:
+                raise HypothesisError("network hypothesis needs layers")
+            self._check_layer_shapes()
+
+    def _check_layer_shapes(self) -> None:
+        """ell + 1 layers chained p -> nu -> ... -> nu -> 1, each b as wide as its W."""
+        nu, ell = self.class_spec.nu, self.class_spec.ell
+        if len(self.layers) != ell + 1:
+            raise HypothesisError(f"network with ell={ell} needs {ell + 1} layers, got {len(self.layers)}")
+        first = np.shape(self.layers[0][0])
+        sizes = [first[0] if first else 0] + [nu] * ell + [1]
+        for i, ((W, b), fan_in, fan_out) in enumerate(zip(self.layers, sizes[:-1], sizes[1:])):
+            if np.shape(W) != (fan_in, fan_out) or np.shape(b) != (fan_out,):
+                raise HypothesisError(
+                    f"layer {i} has W {np.shape(W)} and b {np.shape(b)}; "
+                    f"the class needs W {(fan_in, fan_out)} and b {(fan_out,)}"
+                )
 
     @property
     def kind(self) -> HypothesisKind:
@@ -254,27 +280,6 @@ def _net_forward(layers, z: np.ndarray) -> np.ndarray:
     return (h @ W + b)[:, 0]
 
 
-def _net_forward_cache(layers, z: np.ndarray):
-    acts = [z]
-    h = z
-    for W, b in layers[:-1]:
-        h = np.maximum(h @ W + b, 0.0)
-        acts.append(h)
-    W, b = layers[-1]
-    return (h @ W + b)[:, 0], acts
-
-
-def _net_gradients(layers, acts, dout: np.ndarray):
-    grads = [None] * len(layers)
-    delta = dout[:, None]
-    for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ W.T) * (acts[i] > 0)
-    return grads
-
-
 def _fit_net(
     z: np.ndarray,
     y: np.ndarray,
@@ -282,40 +287,79 @@ def _fit_net(
     spec: HypothesisClassSpec,
     seed: int,
 ) -> FittedHypothesis:
+    """Projected full-batch gradient descent, keeping the best iterate.
+
+    Every array the loop writes is allocated once; theta, grad and best are
+    flat vectors whose views are the layers' (W, b).  Each operation and its
+    order are those of the per-layer loop this replaced, whose fits the
+    tests pin byte for byte.
+    """
     rng = np.random.default_rng(seed)
-    sizes = [z.shape[1]] + [spec.nu] * spec.ell + [1]
+    n, nu = z.shape[0], spec.nu
+    sizes = [z.shape[1]] + [nu] * spec.ell + [1]
+    shapes = list(zip(sizes[:-1], sizes[1:]))
     bound = spec.param_bound
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        layers.append([np.clip(W, -bound, bound), np.zeros(fan_out)])
+    theta = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+    grad = np.empty_like(theta)
+
+    def views(flat):
+        """Each layer's (W, b) as reshaped views of one flat vector."""
+        pairs, at = [], 0
+        for fan_in, fan_out in shapes:
+            W = flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+            at += fan_in * fan_out
+            pairs.append((W, flat[at:at + fan_out]))
+            at += fan_out
+        return pairs
+
+    layers, grads = views(theta), views(grad)
+    for (fan_in, _), (W, _) in zip(shapes, layers):
+        W[...] = np.clip(rng.standard_normal(W.shape) / math.sqrt(fan_in), -bound, bound)
+    acts = [z] + [np.empty((n, nu)) for _ in range(spec.ell)]  # each layer's input
+    d_out = np.empty((n, 1))
+    deltas = [None] + [np.empty((n, nu)) for _ in range(spec.ell)]  # backpropagated to layer i
+    active = np.empty((n, nu), dtype=bool)
+    out = np.empty((n, 1))
+    pred, r, sq = out[:, 0], np.empty(n), np.empty(n)
+    w2 = 2.0 * w
 
     best_risk = math.inf
-    best_layers = None
-    for _ in range(NET_ITERATIONS):
-        pred, acts = _net_forward_cache(layers, z)
-        resid = pred - y
-        risk = _weighted_risk(w, resid)
+    best = theta.copy()
+    for step in range(NET_ITERATIONS + 1):
+        h = z
+        for (W, b), a in zip(layers[:-1], acts[1:]):
+            np.dot(h, W, out=a)
+            np.add(a, b, out=a)
+            np.maximum(a, 0.0, out=a)
+            h = a
+        W, b = layers[-1]
+        np.dot(h, W, out=out)
+        np.add(out, b, out=out)
+        np.subtract(pred, y, out=r)
+        np.multiply(r, r, out=sq)
+        risk = float(np.dot(w, sq))
         if risk < best_risk:
             best_risk = risk
-            best_layers = [(W.copy(), b.copy()) for W, b in layers]
-        dout = 2.0 * w * resid
-        grads = _net_gradients(layers, acts, dout)
-        for (gW, gb), layer in zip(grads, layers):
-            layer[0] = np.clip(layer[0] - NET_STEP_SIZE * gW, -bound, bound)
-            layer[1] = np.clip(layer[1] - NET_STEP_SIZE * gb, -bound, bound)
-    pred, _ = _net_forward_cache(layers, z)
-    final_risk = _weighted_risk(w, pred - y)
-    if final_risk < best_risk:
-        best_risk = final_risk
-        best_layers = [(W.copy(), b.copy()) for W, b in layers]
-    frozen = tuple((W, b) for W, b in best_layers)
-    for W, b in frozen:
-        W.flags.writeable = False
-        b.flags.writeable = False
+            best[:] = theta
+        if step == NET_ITERATIONS:  # the last iterate is scored, not stepped
+            break
+        np.multiply(w2, r, out=d_out[:, 0])
+        delta = d_out
+        for i in range(spec.ell, -1, -1):
+            gW, gb = grads[i]
+            np.dot(acts[i].T, delta, out=gW)
+            np.add.reduce(delta, axis=0, out=gb)
+            if i > 0:
+                np.dot(delta, layers[i][0].T, out=deltas[i])
+                np.greater(acts[i], 0.0, out=active)
+                delta = np.multiply(deltas[i], active, out=deltas[i])
+        grad *= NET_STEP_SIZE
+        np.subtract(theta, grad, out=theta)
+        np.clip(theta, -bound, bound, out=theta)
+    best.flags.writeable = False
     return FittedHypothesis(
         class_spec=spec,
-        layers=frozen,
+        layers=tuple(views(best)),
         fit_meta={
             "solver": "projected_gd",
             "iterations": NET_ITERATIONS,
@@ -467,13 +511,16 @@ def l2_distance(
 def sup_distance(f: FittedHypothesis, g) -> float:
     """Sup-norm distance over the covariate support.
 
-    Linear pairs use Cauchy-Schwarz over the unit ball.  Every other pairing
+    A linear pair's difference d . z is largest at a vertex of the ball
+    law's cube [-1/sqrt(p), 1/sqrt(p)]^p, where it is ||d||_1 / sqrt(p); for
+    p = 1 that is |d|, the sup over [0, 1) as well.  Every other pairing
     of univariate hypotheses is exact on [0, 1): f - g is affine on each
     piece of the merged breakpoints, so its largest absolute value sits at
     a piece end (the one-sided limits at the jumps of a step function).
     """
     g = _as_hypothesis(g)
     if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
-        return float(np.linalg.norm(f.coef - g.coef))
+        d = f.coef - g.coef
+        return float(np.abs(d).sum() / math.sqrt(d.size))
     edges, s, c = _difference_pieces(f, g)
     return float(max(np.abs(s * edges[:-1] + c).max(), np.abs(s * edges[1:] + c).max()))

@@ -286,8 +286,12 @@ class TestStrictInputs:
              "fit: step hypothesis needs bins of length q=3"),
             ({"class": {"kind": "relu", "b_bound": 1.0, "nu": 4, "ell": 1, "param_bound": 1.0},
               "coef": [0.1, 0.2]}, "fit: network hypothesis needs layers"),
+            ({"class": {"kind": "relu", "b_bound": 1.0, "nu": 4, "ell": 1, "param_bound": 1.0},
+              "layers": [{"W": [[0.1, 0.2, 0.3]], "b": [0.0, 0.0, 0.0]},
+                         {"W": [[0.1], [0.2]], "b": [0.0]}]},
+             "fit: layer 0 has W (1, 3) and b (3,); the class needs W (1, 4) and b (4,)"),
         ],
-        ids=["linear-without-coef", "step-short-bins", "relu-without-layers"],
+        ids=["linear-without-coef", "step-short-bins", "relu-without-layers", "relu-layer-shapes"],
     )
     def test_fit_json_without_its_parameters(self, inputs, fit, message):
         (inputs / "fit.json").write_text(json.dumps(fit))

@@ -132,6 +132,7 @@ def key_paths(d: dict, prefix=()):
             yield from key_paths(value, prefix + (key,))
 
 
+RELU = {"kind": "relu", "b_bound": 1.0, "nu": 8, "ell": 2, "param_bound": 1.0}
 FUZZ_BASES = [BASE, config_to_dict(config_from_dict(BASE))]
 WRONG_VALUES = ["x", "200", True, None, 1.5, -3, 0, [], [1, "a"], {}, {"a": 1}]
 
@@ -203,11 +204,26 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("hypothesis.b_bound", -1.0), r"^hypothesis: b_bound must be positive"),
         (with_key("process.noise_sd", float("nan")), r"^process\.noise_sd: non-finite nan"),
         (with_key("slope_band", [float("-inf"), -0.85]), r"^slope_band\[0\]: non-finite -inf"),
+        (with_key("hypothesis", RELU | {"param_bound": -1.0}),
+         r"^hypothesis: param_bound must be finite and positive, got -1\.0$"),
+        (with_key("hypothesis", RELU | {"param_bound": 0.0}),
+         r"^hypothesis: param_bound must be finite and positive, got 0\.0$"),
+        (with_key("hypothesis", RELU | {"nu": -2}),
+         r"^hypothesis: network class needs nu >= 1 and ell >= 1, got -2, 2$"),
+        (with_key("hypothesis", RELU | {"ell": -1}),
+         r"^hypothesis: network class needs nu >= 1 and ell >= 1, got 8, -1$"),
+        (with_key("hypothesis", RELU | {"ell": 0}),
+         r"^hypothesis: network class needs nu >= 1 and ell >= 1, got 8, 0$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):
     with pytest.raises(HarnessError, match=message):
         config_from_dict(data)
+
+
+def test_valid_relu_class_loads():
+    cfg = config_from_dict(with_key("hypothesis", RELU))
+    assert (cfg.hypothesis.nu, cfg.hypothesis.ell, cfg.hypothesis.param_bound) == (8, 2, 1.0)
 
 
 def test_omitted_keys_take_the_dataclass_defaults():

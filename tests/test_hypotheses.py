@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from drifterm.processes import (
     ProcessKind,
     ProcessSpec,
     lambda_min,
+    sample_covariates,
     simulate,
 )
 from drifterm.weights import WeightFamily, WeightSpec, make_weights, _from_entries
@@ -43,6 +45,26 @@ def linear_spec(n, p=2, noise_sd=0.3, law=CovariateLaw.BALL, drift=None):
 
 def uniform_w(n):
     return make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=n, n=n, param=n))
+
+
+class TestNetClassSpec:
+    @pytest.mark.parametrize(
+        "nu, ell, param_bound, message",
+        [
+            (None, 2, 1.0, "network class needs nu, ell, param_bound"),
+            (0, 2, 1.0, "network class needs nu >= 1 and ell >= 1, got 0, 2"),
+            (8, -1, 1.0, "network class needs nu >= 1 and ell >= 1, got 8, -1"),
+            (8, 2, -1.0, "param_bound must be finite and positive, got -1.0"),
+            (8, 2, math.inf, "param_bound must be finite and positive, got inf"),
+            (8, 2, math.nan, "param_bound must be finite and positive, got nan"),
+        ],
+    )
+    def test_rejected(self, nu, ell, param_bound, message):
+        with pytest.raises(HypothesisError, match=f"^{message}$"):
+            HypothesisClassSpec.relu(nu, ell, param_bound, 1.0)
+
+    def test_smallest_class_accepted(self):
+        assert HypothesisClassSpec.relu(1, 1, 1e-3, 1.0).nu == 1
 
 
 class TestBasisSize:
@@ -432,6 +454,11 @@ class TestL2Distance:
         assert mode == "monte_carlo" and se > 0
 
 
+def net_layers(*sizes):
+    """Zero layers chaining ``sizes[i] -> sizes[i + 1]``."""
+    return tuple((np.zeros((a, b)), np.zeros(b)) for a, b in zip(sizes[:-1], sizes[1:]))
+
+
 class TestFittedHypothesisParameters:
     @pytest.mark.parametrize(
         "spec, params, message",
@@ -443,8 +470,22 @@ class TestFittedHypothesisParameters:
              "step hypothesis needs bins of length q=3"),
             (HypothesisClassSpec.relu(4, 1, 1.0, 1.0), {"coef": np.zeros(1)},
              "network hypothesis needs layers"),
+            (HypothesisClassSpec.relu(4, 2, 1.0, 1.0), {"layers": net_layers(1, 4, 1)},
+             "network with ell=2 needs 3 layers, got 2"),
+            (HypothesisClassSpec.relu(4, 1, 1.0, 1.0), {"layers": net_layers(1, 3, 1)},
+             r"layer 0 has W \(1, 3\) and b \(3,\); the class needs W \(1, 4\) and b \(4,\)"),
+            (HypothesisClassSpec.relu(4, 2, 1.0, 1.0),
+             {"layers": net_layers(2, 4) + net_layers(3, 4, 1)},
+             r"layer 1 has W \(3, 4\) and b \(4,\); the class needs W \(4, 4\) and b \(4,\)"),
+            (HypothesisClassSpec.relu(4, 1, 1.0, 1.0), {"layers": net_layers(1, 4, 2)},
+             r"layer 1 has W \(4, 2\) and b \(2,\); the class needs W \(4, 1\) and b \(1,\)"),
+            (HypothesisClassSpec.relu(4, 1, 1.0, 1.0),
+             {"layers": ((np.zeros((1, 4)), np.zeros(3)), (np.zeros((4, 1)), np.zeros(1)))},
+             r"layer 0 has W \(1, 4\) and b \(3,\); the class needs W \(1, 4\) and b \(4,\)"),
         ],
-        ids=["linear-none", "linear-bins-only", "step-none", "step-short", "relu-none"],
+        ids=["linear-none", "linear-bins-only", "step-none", "step-short", "relu-none",
+             "relu-layer-count", "relu-first-width", "relu-chain-break", "relu-last-width",
+             "relu-bias-width"],
     )
     def test_missing_parameters_rejected(self, spec, params, message):
         with pytest.raises(HypothesisError, match=f"^{message}$"):
@@ -453,7 +494,15 @@ class TestFittedHypothesisParameters:
 
 class TestSupDistance:
     def test_linear_pair(self):
-        assert sup_distance(linear_fit([0.3, 0.4]), linear_fit([0.0, 0.0])) == pytest.approx(0.5)
+        # the ball law's support is the cube [-1/sqrt(p), 1/sqrt(p)]^p: the
+        # sup of |d . z| is at a vertex, and no draw from the law exceeds it
+        d = np.array([0.3, 0.4])
+        value = sup_distance(linear_fit(d), linear_fit([0.0, 0.0]))
+        assert value == pytest.approx(0.7 / math.sqrt(2))
+        vertices = np.array(list(itertools.product([-1.0, 1.0], repeat=2))) / math.sqrt(2)
+        assert value == pytest.approx(np.abs(vertices @ d).max(), rel=1e-15)
+        z = sample_covariates(CovariateLaw.BALL, 2, 1_000_000, np.random.default_rng(0))
+        assert np.abs(z @ d).max() <= value
 
     def test_identical_zero(self):
         f = step_fit([0.1, 0.2])
