@@ -229,6 +229,29 @@ FIT = ("fit", "--data", "path.csv", "--weights", "w.json", "--class", "cls.json"
 RISK = ("risk", "--fit", "fit.json", "--spec", "spec.json", "--w", "w.json")
 
 
+# (hypothesis_class, alpha) -> (scale constant, min_slack) that ``rates --variant ii``
+# finds on the exponential-union weight class at n = 10^4.
+RATE_CLASS_PINS = {
+    "linear_p2": ({"kind": "linear", "p": 2, "b_bound": 1.0}, 0.0, 16.0, 1.4916337505134118),
+    "step_sized": ({"kind": "step", "b_bound": 1.0}, 2 / 3, 4.0, 1.3576457172106486),
+    "step_q8": ({"kind": "step", "q": 8, "b_bound": 1.0}, 0.0, 32.0, 1.2674557041983643),
+    "relu": ({"kind": "relu", "b_bound": 1.0}, 2 / 3, 8.0, 2.5433620378014754),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RATE_CLASS_PINS))
+def test_rates_pinned_per_hypothesis_class(capsys, tmp_path, key):
+    klass, alpha, a, slack = RATE_CLASS_PINS[key]
+    pfile = tmp_path / "rates.json"
+    pfile.write_text(json.dumps({**RATES, "alpha": alpha, "hypothesis_class": klass}))
+    code, out = run_cli(capsys, "rates", "--params", str(pfile), "--variant", "ii", "--grid", "8")
+    report = json.loads(out)
+    assert code == 0
+    assert report["a"] == a
+    assert report["condition_report"]["all_pass"]
+    assert report["condition_report"]["min_slack"] == pytest.approx(slack, rel=1e-12)
+
+
 @pytest.fixture
 def inputs(tmp_path, capsys, monkeypatch):
     """Valid CLI input files in the working directory; spec.json is a bare process."""

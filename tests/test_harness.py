@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -236,6 +237,45 @@ RATE_PINS = {
     ("relu", "exp", 256): (32.0, 1.1399455828340035),
     ("relu", "exp", 1024): (32.0, 1.2180771447101695),
 }
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+INTERVAL = {"kind": "drifting_linear", "p": 1, "law": "interval", "core": {"kind": "iid"},
+            "drift": {"kind": "constant", "a": [1.0]}, "noise_sd": 0.3, "y_bound": 2.3}
+BALL = {"kind": "drifting_linear", "p": 2, "law": "ball", "core": {"kind": "iid"},
+        "drift": {"kind": "constant", "a": [0.3, -0.2]}, "noise_sd": 0.3, "y_bound": 2.0}
+
+
+def relu_cell_smoke() -> dict:
+    workload = json.loads((WORKLOADS / "relu_cell.json").read_text())
+    return {**workload["config"], **workload["smoke"]}
+
+
+# Small grids per hypothesis class -> sha256 of their rows.csv.  The
+# certificate column reads every rate input of the class.
+ROWS_PINS = {
+    "linear": ({"process": BALL, "hypothesis": {"kind": "linear", "b_bound": 1.0},
+                "n_grid": [64, 128], "replications": 2, "base_seed": 11},
+               "95809c941be0e2e9dc13c577a45b197186d65be4188f2e325d81a1a8fb5b8c0d"),
+    "step": ({"process": INTERVAL, "hypothesis": {"kind": "step", "b_bound": 1.0},
+              "n_grid": [64, 128], "replications": 2, "base_seed": 11},
+             "e0be67069fa8724d7b9c39fdfc64578dd74e4489ef3ff0dc1ceb79c7d545bbdd"),
+    "step_q8": ({"process": {**INTERVAL, "core": {"kind": "ar1", "phi": 0.6}},
+                 "weights": {"family": "exp", "params": [0.05]},
+                 "hypothesis": {"kind": "step", "b_bound": 1.0, "q": 8},
+                 "n_grid": [64, 128], "replications": 2, "base_seed": 11},
+                "449469420c1b721877e00377f31be8084ad003bb62175f0d30c6db147709b8f2"),
+    "relu_cell": (relu_cell_smoke(),
+                  "6f7331b63626feb6cd37095323b4df15e42c1554eacecdf1ab70e32a52f034ba"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ROWS_PINS))
+def test_rows_csv_pinned_per_hypothesis_class(key):
+    config, digest = ROWS_PINS[key]
+    res = run_experiment(config_from_dict(config))
+    assert res.manifest["failures"] == []
+    assert hashlib.sha256(rows_to_csv(res.rows).encode()).hexdigest() == digest
 
 
 class TestMonteCarloOnlyWithoutClosedForm:
