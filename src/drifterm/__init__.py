@@ -61,7 +61,6 @@ from .rates import (
     bound_certificate,
     find_scale_constant,
     weight_class_log_covering,
-    hypothesis_log_covering,
 )
 from .risk import (
     RiskReport,
@@ -74,7 +73,6 @@ from .risk import (
 )
 from .harness import (
     WeightPolicy,
-    HypothesisPolicy,
     ExperimentConfig,
     ExperimentResult,
     run_experiment,

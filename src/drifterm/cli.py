@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .harness import (
     HarnessError,
-    HypothesisPolicy,
     calibrate_ccal,
     config_from_dict,
     config_to_dict,
@@ -32,14 +31,14 @@ from .harness import (
 )
 from .hypotheses import FittedHypothesis, HypothesisClassSpec, HypothesisError, fit_weighted_erm
 from .mixing import MixingError, MixingProfile, k_rho, m_beta
-from .processes import ProcessSpec, ProcessSpecError, read_path_csv, simulate, write_path_csv
+from .processes import CovariateLaw, DependenceCore, DriftSpec, ProcessKind, ProcessSpec
+from .processes import ProcessSpecError, read_path_csv, simulate, write_path_csv
 from .rates import (
     RateError,
     RateParameters,
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    hypothesis_log_covering,
     weight_class_log_covering,
 )
 from .risk import RiskError, risk_report
@@ -186,11 +185,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     spec = _read_spec(args.spec)
-    policy = decode(HypothesisPolicy, _read_json(args.klass), "hypothesis")
+    klass = decode(HypothesisClassSpec, _read_json(args.klass), "hypothesis")
     with open(args.data, "r", encoding="utf-8") as f:
         path = read_path_csv(f.read(), spec, args.data)
     w = _read_weights(args.weights, spec.n)
-    fit = fit_weighted_erm(path, w, policy.class_spec(spec, w.l2), seed=args.seed)
+    fit = fit_weighted_erm(path, w, klass.class_spec(spec, w.l2), seed=args.seed)
     out = {"class": config_to_dict(fit.class_spec), "fit_meta": fit.fit_meta}
     if fit.coef is not None:
         out["coef"] = [float(v) for v in fit.coef]
@@ -213,6 +212,18 @@ _RATE_DEFAULTS = {"c_p": 1.0, "c_inf": 0.0, "c_l": 1.0, "alpha": 0.0, "a": 1.0, 
                   "delta": 0.05}
 
 
+def _hypothesis_log_covering(d, n: int):
+    """(eps, w_l2) -> log Ninf of ``hypothesis_class``: a hypothesis class object
+    plus ``p``, the covariate dimension (default 1), at horizon n."""
+    d = decode(dict, d, "params.hypothesis_class")
+    p = decode(int, d.pop("p", 1), "params.hypothesis_class.p")
+    klass = decode(HypothesisClassSpec, d, "params.hypothesis_class")
+    law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
+    process = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, p, law, DependenceCore(),
+                          drift=DriftSpec.constant([0.0] * p))
+    return klass.rate_inputs(process)[2]
+
+
 def _cmd_rates(args) -> int:
     d = decode(dict, _read_json(args.params), "params")
     wc, hc = d.pop("weight_class", {}), d.pop("hypothesis_class", {})
@@ -222,8 +233,7 @@ def _cmd_rates(args) -> int:
         params,
         log_n1_w=decode_call(weight_class_log_covering, wc, "params.weight_class",
                              {"scope": "union", "n": params.n}),
-        log_ninf_h=decode_call(hypothesis_log_covering, hc, "params.hypothesis_class",
-                               {"n": params.n}),
+        log_ninf_h=_hypothesis_log_covering(hc, params.n),
     )
     rate, report = find_scale_constant(RateVariant(args.variant), params)
     grid = np.geomspace(params.cw, params.c1, args.grid)

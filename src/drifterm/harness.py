@@ -1,7 +1,7 @@
 """Replicated experiment harness: grids, slopes, calibration, persistence.
 
 A config describes a process template, a weight policy, a hypothesis
-policy, an n grid, and a replication count.  Running it simulates every
+class, an n grid, and a replication count.  Running it simulates every
 (n, weight parameter, replication) cell, fits the weighted ERM, measures
 the decomposition terms, attaches the rate certificate, and aggregates
 log-log slopes.  Everything is deterministic given (config, base_seed):
@@ -27,18 +27,17 @@ from enum import Enum
 
 import numpy as np
 
-from .hypotheses import HypothesisClassSpec, HypothesisError, HypothesisKind, basis_size
+from .hypotheses import HypothesisClassSpec, HypothesisError
 from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
-from .processes import ProcessSpec, lambda_min, mixing_profile, read_csv, simulate
+from .processes import ProcessSpec, mixing_profile, read_csv, simulate
 from .rates import (
     RateParameters,
     RatePreconditionError,
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    hypothesis_log_covering,
     weight_class_log_covering,
 )
 from .risk import drift_error, excess_risk, learning_error
@@ -89,54 +88,10 @@ class WeightPolicy:
 
 
 @dataclass(frozen=True)
-class HypothesisPolicy:
-    """Hypothesis class per cell: fixed, or sized from the weight norm."""
-
-    kind: HypothesisKind = HypothesisKind.LINEAR_BALL
-    b_bound: float = 1.0
-    q: int | None = None  # None with STEP_BASIS: q = basis_size(||w||)
-    nu: int | None = None
-    ell: int | None = None
-    param_bound: float | None = None
-
-    def class_spec(self, spec: ProcessSpec, w_l2: float) -> HypothesisClassSpec:
-        """The class of one cell; a class the policy cannot build raises HarnessError."""
-        try:
-            if self.kind is HypothesisKind.LINEAR_BALL:
-                return HypothesisClassSpec.linear(self.b_bound, lambda_min(spec))
-            if self.kind is HypothesisKind.STEP_BASIS:
-                q = self.q if self.q is not None else basis_size(w_l2)
-                return HypothesisClassSpec.step(q, self.b_bound)
-            return HypothesisClassSpec.relu(self.nu, self.ell, self.param_bound, self.b_bound)
-        except HypothesisError as exc:
-            raise HarnessError(f"hypothesis: {exc}") from exc
-
-    def rate_inputs(self, spec: ProcessSpec):
-        """(alpha, c_inf, (eps, w_l2) -> log Ninf, approximation error) at horizon spec.n.
-
-        alpha is the covering growth exponent in the weight norm: 2/3 for
-        classes sized from ||w||, 0 for fixed ones.  c_inf is the class's
-        own sup-norm link at the smallest weight norm 1/sqrt(n).
-        """
-        n = spec.n
-        c_inf = self.class_spec(spec, 1.0 / math.sqrt(n)).c_inf
-        if self.kind is HypothesisKind.LINEAR_BALL:
-            log_ninf = hypothesis_log_covering("linear", p=spec.p, b_bound=self.b_bound)
-            return 0.0, c_inf, log_ninf, None
-        if self.kind is HypothesisKind.STEP_BASIS:
-            log_ninf = hypothesis_log_covering("step", q=self.q, b_bound=self.b_bound)
-            if self.q is not None:
-                return 0.0, c_inf, log_ninf, lambda u: 1.0 / self.q  # 1-Lipschitz targets
-            return 2.0 / 3.0, c_inf, log_ninf, lambda u: 1.0 / basis_size(u)
-        log_ninf = hypothesis_log_covering("relu", n=n, b_bound=self.b_bound)
-        return 2.0 / 3.0, c_inf, log_ninf, lambda u: u ** (2.0 / 3.0)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     process: ProcessSpec  # template; n is replaced per grid point
     weights: WeightPolicy
-    hypothesis: HypothesisPolicy
+    hypothesis: HypothesisClassSpec
     n_grid: tuple[int, ...]
     replications: int
     delta: float = 0.05
@@ -160,7 +115,10 @@ class ExperimentConfig:
                 self.weights.specs(n)
         except WeightDomainError as exc:
             raise HarnessError(f"weights.params: {exc}") from exc
-        self.hypothesis.class_spec(self.process, 1.0)
+        try:
+            self.hypothesis.class_spec(self.process, 1.0)
+        except HypothesisError as exc:
+            raise HarnessError(f"hypothesis: {exc}") from exc
         if self.slope_target is not None and self._sweep_axis() == "n":
             if self.replications < 30:
                 raise HarnessError("slope experiments need >= 30 replications")

@@ -16,12 +16,12 @@ replaced, which kept each layer in its own arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .processes import CovariateLaw, SamplePath, sample_covariates
+from .processes import CovariateLaw, ProcessSpec, SamplePath, lambda_min, sample_covariates
 from .weights import WeightVector
 
 # Relative floor under which the weighted Gram matrix counts as deficient.
@@ -65,24 +65,24 @@ def basis_size(w_l2: float) -> int:
 
 @dataclass(frozen=True)
 class HypothesisClassSpec:
-    """A regression class with its complexity constants.
+    """A regression class: the config's ``hypothesis`` object and a fit's class.
 
-    ``c_inf`` is the constant linking the class's L2 distances to sup-norm
-    distances (0 when no such link is claimed).
+    ``q = None`` on a step class sizes it per cell from the weight norm
+    (see ``class_spec``); every other field is fixed.  The class owns its
+    rate inputs (``rate_inputs``).
     """
 
-    kind: HypothesisKind
-    b_bound: float
+    kind: HypothesisKind = HypothesisKind.LINEAR_BALL
+    b_bound: float = 1.0
     q: int | None = None
     nu: int | None = None
     ell: int | None = None
     param_bound: float | None = None
-    c_inf: float = 0.0
 
     def __post_init__(self) -> None:
         if self.b_bound <= 0:
             raise HypothesisError("b_bound must be positive")
-        if self.kind is HypothesisKind.STEP_BASIS and (self.q is None or self.q < 1):
+        if self.kind is HypothesisKind.STEP_BASIS and self.q is not None and self.q < 1:
             raise HypothesisError("step class needs q >= 1")
         if self.kind is HypothesisKind.RELU_NET:
             if self.nu is None or self.ell is None or self.param_bound is None:
@@ -93,40 +93,68 @@ class HypothesisClassSpec:
                 raise HypothesisError(f"param_bound must be finite and positive, got {self.param_bound}")
 
     @staticmethod
-    def linear(b_bound: float, lambda_min: float) -> "HypothesisClassSpec":
-        """Linear predictors with ||beta|| <= b_bound over a law with known
-        smallest second-moment eigenvalue."""
-        return HypothesisClassSpec(
-            kind=HypothesisKind.LINEAR_BALL,
-            b_bound=b_bound,
-            c_inf=math.sqrt(lambda_min),
-        )
+    def linear(b_bound: float) -> "HypothesisClassSpec":
+        """Linear predictors with ||beta|| <= b_bound."""
+        return HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=b_bound)
 
     @staticmethod
     def step(q: int, b_bound: float) -> "HypothesisClassSpec":
-        """q-bin step functions on [0,1) with values clipped to [-b, b].
-
-        Under the uniform covariate law the bin indicators are orthogonal
-        with second moment 1/q, giving c_inf = 1/sqrt(q).
-        """
-        return HypothesisClassSpec(
-            kind=HypothesisKind.STEP_BASIS,
-            b_bound=b_bound,
-            q=q,
-            c_inf=1.0 / math.sqrt(q),
-        )
+        """q-bin step functions on [0,1) with values clipped to [-b, b]."""
+        return HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=b_bound, q=q)
 
     @staticmethod
     def relu(nu: int, ell: int, param_bound: float, b_bound: float) -> "HypothesisClassSpec":
-        """Box-constrained ReLU networks; no usable sup-norm link (c_inf = 0)."""
+        """Box-constrained ReLU networks of width nu and depth ell."""
         return HypothesisClassSpec(
             kind=HypothesisKind.RELU_NET,
             b_bound=b_bound,
             nu=nu,
             ell=ell,
             param_bound=param_bound,
-            c_inf=0.0,
         )
+
+    def class_spec(self, spec: ProcessSpec, w_l2: float) -> "HypothesisClassSpec":
+        """The class of one cell with weight norm w_l2: a sized step class gets
+        q = basis_size(w_l2).  A step class needs the interval law."""
+        if self.kind is not HypothesisKind.STEP_BASIS:
+            return self
+        if spec.law is not CovariateLaw.INTERVAL:
+            raise HypothesisError(f"step class needs the interval law, got {spec.law.value}")
+        return self if self.q is not None else replace(self, q=basis_size(w_l2))
+
+    def rate_inputs(self, spec: ProcessSpec):
+        """(alpha, c_inf, (eps, w_l2) -> log Ninf, approximation error) at horizon spec.n.
+
+        alpha is the covering growth exponent in the weight norm: 2/3 for
+        classes sized from ||w||, 0 for fixed ones.  c_inf links the class's
+        L2 and sup-norm distances under the law: sqrt(lambda_min) for linear
+        predictors, 1/sqrt(q) for q orthogonal bins of mass 1/q (q at the
+        smallest weight norm 1/sqrt(n) when sized), 0 (no link) for networks.
+        The log-coverings are p log(3B/eps) for linear, q log(3B/eps) for
+        step and ceil(w_l2^(-2/3)) log(n/eps) for ReLU classes, all floored
+        at zero.  The approximation errors assume 1-Lipschitz targets.
+        """
+        B, n = self.b_bound, spec.n
+        if self.kind is HypothesisKind.LINEAR_BALL:
+            p = spec.p
+
+            def cover(eps: float, w_l2: float) -> float:
+                return max(0.0, p * math.log(3.0 * B / eps))
+
+            return 0.0, math.sqrt(lambda_min(spec)), cover, None
+        if self.kind is HypothesisKind.STEP_BASIS:
+            size = basis_size if self.q is None else (lambda u: self.q)  # bins at weight norm u
+
+            def cover(eps: float, w_l2: float) -> float:
+                return max(0.0, size(w_l2) * math.log(3.0 * B / eps))
+
+            alpha = 2.0 / 3.0 if self.q is None else 0.0
+            return alpha, 1.0 / math.sqrt(size(1.0 / math.sqrt(n))), cover, lambda u: 1.0 / size(u)
+
+        def cover(eps: float, w_l2: float) -> float:
+            return max(0.0, math.ceil(w_l2 ** (-2.0 / 3.0)) * math.log(n / eps))
+
+        return 2.0 / 3.0, 0.0, cover, lambda u: u ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -167,6 +195,15 @@ class FittedHypothesis:
     @property
     def kind(self) -> HypothesisKind:
         return self.class_spec.kind
+
+    @property
+    def p(self) -> int:
+        """Input dimension: the coefficient count, 1 for step functions, or the first layer's rows."""
+        if self.kind is HypothesisKind.LINEAR_BALL:
+            return self.coef.shape[0]
+        if self.kind is HypothesisKind.STEP_BASIS:
+            return 1
+        return self.layers[0][0].shape[0]
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -239,6 +276,8 @@ def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisCla
 
 def _fit_step(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
     q, B = spec.q, spec.b_bound
+    if q is None:
+        raise HypothesisError("a step fit needs a fixed q; class_spec sizes it from ||w||")
     if np.any(z[:, 0] < 0) or np.any(z[:, 0] >= 1):
         raise HypothesisError("step basis expects covariates in [0, 1)")
     idx = _bin_index(z[:, 0], q)
@@ -411,9 +450,7 @@ def _as_hypothesis(g) -> FittedHypothesis:
     if arr.ndim == 0:
         spec = HypothesisClassSpec.step(q=1, b_bound=max(1.0, abs(float(arr)) + 1.0))
         return FittedHypothesis(class_spec=spec, bins=np.array([float(arr)]))
-    spec = HypothesisClassSpec.linear(
-        b_bound=max(1.0, float(np.linalg.norm(arr))), lambda_min=1.0
-    )
+    spec = HypothesisClassSpec.linear(max(1.0, float(np.linalg.norm(arr))))
     return FittedHypothesis(class_spec=spec, coef=arr)
 
 
@@ -425,12 +462,11 @@ def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     root of every unit's pre-activation inside a current piece; each
     piece's affine map is carried through the layers exactly.
     """
+    if f.p != 1:
+        raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={f.p}")
     if f.kind is HypothesisKind.STEP_BASIS:
         q = f.class_spec.q
         return np.arange(q + 1, dtype=float) / q, np.zeros(q), f.bins
-    p = f.coef.shape[0] if f.kind is HypothesisKind.LINEAR_BALL else f.layers[0][0].shape[0]
-    if p != 1:
-        raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={p}")
     if f.kind is HypothesisKind.LINEAR_BALL:
         return np.array([0.0, 1.0]), f.coef, np.zeros(1)
     edges = np.array([0.0, 1.0])

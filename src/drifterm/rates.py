@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypotheses import basis_size
 from .weights import DEFAULT_EXP_RANGE, WeightFamily, covering_number_bound
 
 
@@ -283,7 +282,8 @@ def bound_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Analytic log-covering bounds used as inputs to the complexity constant.
+# The weight class's analytic log-covering bound, an input to the complexity
+# constant; each hypothesis class gives its own (HypothesisClassSpec.rate_inputs).
 
 
 def weight_class_log_covering(
@@ -303,49 +303,3 @@ def weight_class_log_covering(
 
     log_cover(1.0)  # check the scope and its t or n now, not at the first use
     return log_cover
-
-
-def hypothesis_log_covering(
-    kind: str,
-    *,
-    p: int | None = None,
-    b_bound: float = 1.0,
-    q: int | None = None,
-    n: int | None = None,
-    sizing_const: float = 1.0,
-) -> Callable[[float, float], float]:
-    """log sup-norm covering bounds of the hypothesis classes.
-
-    linear: p log(3B/eps); step: q log(3B/eps) with q either fixed or tied
-    to the weight norm via basis_size; relu: sizing * ceil(w^{-2/3})
-    log(n/eps).  All floored at zero.
-    """
-    if kind == "linear":
-        if p is None:
-            raise RateError("linear covering needs p")
-
-        def cover(eps: float, w_l2: float) -> float:
-            return max(0.0, p * math.log(3.0 * b_bound / eps))
-
-    elif kind == "step":
-
-        def cover(eps: float, w_l2: float) -> float:
-            bins = q if q is not None else basis_size(w_l2)
-            return max(0.0, bins * math.log(3.0 * b_bound / eps))
-
-    elif kind == "relu":
-        if n is None:
-            raise RateError("network covering needs n")
-
-        def cover(eps: float, w_l2: float) -> float:
-            width = sizing_const * math.ceil(w_l2 ** (-2.0 / 3.0))
-            return max(0.0, width * math.log(n / eps))
-
-    elif kind == "singleton":
-
-        def cover(eps: float, w_l2: float) -> float:
-            return 0.0
-
-    else:
-        raise RateError(f"unknown hypothesis covering kind {kind!r}")
-    return cover

@@ -218,6 +218,8 @@ def risk_report(
     """Assemble every decomposition term for one fit at target time t+1, t in 1..n."""
     if not 1 <= t <= spec.n:
         raise RiskError(f"t={t} outside 1..n={spec.n}")
+    if fit.p != spec.p:
+        raise RiskError(f"the fit takes p={fit.p} covariates, the spec has p={spec.p}")
     learn, learn_se, learn_mode = learning_error(fit, spec, w, draws=draws, seed=seed)
     exc, exc_se, exc_mode = excess_risk(fit, spec, t, draws=draws, seed=seed + 1)
     drift = drift_error(spec, w, t)

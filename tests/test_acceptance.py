@@ -13,7 +13,6 @@ import pytest
 
 from drifterm.harness import (
     ExperimentConfig,
-    HypothesisPolicy,
     WeightPolicy,
     build_rate,
     calibrate_ccal,
@@ -32,7 +31,6 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
-    lambda_min,
     simulate,
 )
 from drifterm.rates import (
@@ -40,7 +38,6 @@ from drifterm.rates import (
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    hypothesis_log_covering,
     weight_class_log_covering,
 )
 from drifterm.risk import discrepancy_sum, drift_error, excess_risk, learning_error, risk_report
@@ -83,7 +80,7 @@ def baseline_config(core=None, base_seed=20260810) -> ExperimentConfig:
     return ExperimentConfig(
         process=stationary_linear_process(core),
         weights=WeightPolicy(),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
         n_grid=N_GRID,
         replications=200,
         delta=0.05,
@@ -124,7 +121,7 @@ def test_criterion_2_basis_class_rate():
     cfg = ExperimentConfig(
         process=proc,
         weights=WeightPolicy(),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.STEP_BASIS, b_bound=1.0, q=None),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=1.0, q=None),
         n_grid=N_GRID,
         replications=200,
         base_seed=20260811,
@@ -159,7 +156,7 @@ def test_criterion_3_effective_sample_size_scaling():
     cfg = ExperimentConfig(
         process=proc,
         weights=WeightPolicy(family=WeightFamily.EXPONENTIAL, params=thetas),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
         n_grid=(n,),
         replications=200,
         base_seed=20260812,
@@ -176,7 +173,7 @@ def test_criterion_4_dependence_robustness():
     cfg = ExperimentConfig(
         process=stationary_linear_process(DependenceCore(kind="ar1", phi=0.6)),
         weights=WeightPolicy(),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
         n_grid=N_GRID,
         replications=200,
         base_seed=20260813,
@@ -197,6 +194,9 @@ def test_criterion_4_dependence_robustness():
         rho_tail=lambda k: 0.0,
     )
     mb = m_beta(prof, n, 0.05)
+    interval = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, 1, CovariateLaw.INTERVAL,
+                           DependenceCore(), drift=DriftSpec.constant([0.0]))
+    _, c_inf, log_ninf, _ = HypothesisClassSpec.step(1, 1.0).rate_inputs(interval)
     params = RateParameters(
         c1=1.0,
         cw=1 / math.sqrt(n),
@@ -204,7 +204,7 @@ def test_criterion_4_dependence_robustness():
         m_beta=mb.m,
         k_rho=1.0,
         c_p=1.0,
-        c_inf=1.0,
+        c_inf=c_inf,
         c_l=1.0,
         alpha=0.0,
         a=1.0,
@@ -212,7 +212,7 @@ def test_criterion_4_dependence_robustness():
         delta=0.05,
         n=n,
         log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
-        log_ninf_h=hypothesis_log_covering("step", q=1, b_bound=1.0),
+        log_ninf_h=log_ninf,
     )
     rate_i, _ = find_scale_constant(RateVariant.I, params)
     rate_ii, _ = find_scale_constant(RateVariant.II, params)
@@ -354,7 +354,7 @@ def test_criterion_8_brute_force_oracles():
         path = simulate(spec, 1000 + trial)
         raw = rng.random(6) + 0.05
         w = _from_entries(raw / raw.sum())
-        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(B, lambda_min(spec)))
+        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(B))
         z, y = path.z[:6, 0], path.y[:6]
         risks = ((y[None, :] - grid[:, None] * z[None, :]) ** 2 * w.entries[None, :]).sum(axis=1)
         linear_gap = max(linear_gap, abs(float(grid[np.argmin(risks)]) - float(fit.coef[0])))
@@ -426,7 +426,7 @@ def test_criterion_8_brute_force_oracles():
             wv = make_weights(
                 WeightSpec(WeightFamily.EXPONENTIAL, t=64, n=64, param=float(rng.uniform(0.01, 1.0)))
             )
-        fit = fit_weighted_erm(path, wv, HypothesisClassSpec.linear(1.0, lambda_min(rspec)))
+        fit = fit_weighted_erm(path, wv, HypothesisClassSpec.linear(1.0))
         report = risk_report(fit, rspec, wv, 64, include_discrepancy=False)
         holds += report.decomposition_ok
     ok = linear_gap <= 2e-4 and step_gap <= 2e-4 and holds == runs
@@ -461,7 +461,7 @@ def test_criterion_9_weight_uniform_certificate(baseline_result):
     cfg_n = ExperimentConfig(
         process=spec,
         weights=WeightPolicy(),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
         n_grid=(n,),
         replications=1,
         base_seed=0,
@@ -473,7 +473,7 @@ def test_criterion_9_weight_uniform_certificate(baseline_result):
         for t in thetas
     ]
     certs = [c_cal * bound_certificate(rate, w.l2, 0.05) for w in weights]
-    cls = HypothesisClassSpec.linear(1.0, lambda_min(spec))
+    cls = HypothesisClassSpec.linear(1.0)
     violations = 0
     total = 0
     for rep in range(200):

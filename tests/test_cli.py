@@ -11,8 +11,8 @@ import pytest
 import drifterm
 
 from drifterm.cli import main
-from drifterm.harness import HypothesisPolicy, decode
-from drifterm.hypotheses import fit_weighted_erm
+from drifterm.harness import decode
+from drifterm.hypotheses import HypothesisClassSpec, fit_weighted_erm
 from drifterm.processes import ProcessSpec, simulate
 from drifterm.risk import risk_report
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
@@ -235,7 +235,8 @@ RATE_CLASS_PINS = {
     "linear_p2": ({"kind": "linear", "p": 2, "b_bound": 1.0}, 0.0, 16.0, 1.4916337505134118),
     "step_sized": ({"kind": "step", "b_bound": 1.0}, 2 / 3, 4.0, 1.3576457172106486),
     "step_q8": ({"kind": "step", "q": 8, "b_bound": 1.0}, 0.0, 32.0, 1.2674557041983643),
-    "relu": ({"kind": "relu", "b_bound": 1.0}, 2 / 3, 8.0, 2.5433620378014754),
+    "relu": ({"kind": "relu", "b_bound": 1.0, "nu": 8, "ell": 2, "param_bound": 1.0}, 2 / 3,
+             8.0, 2.5433620378014754),
 }
 
 
@@ -283,9 +284,10 @@ class TestStrictInputs:
              "process.n: missing required key"),
             (FIT, "w.json", {"entries": [float("nan")] + [0.02] * 49},
              "weights.entries[0]: non-finite nan"),
+            (FIT, "cls.json", {"kind": "step"}, "step class needs the interval law, got ball"),
         ],
         ids=["rates-without-c1", "class-unknown-key", "weights-misspelt-key", "relu-class-bare",
-             "process-without-n", "nan-weight-entry"],
+             "process-without-n", "nan-weight-entry", "step-class-on-ball"],
     )
     def test_bad_input_is_a_one_line_error(self, inputs, argv, name, content, message):
         (inputs / name).write_text(json.dumps(content))
@@ -313,8 +315,16 @@ class TestStrictInputs:
               "layers": [{"W": [[0.1, 0.2, 0.3]], "b": [0.0, 0.0, 0.0]},
                          {"W": [[0.1], [0.2]], "b": [0.0]}]},
              "fit: layer 0 has W (1, 3) and b (3,); the class needs W (1, 4) and b (4,)"),
+            ({"class": {"kind": "linear", "b_bound": 1.0}, "coef": [0.1, 0.2, 0.3]},
+             "the fit takes p=3 covariates, the spec has p=2"),
+            ({"class": {"kind": "relu", "b_bound": 1.0, "nu": 2, "ell": 1, "param_bound": 1.0},
+              "layers": [{"W": [[0.1, 0.2]], "b": [0.0, 0.0]}, {"W": [[0.1], [0.2]], "b": [0.0]}]},
+             "the fit takes p=1 covariates, the spec has p=2"),
+            ({"class": {"kind": "linear", "b_bound": 1.0, "c_inf": 0.4}, "coef": [0.1, 0.2]},
+             "fit.class.c_inf: unknown key"),
         ],
-        ids=["linear-without-coef", "step-short-bins", "relu-without-layers", "relu-layer-shapes"],
+        ids=["linear-without-coef", "step-short-bins", "relu-without-layers", "relu-layer-shapes",
+             "linear-three-coefs", "relu-one-input", "class-with-c_inf"],
     )
     def test_fit_json_without_its_parameters(self, inputs, fit, message):
         (inputs / "fit.json").write_text(json.dumps(fit))
@@ -374,7 +384,7 @@ class TestRiskUsesTheFittedClass:
 
         spec = decode(ProcessSpec, process, "process")
         w = make_weights(WeightSpec(WeightFamily.EXPONENTIAL, t=200, n=200, param=0.05))
-        class_spec = HypothesisPolicy(b_bound=3.0).class_spec(spec, w.l2)
+        class_spec = HypothesisClassSpec(b_bound=3.0).class_spec(spec, w.l2)
         expected = risk_report(fit_weighted_erm(simulate(spec, 3), w, class_spec), spec, w, 200)
         report = json.loads(out)
         assert report["discrepancy_sum"] == expected.discrepancy_sum

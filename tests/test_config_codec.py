@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from drifterm.harness import (
     ExperimentConfig,
     HarnessError,
-    HypothesisPolicy,
     WeightPolicy,
     config_from_dict,
     config_hash,
     config_to_dict,
 )
-from drifterm.hypotheses import HypothesisKind
+from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind
 from drifterm.processes import (
     TRUNC_SUPPORT,
     CovariateLaw,
@@ -95,7 +94,7 @@ def experiment_configs(draw):
         return ExperimentConfig(
             process=draw(process_specs()),
             weights=WeightPolicy(family, params, exp_range=draw(positive)),
-            hypothesis=HypothesisPolicy(
+            hypothesis=HypothesisClassSpec(
                 kind=kind,
                 b_bound=draw(positive),
                 q=draw(maybe(st.integers(1, 64))),
@@ -214,6 +213,9 @@ def without_key(path: str, base=BASE) -> dict:
          r"^hypothesis: network class needs nu >= 1 and ell >= 1, got 8, -1$"),
         (with_key("hypothesis", RELU | {"ell": 0}),
          r"^hypothesis: network class needs nu >= 1 and ell >= 1, got 8, 0$"),
+        (with_key("hypothesis", {"kind": "step", "q": 4}),
+         r"^hypothesis: step class needs the interval law, got ball$"),
+        (with_key("hypothesis", {"kind": "step", "q": 0}), r"^hypothesis: step class needs q >= 1$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):
@@ -233,9 +235,9 @@ def test_omitted_keys_take_the_dataclass_defaults():
     assert cfg.process.n == 32  # the largest grid point
     assert cfg.process.core == DependenceCore()
     assert cfg.weights == WeightPolicy()
-    assert cfg.hypothesis == HypothesisPolicy()
+    assert cfg.hypothesis == HypothesisClassSpec()
     assert cfg == ExperimentConfig(
-        process=cfg.process, weights=WeightPolicy(), hypothesis=HypothesisPolicy(),
+        process=cfg.process, weights=WeightPolicy(), hypothesis=HypothesisClassSpec(),
         n_grid=(16, 32), replications=2,
     )
 

@@ -14,7 +14,6 @@ from drifterm.harness import (
     CSV_HEADER,
     ExperimentConfig,
     HarnessError,
-    HypothesisPolicy,
     Row,
     WeightPolicy,
     build_rate,
@@ -29,7 +28,7 @@ from drifterm.harness import (
 )
 import drifterm
 from drifterm import harness, hypotheses
-from drifterm.hypotheses import HypothesisKind
+from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind
 from drifterm.processes import (
     CovariateLaw,
     DependenceCore,
@@ -55,7 +54,7 @@ def small_config(**overrides):
     base = dict(
         process=proc,
         weights=WeightPolicy(),
-        hypothesis=HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
+        hypothesis=HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL, b_bound=1.0),
         n_grid=(64, 128),
         replications=3,
         delta=0.05,
@@ -207,12 +206,12 @@ INTERVAL_AR1 = ProcessSpec(
 )
 
 RATE_CLASSES = {
-    "linear": (LINEAR_IID, HypothesisPolicy(kind=HypothesisKind.LINEAR_BALL)),
-    "step": (INTERVAL_AR1, HypothesisPolicy(kind=HypothesisKind.STEP_BASIS)),
-    "step_q8": (INTERVAL_AR1, HypothesisPolicy(kind=HypothesisKind.STEP_BASIS, q=8)),
+    "linear": (LINEAR_IID, HypothesisClassSpec(kind=HypothesisKind.LINEAR_BALL)),
+    "step": (INTERVAL_AR1, HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)),
+    "step_q8": (INTERVAL_AR1, HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, q=8)),
     "relu": (
         INTERVAL_AR1,
-        HypothesisPolicy(kind=HypothesisKind.RELU_NET, nu=8, ell=2, param_bound=1.0),
+        HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=8, ell=2, param_bound=1.0),
     ),
 }
 
@@ -288,7 +287,7 @@ class TestMonteCarloOnlyWithoutClosedForm:
         monkeypatch.setattr(hypotheses, "sample_covariates", forbidden)
         cfg = small_config(
             process=replace(INTERVAL_AR1, core=DependenceCore()),
-            hypothesis=HypothesisPolicy(kind=HypothesisKind.STEP_BASIS),
+            hypothesis=HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS),
         )
         res = run_experiment(cfg)
         assert len(res.rows) == 6

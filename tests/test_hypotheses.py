@@ -11,6 +11,7 @@ from drifterm.hypotheses import (
     FittedHypothesis,
     HypothesisClassSpec,
     HypothesisError,
+    HypothesisKind,
     RankDeficientGramError,
     basis_size,
     fit_weighted_erm,
@@ -23,7 +24,6 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
-    lambda_min,
     sample_covariates,
     simulate,
 )
@@ -67,6 +67,39 @@ class TestNetClassSpec:
         assert HypothesisClassSpec.relu(1, 1, 1e-3, 1.0).nu == 1
 
 
+class TestClassSpec:
+    def test_sized_step_takes_q_from_the_weight_norm(self):
+        sized = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)
+        interval = linear_spec(64, p=1, law=CovariateLaw.INTERVAL)
+        assert sized.class_spec(interval, 1 / 8) == HypothesisClassSpec.step(4, 1.0)
+        assert HypothesisClassSpec.step(3, 1.0).class_spec(interval, 1 / 8).q == 3
+
+    def test_step_class_needs_the_interval_law(self):
+        with pytest.raises(HypothesisError, match="^step class needs the interval law, got ball$"):
+            HypothesisClassSpec.step(3, 1.0).class_spec(linear_spec(64), 1.0)
+
+    def test_unsized_step_class_is_not_fitted(self):
+        spec = linear_spec(8, p=1, law=CovariateLaw.INTERVAL)
+        with pytest.raises(HypothesisError, match="needs a fixed q"):
+            fit_weighted_erm(simulate(spec, 0), uniform_w(8), HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS))
+
+    @pytest.mark.parametrize(
+        "klass, law, p, c_inf",
+        [
+            (HypothesisClassSpec.linear(1.0), CovariateLaw.BALL, 2, math.sqrt(1 / 6)),
+            (HypothesisClassSpec.linear(1.0), CovariateLaw.INTERVAL, 1, math.sqrt(1 / 3)),
+            (HypothesisClassSpec.step(8, 1.0), CovariateLaw.INTERVAL, 1, 1 / math.sqrt(8)),
+            # sized at the smallest weight norm 1/sqrt(n): q = basis_size(1/8) = 4
+            (HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), CovariateLaw.INTERVAL, 1, 0.5),
+            (HypothesisClassSpec.relu(8, 2, 1.0, 1.0), CovariateLaw.INTERVAL, 1, 0.0),
+        ],
+        ids=["linear-ball", "linear-interval", "step-q8", "step-sized", "relu"],
+    )
+    def test_c_inf_comes_from_the_kind_and_the_law(self, klass, law, p, c_inf):
+        _, value, _, _ = klass.rate_inputs(linear_spec(64, p=p, law=law))
+        assert value == c_inf
+
+
 class TestBasisSize:
     def test_examples(self):
         assert basis_size(1000**-0.5) == 10
@@ -92,14 +125,14 @@ class TestLinearFits:
     def test_noiseless_interpolation(self):
         spec = linear_spec(64, noise_sd=0.0)
         path = simulate(spec, 3)
-        fit = fit_weighted_erm(path, uniform_w(64), HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(path, uniform_w(64), HypothesisClassSpec.linear(1.0))
         np.testing.assert_allclose(fit.coef, [0.3, -0.2], atol=1e-8)
 
     def test_first_order_optimality(self):
         spec = linear_spec(256)
         path = simulate(spec, 5)
         w = uniform_w(256)
-        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
         assert fit.fit_meta["solver"] == "normal_equations"
         z, y = path.z[:256], path.y[:256]
         residual = z.T @ (w.entries * (y - z @ fit.coef))
@@ -108,7 +141,7 @@ class TestLinearFits:
     def test_constrained_solution_on_boundary(self):
         spec = linear_spec(128, noise_sd=0.0, drift=DriftSpec.constant([0.6, -0.5]))
         path = simulate(spec, 7)
-        fit = fit_weighted_erm(path, uniform_w(128), HypothesisClassSpec.linear(0.3, lambda_min(spec)))
+        fit = fit_weighted_erm(path, uniform_w(128), HypothesisClassSpec.linear(0.3))
         assert fit.fit_meta["solver"] == "constrained"
         assert np.linalg.norm(fit.coef) == pytest.approx(0.3, abs=1e-10)
 
@@ -127,7 +160,7 @@ class TestLinearFits:
             path = simulate(spec, 900 + trial)
             raw = rng.random(6) + 0.05
             w = _from_entries(raw / raw.sum())
-            fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(B, lambda_min(spec)))
+            fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(B))
             z, y = path.z[:6, 0], path.y[:6]
             risks = ((y[None, :] - grid[:, None] * z[None, :]) ** 2 * w.entries[None, :]).sum(axis=1)
             assert abs(grid[np.argmin(risks)] - fit.coef[0]) <= 2e-4
@@ -141,7 +174,7 @@ class TestLinearFits:
         z[:4] = np.array([[0.1, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.05, 0.0]])
         bad_path = type(path)(y=path.y, z=z, seed=path.seed, spec=path.spec)
         with pytest.raises(RankDeficientGramError):
-            fit_weighted_erm(bad_path, _from_entries(entries), HypothesisClassSpec.linear(1.0, 1 / 6))
+            fit_weighted_erm(bad_path, _from_entries(entries), HypothesisClassSpec.linear(1.0))
 
 
 class TestStepFits:
@@ -200,7 +233,7 @@ class TestNetFits:
         spec = linear_spec(128, noise_sd=0.0)
         path = simulate(spec, 9)
         w = uniform_w(128)
-        lin = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        lin = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
         net = fit_weighted_erm(path, w, HypothesisClassSpec.relu(8, 1, 1.0, 1.0), seed=3)
         assert net.fit_meta["empirical_risk"] <= lin.fit_meta["empirical_risk"] + 0.01
 
@@ -260,7 +293,7 @@ def test_net_fit_is_pinned_byte_for_byte(case):
 
 
 NONFINITE_CLASSES = {
-    "linear": HypothesisClassSpec.linear(1.0, 1 / 3),
+    "linear": HypothesisClassSpec.linear(1.0),
     "step": HypothesisClassSpec.step(3, 1.0),
     "relu": HypothesisClassSpec.relu(2, 1, 1.0, 1.0),
 }
@@ -291,10 +324,10 @@ class TestNonFiniteInput:
         assert np.isfinite(fit.bins).all()
 
 
-def linear_fit(coef, lam=1 / 6):
+def linear_fit(coef):
     coef = np.asarray(coef, dtype=float)
     return FittedHypothesis(
-        class_spec=HypothesisClassSpec.linear(max(1.0, np.linalg.norm(coef)), lam), coef=coef
+        class_spec=HypothesisClassSpec.linear(max(1.0, np.linalg.norm(coef))), coef=coef
     )
 
 
@@ -361,7 +394,7 @@ class TestL2Distance:
         for j, lo in enumerate([0.0, 1 / 3, 2 / 3]):
             hi = lo + 1 / 3
             hand += a[j] ** 2 * (hi - lo) - a[j] * b * (hi**2 - lo**2) + b**2 * (hi**3 - lo**3) / 3
-        v, se, mode = l2_distance(step_fit(a), linear_fit([b], lam=1 / 3), CovariateLaw.INTERVAL, seed=4)
+        v, se, mode = l2_distance(step_fit(a), linear_fit([b]), CovariateLaw.INTERVAL, seed=4)
         assert mode == "exact" and se == 0.0
         assert v == pytest.approx(hand, abs=1e-14)
 
@@ -432,7 +465,7 @@ class TestL2Distance:
     @pytest.mark.parametrize("f", ["linear", "step", "relu"])
     def test_every_univariate_pairing_exact_on_interval(self, f, g):
         operands = {
-            "linear": linear_fit([0.4], lam=1 / 3),
+            "linear": linear_fit([0.4]),
             "step": step_fit([0.2, -0.1, 0.5]),
             "constant": 0.3,
             "relu": random_net(np.random.default_rng(8), 4, 2),
@@ -463,8 +496,8 @@ class TestFittedHypothesisParameters:
     @pytest.mark.parametrize(
         "spec, params, message",
         [
-            (HypothesisClassSpec.linear(1.0, 1.0), {}, "linear hypothesis needs coef"),
-            (HypothesisClassSpec.linear(1.0, 1.0), {"bins": np.zeros(1)}, "linear hypothesis needs coef"),
+            (HypothesisClassSpec.linear(1.0), {}, "linear hypothesis needs coef"),
+            (HypothesisClassSpec.linear(1.0), {"bins": np.zeros(1)}, "linear hypothesis needs coef"),
             (HypothesisClassSpec.step(3, 1.0), {}, "step hypothesis needs bins of length q=3"),
             (HypothesisClassSpec.step(3, 1.0), {"bins": np.zeros(2)},
              "step hypothesis needs bins of length q=3"),
@@ -514,7 +547,7 @@ class TestSupDistance:
         q = 8
         mids = (np.arange(q) + 0.5) / q
         f = step_fit(mids)  # approximates h(z) = z
-        assert sup_distance(f, linear_fit([1.0], lam=1 / 3)) <= 1.0 / q
+        assert sup_distance(f, linear_fit([1.0])) <= 1.0 / q
 
     def test_grid_mode_for_nets(self):
         # the exact sup of a fitted net against a line bounds a fine grid's
@@ -522,7 +555,7 @@ class TestSupDistance:
         spec = linear_spec(64, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
         path = simulate(spec, 12)
         net = fit_weighted_erm(path, uniform_w(64), HypothesisClassSpec.relu(4, 1, 1.0, 1.0), seed=2)
-        line = linear_fit([0.5], lam=1 / 3)
+        line = linear_fit([0.5])
         d = sup_distance(net, line)
         points = 8192
         grid_max = np.abs(difference_on(net, line, (np.arange(points) + 0.5) / points)).max()

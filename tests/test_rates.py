@@ -17,10 +17,19 @@ from drifterm.rates import (
     complexity_term,
     default_condition_grid,
     find_scale_constant,
-    hypothesis_log_covering,
     weight_class_log_covering,
 )
+from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind
+from drifterm.processes import CovariateLaw, DependenceCore, DriftSpec, ProcessKind, ProcessSpec
 from drifterm.weights import WeightFamily
+
+
+def class_covering(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000):
+    """The class's (eps, w_l2) -> log Ninf on a p-dimensional covariate law at horizon n."""
+    law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
+    spec = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, p, law, DependenceCore(),
+                       drift=DriftSpec.constant([0.0] * p))
+    return klass.rate_inputs(spec)[2]
 
 
 def make_params(**overrides):
@@ -39,7 +48,7 @@ def make_params(**overrides):
         delta=0.05,
         n=10_000,
         log_n1_w=lambda eps: 0.0,
-        log_ninf_h=hypothesis_log_covering("singleton"),
+        log_ninf_h=lambda eps, w_l2: 0.0,
     )
     base.update(overrides)
     return RateParameters(**base)
@@ -58,7 +67,7 @@ class TestComplexityTerm:
             cw=1 / math.sqrt(n),
             k=float(n) ** 2,
             log_n1_w=weight_class_log_covering(WeightFamily.UNIFORM_WINDOW, "union", n=n),
-            log_ninf_h=hypothesis_log_covering("linear", p=p, b_bound=1.0),
+            log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=p),
         )
         expected = 4.0 + math.log(n**2 / 2) + 2 * p * math.log(3 * 32 * n)
         assert complexity_term(params, 1 / math.sqrt(n)) == pytest.approx(expected, rel=1e-12)
@@ -71,7 +80,7 @@ class TestComplexityTerm:
 
     def test_nonincreasing_in_weight_norm(self):
         params = make_params(
-            log_ninf_h=hypothesis_log_covering("linear", p=3, b_bound=1.0)
+            log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=3)
         )
         us = np.linspace(0.02, 1.0, 50)
         values = [complexity_term(params, float(u)) for u in us]
@@ -126,7 +135,7 @@ class TestConditionChecks:
     def test_found_scale_passes_everywhere(self):
         params = make_params(
             log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=10_000),
-            log_ninf_h=hypothesis_log_covering("linear", p=2, b_bound=1.0),
+            log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=2),
             c_inf=math.sqrt(1 / 6),
         )
         rate, report = find_scale_constant(RateVariant.I, params)
@@ -150,7 +159,7 @@ class TestConditionChecks:
         params = make_params(
             alpha=2 / 3,
             c_inf=1.0,
-            log_ninf_h=hypothesis_log_covering("step", b_bound=1.0),
+            log_ninf_h=class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)),
         )
         rate, report = find_scale_constant(
             RateVariant.I, params, approx_err=lambda u: 1.0 / basis_size(u)
@@ -220,7 +229,7 @@ class TestVariantDominance:
             m_beta=mb.m,
             c_inf=1.0,
             log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
-            log_ninf_h=hypothesis_log_covering("step", q=1, b_bound=1.0),
+            log_ninf_h=class_covering(HypothesisClassSpec.step(1, 1.0)),
         )
         rate_i, _ = find_scale_constant(RateVariant.I, params)
         rate_ii, _ = find_scale_constant(RateVariant.II, params)

@@ -14,7 +14,6 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
-    lambda_min,
     second_moment,
     simulate,
 )
@@ -61,10 +60,10 @@ def uniform_w(n):
     return make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=n, n=n, param=n))
 
 
-def linear_hyp(coef, lam):
+def linear_hyp(coef):
     coef = np.asarray(coef, dtype=float)
     return FittedHypothesis(
-        class_spec=HypothesisClassSpec.linear(max(1.0, np.linalg.norm(coef)), lam),
+        class_spec=HypothesisClassSpec.linear(max(1.0, np.linalg.norm(coef))),
         coef=coef,
     )
 
@@ -74,7 +73,7 @@ class TestLearningError:
         spec = linear_spec(noise_sd=0.0)
         path = simulate(spec, 1)
         w = uniform_w(spec.n)
-        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
         v, se, mode = learning_error(fit, spec, w)
         assert mode == "exact"
         assert v == pytest.approx(0.0, abs=1e-12)
@@ -82,7 +81,7 @@ class TestLearningError:
     def test_scalar_quadratic_form(self):
         spec = linear_spec(p=1, drift=DriftSpec.constant([0.4]))
         w = uniform_w(spec.n)
-        fit = linear_hyp([0.4 + 0.25], lambda_min(spec))
+        fit = linear_hyp([0.4 + 0.25])
         v, _, _ = learning_error(fit, spec, w)
         assert v == pytest.approx(0.25**2 * (1 / 3), rel=1e-12)
 
@@ -90,7 +89,7 @@ class TestLearningError:
         spec = linear_spec(n=32)
         path = simulate(spec, 3)
         w = uniform_w(32)
-        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
         exact, _, _ = learning_error(fit, spec, w)
         rng = np.random.default_rng(999)
         z = (2.0 * rng.random((10_000_000, 2)) - 1.0) / math.sqrt(2)
@@ -142,7 +141,7 @@ class TestDiscrepancy:
 
     def test_identical_marginals_zero(self):
         spec = linear_spec()
-        cls = HypothesisClassSpec.linear(1.0, lambda_min(spec))
+        cls = HypothesisClassSpec.linear(1.0)
         assert discrepancy(spec, cls, 5, 17) == pytest.approx(0.0, abs=1e-15)
 
     def test_telescoping_sum(self):
@@ -165,7 +164,7 @@ class TestDiscrepancy:
     def test_linear_class_dominates_plugin_hypotheses(self):
         # the closed-form sup is an upper bound for the gap at any fixed h
         spec = linear_spec(drift=DriftSpec.switch([0.5, 0.0], [0.0, 0.5], at=128))
-        cls = HypothesisClassSpec.linear(1.0, lambda_min(spec))
+        cls = HypothesisClassSpec.linear(1.0)
         d = discrepancy(spec, cls, 200, 50)
         M = second_moment(spec)
         betas = {50: np.array([0.5, 0.0]), 200: np.array([0.0, 0.5])}
@@ -227,7 +226,7 @@ class TestDiscrepancySumBruteForce:
     @pytest.mark.parametrize("drift", sorted(DRIFTS))
     def test_linear_ball(self, drift):
         spec = linear_spec(n=12, drift=DRIFTS[drift]([0.3, -0.2], [-0.4, 0.5]))
-        cls = HypothesisClassSpec.linear(0.8, lambda_min(spec))
+        cls = HypothesisClassSpec.linear(0.8)
         betas, M = spec.drift.path(spec.n), second_moment(spec)
         brute = sum(
             brute_force_ball_gap(M, betas[t - 1], betas[t - 2], 0.8) for t in range(2, spec.n + 2)
@@ -246,7 +245,7 @@ class TestDiscrepancySumBruteForce:
         )
         assert discrepancy_sum(spec, cls) == pytest.approx(brute, rel=1e-12, abs=1e-14)
 
-    @pytest.mark.parametrize("cls", [HypothesisClassSpec.step(3, 1.0), HypothesisClassSpec.linear(1.0, 1.0)])
+    @pytest.mark.parametrize("cls", [HypothesisClassSpec.step(3, 1.0), HypothesisClassSpec.linear(1.0)])
     def test_variance_sum_telescopes(self, cls):
         spec = variance_spec(n=9, var_start=2.0, var_end=0.5)
         brute = sum(discrepancy(spec, cls, t, t - 1) for t in range(2, 11))
@@ -257,14 +256,14 @@ class TestDiscrepancySumBruteForce:
 class TestExcessRisk:
     def test_bayes_predictor_zero(self):
         spec = linear_spec()
-        fit = linear_hyp([0.3, -0.2], lambda_min(spec))
+        fit = linear_hyp([0.3, -0.2])
         v, _, mode = excess_risk(fit, spec, spec.n)
         assert v == pytest.approx(0.0, abs=1e-30) and mode == "exact"
 
     def test_error_vector_quadratic_form(self):
         spec = linear_spec()
         d = np.array([0.1, -0.2])
-        fit = linear_hyp(np.array([0.3, -0.2]) + d, lambda_min(spec))
+        fit = linear_hyp(np.array([0.3, -0.2]) + d)
         v, _, _ = excess_risk(fit, spec, spec.n)
         M = second_moment(spec)
         assert v == pytest.approx(float(d @ M @ d), rel=1e-12)
@@ -288,7 +287,7 @@ class TestRiskReport:
         spec = linear_spec()
         path = simulate(spec, 13)
         w = uniform_w(spec.n)
-        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
         report = risk_report(fit, spec, w, spec.n)
         assert report.modes["learning_error"] == "exact"
         assert report.learning_error >= 0
@@ -300,7 +299,7 @@ class TestRiskReport:
     def test_target_time_outside_path_rejected(self, t):
         spec = linear_spec(n=50)
         w = uniform_w(50)
-        fit = fit_weighted_erm(simulate(spec, 2), w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+        fit = fit_weighted_erm(simulate(spec, 2), w, HypothesisClassSpec.linear(1.0))
         with pytest.raises(RiskError, match=rf"^t={t} outside 1\.\.n=50$"):
             risk_report(fit, spec, w, t)
 
@@ -339,7 +338,7 @@ class TestRiskReport:
                     WeightSpec(WeightFamily.BROWN_DES, t=64, n=64, param=float(rng.uniform(0.05, 0.9)))
                 )
             try:
-                fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0, lambda_min(spec)))
+                fit = fit_weighted_erm(path, w, HypothesisClassSpec.linear(1.0))
             except RankDeficientGramError:
                 flagged += 1  # signed weights may lose definiteness: flag, no fit
                 continue
