@@ -119,16 +119,29 @@ class ExperimentConfig:
             self.hypothesis.class_spec(self.process, 1.0)
         except HypothesisError as exc:
             raise HarnessError(f"hypothesis: {exc}") from exc
-        if self.slope_target is not None and self._sweep_axis() == "n":
+        axis = self._sweep_axis()
+        if self.slope_target is not None and axis == "n":
             if self.replications < 30:
                 raise HarnessError("slope experiments need >= 30 replications")
             if len(self.n_grid) < 5 or self.n_grid[-1] < 4 * self.n_grid[0]:
                 raise HarnessError("slope n grids need >= 5 points spanning >= 2 octaves")
+        if self.slope_target is not None and axis == "n_eff" and self._slope_axis() is None:
+            raise HarnessError("weights.params: an n_eff slope needs >= 3 distinct params")
 
     def _sweep_axis(self) -> str | None:
         if len(self.n_grid) > 1:
             return "n"
         if self.weights.params is not None and len(self.weights.params) > 1:
+            return "n_eff"
+        return None
+
+    def _slope_axis(self) -> str | None:
+        """The sweep axis when it has enough points for a log-log slope:
+        >= 5 grid n, or >= 3 distinct weight params on an n_eff sweep."""
+        axis = self._sweep_axis()
+        if axis == "n" and len(self.n_grid) >= 5:
+            return "n"
+        if axis == "n_eff" and len(set(self.weights.params)) >= 3:
             return "n_eff"
         return None
 
@@ -297,9 +310,9 @@ def run_experiment(
 
     outliers = _flag_outliers(rows)
 
-    axis = cfg._sweep_axis()
+    axis = cfg._slope_axis()
     slope = None
-    if axis == "n" and len(cfg.n_grid) >= 5:
+    if axis == "n":
         slope = fit_slope(rows, "n", "learning_error")
     elif axis == "n_eff":
         slope = fit_slope(rows, "n_eff", "learning_error", min_points=3)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,19 +81,33 @@ class RateParameters:
         return self.m_beta * self.bw * self.c_p / self.c_inf
 
 
+def _finite_covering(value: float) -> float:
+    if not np.isfinite(value):
+        raise RateError("covering function undefined at the required scale")
+    return value
+
+
+def _log_n1(params: RateParameters) -> float:
+    """log N1(eps_W) at the weight-class scale eps_W = cw^3 / (64 (1 + c1 k))."""
+    return _finite_covering(params.log_n1_w(params.cw**3 / (64.0 * (1.0 + params.c1 * params.k))))
+
+
+def _log_ninf(params: RateParameters, w_l2: float) -> float:
+    """log Ninf(eps_w) at the hypothesis-class scale eps_w = w_l2^2 / (32 c1)."""
+    return _finite_covering(params.log_ninf_h(w_l2**2 / (32.0 * params.c1), w_l2))
+
+
+def _complexity(log_n1, log_ninf):
+    return 4.0 + log_n1 + 2.0 * log_ninf
+
+
 def complexity_term(params: RateParameters, w_l2: float) -> float:
     """Class-complexity constant 4 + log N1(eps_W) + 2 log Ninf(eps_w).
 
     The discretization scales are eps_W = cw^3 / (64 (1 + c1 k)) for the
     weight class and eps_w = w_l2^2 / (32 c1) for the hypothesis class.
     """
-    eps_weights = params.cw**3 / (64.0 * (1.0 + params.c1 * params.k))
-    eps_hyp = w_l2**2 / (32.0 * params.c1)
-    log_n1 = params.log_n1_w(eps_weights)
-    log_ninf = params.log_ninf_h(eps_hyp, w_l2)
-    if not (np.isfinite(log_n1) and np.isfinite(log_ninf)):
-        raise RateError("covering function undefined at the required scale")
-    return 4.0 + log_n1 + 2.0 * log_ninf
+    return _complexity(_log_n1(params), _log_ninf(params, w_l2))
 
 
 class RateVariant(Enum):
@@ -102,13 +116,27 @@ class RateVariant(Enum):
     CUSTOM = "custom"
 
 
+def _power_sum(terms, power):
+    """sum_i c_i power(e_i) over the (c_i, e_i) terms, added in order."""
+    total = 0.0
+    for coef, exponent in terms:
+        total = total + coef * power(exponent)
+    return total
+
+
 @dataclass(frozen=True)
 class RateFunction:
-    """An increasing rate function u -> r(u) on [cw, c1]."""
+    """An increasing rate function u -> r(u) on [cw, c1].
+
+    A closed-form rate also carries its ``terms``: the (c_i, e_i) of
+    r(u) = sum_i c_i u^(e_i), from which its ``evaluate`` is built.  A
+    custom rate has no terms and is evaluated point by point.
+    """
 
     variant: RateVariant
     params: RateParameters
     evaluate: Callable[[float], float]
+    terms: tuple[tuple[float, float], ...] | None = None
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -140,9 +168,8 @@ def closed_form_rate(variant: RateVariant, params: RateParameters) -> RateFuncti
             raise RatePreconditionError(
                 f"combined dependence constant {c:.3g} exceeds n={params.n}"
             )
-        scale = math.sqrt(a * c * log_n)
-        return RateFunction(variant, params, lambda u: u ** (1.0 - alpha / 2.0) * scale)
-    if variant is RateVariant.II:
+        terms = ((math.sqrt(a * c * log_n), 1.0 - alpha / 2.0),)
+    elif variant is RateVariant.II:
         if params.c_p**2 * params.k_rho > params.n:
             raise RatePreconditionError("correlation constant exceeds n")
         c_inf_term = params.c_beta_inf
@@ -150,14 +177,13 @@ def closed_form_rate(variant: RateVariant, params: RateParameters) -> RateFuncti
             raise RatePreconditionError(
                 f"sup-norm dependence constant {c_inf_term:.3g} exceeds n={params.n}"
             )
-        scale = math.sqrt(a * params.c_p**2 * params.k_rho * log_n)
-        coef = a * c_inf_term * log_n
-
-        def evaluate(u: float) -> float:
-            return u ** (1.0 - alpha / 2.0) * scale + coef * u ** (2.0 - alpha)
-
-        return RateFunction(variant, params, evaluate)
-    raise RateError("custom variants are built directly as RateFunction objects")
+        terms = (
+            (math.sqrt(a * params.c_p**2 * params.k_rho * log_n), 1.0 - alpha / 2.0),
+            (a * c_inf_term * log_n, 2.0 - alpha),
+        )
+    else:
+        raise RateError("custom variants are built directly as RateFunction objects")
+    return RateFunction(variant, params, lambda u: _power_sum(terms, lambda e: u**e), terms)
 
 
 @dataclass(frozen=True)
@@ -185,6 +211,98 @@ def default_condition_grid(params: RateParameters, points: int = 256) -> np.ndar
     return grid
 
 
+class _ConditionGrid:
+    """The growth conditions on one norm grid, with every term that does not
+    depend on the scale constant computed once: the points u, u^2, the
+    hypothesis log-covering, the approximation requirement and the powers
+    u^e of the rate terms.  Each pow, log and square is a scalar Python
+    call, so the arrays hold the doubles of a point-by-point evaluation;
+    numpy only adds, multiplies, divides and compares them.
+    """
+
+    def __init__(
+        self,
+        params: RateParameters,
+        approx_err: Callable[[float], float] | None,
+        grid: Sequence[float] | None,
+    ) -> None:
+        if grid is None:
+            grid = default_condition_grid(params)
+        u = np.unique(np.asarray(grid, dtype=float))  # sorted, duplicates dropped
+        if u.size == 0:
+            raise RateError("condition grid is empty")
+        if not np.all(np.isfinite(u)):
+            raise RateError("condition grid has a non-finite point")
+        if u[0] < params.cw - 1e-12 or u[-1] > params.c1 + 1e-12:
+            raise RateError("grid must lie inside [cw, c1]")
+        self.u = u
+        self.points = u.tolist()
+        self.u_sq = np.array([x**2 for x in self.points])
+        self.log_ninf = np.array([_log_ninf(params, x) for x in self.points])
+        if approx_err is None:
+            self.required_approx = np.zeros(u.size)
+        else:
+            self.required_approx = np.array(
+                [4.0 * params.c_l * approx_err(x) ** 2 for x in self.points]
+            )
+        self._powers: dict[float, np.ndarray] = {}
+
+    def _power(self, exponent: float) -> np.ndarray:
+        if exponent not in self._powers:
+            self._powers[exponent] = np.array([x**exponent for x in self.points])
+        return self._powers[exponent]
+
+    def check(self, rate: RateFunction, params: RateParameters) -> _GridCheck:
+        """Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
+        r(u)/c_inf}); approximation: r(u)^2 >= 4 c_l approx_err(u)^2."""
+        if rate.terms is None:
+            values = np.array([rate(x) for x in self.points])
+        else:
+            values = _power_sum(rate.terms, self._power)
+        kw = _complexity(_log_n1(params), self.log_ninf)
+        local = np.minimum(2.0, params.c_p * values / params.c_inf) if params.c_inf > 0 else 2.0
+        required_growth = kw * self.u_sq * (
+            params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
+        )
+        rate_sq = np.array([r**2 for r in values.tolist()])
+        all_pass = bool(np.all((rate_sq >= required_growth) & (rate_sq >= self.required_approx)))
+        return _GridCheck(values, rate_sq, required_growth, all_pass)
+
+    def report(self, check: _GridCheck) -> ConditionReport:
+        required = np.maximum(check.required_growth, self.required_approx)
+        binding = required > 0
+        slack = math.inf
+        if binding.any():
+            slack = float(np.min(check.rate_sq[binding] / required[binding]))
+        lipschitz = 0.0
+        if len(self.points) > 1:
+            lipschitz = float(np.max(np.abs(np.diff(check.values)) / np.diff(self.u)))
+        points = tuple(
+            ConditionPoint(u, r_sq, growth, approx, r_sq >= growth, r_sq >= approx)
+            for u, r_sq, growth, approx in zip(
+                self.points,
+                check.rate_sq.tolist(),
+                check.required_growth.tolist(),
+                self.required_approx.tolist(),
+            )
+        )
+        return ConditionReport(
+            points=points,
+            all_pass=check.all_pass,
+            lipschitz_estimate=lipschitz,
+            min_slack=slack if math.isfinite(slack) else math.inf,
+        )
+
+
+class _GridCheck(NamedTuple):
+    """One rate on a _ConditionGrid: r(u), r(u)^2, the growth requirement."""
+
+    values: np.ndarray
+    rate_sq: np.ndarray
+    required_growth: np.ndarray
+    all_pass: bool
+
+
 def check_rate_conditions(
     rate: RateFunction,
     params: RateParameters,
@@ -198,50 +316,13 @@ def check_rate_conditions(
     ``approx_err`` maps a weight norm to the sup-norm approximation error
     of the class at that norm (defaults to zero for well-specified
     classes).  Also reports the numerical Lipschitz constant of r and the
-    minimal multiplicative slack across the grid.
+    minimal multiplicative slack across the grid.  The grid (default
+    :func:`default_condition_grid`) is sorted and its duplicates dropped;
+    an empty grid, or a point that is not finite or lies outside [cw, c1],
+    is a RateError.
     """
-    if grid is None:
-        grid = default_condition_grid(params)
-    grid = np.asarray(sorted(grid), dtype=float)
-    if grid[0] < params.cw - 1e-12 or grid[-1] > params.c1 + 1e-12:
-        raise RateError("grid must lie inside [cw, c1]")
-    approx = approx_err if approx_err is not None else (lambda u: 0.0)
-
-    pts = []
-    slack = math.inf
-    values = np.array([rate(float(u)) for u in grid])
-    for u, r in zip(grid, values):
-        kw = complexity_term(params, float(u))
-        if params.c_inf > 0:
-            local = min(2.0, params.c_p * r / params.c_inf)
-        else:
-            local = 2.0
-        required_growth = kw * u**2 * (params.c_p**2 * params.k_rho + params.m_beta * params.bw * local)
-        required_approx = 4.0 * params.c_l * approx(float(u)) ** 2
-        r_sq = r**2
-        growth_ok = r_sq >= required_growth
-        approx_ok = r_sq >= required_approx
-        required = max(required_growth, required_approx)
-        if required > 0:
-            slack = min(slack, r_sq / required)
-        pts.append(
-            ConditionPoint(
-                u=float(u),
-                rate_sq=float(r_sq),
-                required_growth=float(required_growth),
-                required_approx=float(required_approx),
-                growth_ok=bool(growth_ok),
-                approx_ok=bool(approx_ok),
-            )
-        )
-    lipschitz = float(np.max(np.abs(np.diff(values)) / np.diff(grid))) if len(grid) > 1 else 0.0
-    all_pass = all(p.growth_ok and p.approx_ok for p in pts)
-    return ConditionReport(
-        points=tuple(pts),
-        all_pass=all_pass,
-        lipschitz_estimate=lipschitz,
-        min_slack=float(slack) if math.isfinite(slack) else math.inf,
-    )
+    conditions = _ConditionGrid(params, approx_err, grid)
+    return conditions.report(conditions.check(rate, params))
 
 
 def find_scale_constant(
@@ -255,16 +336,21 @@ def find_scale_constant(
 
     Each trial ties the Lipschitz budget to the scale via k = a^2 n^2, the
     value under which the closed-form rates' derivatives are provably
-    controlled.  Returns the first passing rate with its report.
+    controlled.  The grid terms that do not depend on ``a`` are computed
+    once; a trial evaluates only the weight covering at its k and the
+    rate's scaled terms.  Returns the first passing rate with its report.
     """
-    a = 1.0
+
+    def trial_rate(a: float) -> RateFunction:
+        return closed_form_rate(variant, replace(params, a=a, k=a**2 * params.n**2))
+
+    rate = trial_rate(1.0)  # the preconditions, before any covering is evaluated
+    conditions = _ConditionGrid(params, approx_err, grid)
     for _ in range(max_doublings):
-        trial = replace(params, a=a, k=a**2 * params.n**2)
-        rate = closed_form_rate(variant, trial)
-        report = check_rate_conditions(rate, trial, approx_err=approx_err, grid=grid)
-        if report.all_pass:
-            return rate, report
-        a *= 2.0
+        check = conditions.check(rate, rate.params)
+        if check.all_pass:
+            return rate, conditions.report(check)
+        rate = trial_rate(2.0 * rate.params.a)
     raise RateError(f"no passing scale constant within {max_doublings} doublings")
 
 

@@ -350,6 +350,31 @@ class TestBuildRate:
         assert rate.params.a == 16.0
         assert report.min_slack == pytest.approx(1.0786582429415734, rel=1e-12)
 
+    def test_coverings_evaluated_once_per_point_and_once_per_trial(self, monkeypatch):
+        calls = {"log_n1_w": 0, "log_ninf_h": 0}
+        search = harness.find_scale_constant
+
+        def counting_search(variant, params, **kwargs):
+            def log_n1_w(eps):
+                calls["log_n1_w"] += 1
+                return params.log_n1_w(eps)
+
+            def log_ninf_h(eps, w_l2):
+                calls["log_ninf_h"] += 1
+                return params.log_ninf_h(eps, w_l2)
+
+            counted = replace(params, log_n1_w=log_n1_w, log_ninf_h=log_ninf_h)
+            return search(variant, counted, **kwargs)
+
+        monkeypatch.setattr(harness, "find_scale_constant", counting_search)
+        workload = json.loads((WORKLOADS / "step_mc.json").read_text())
+        cfg = config_from_dict(workload["config"])
+        rate, report = build_rate(cfg, replace(cfg.process, n=1024))
+        trials = int(math.log2(rate.params.a)) + 1
+        assert trials > 1
+        assert calls["log_n1_w"] == trials
+        assert calls["log_ninf_h"] <= len(report.points)
+
 
 class TestConfigValidation:
     def test_n_grid_must_increase(self):
@@ -380,6 +405,28 @@ class TestConfigValidation:
     def test_weight_params_checked_against_the_family(self, family, params):
         with pytest.raises(HarnessError, match=r"^weights\.params: "):
             small_config(weights=WeightPolicy(family=WeightFamily(family), params=params))
+
+    @pytest.mark.parametrize("params", [(0.05, 0.2), (0.05, 0.2, 0.2)])
+    def test_n_eff_slope_needs_three_distinct_params(self, params):
+        with pytest.raises(HarnessError, match=r"^weights\.params: "):
+            small_config(
+                weights=WeightPolicy(family=WeightFamily.EXPONENTIAL, params=params),
+                n_grid=(128,),
+                slope_target=-1.0,
+            )
+
+    def test_two_param_n_eff_sweep_runs_without_a_slope(self):
+        cfg = config_from_dict({
+            "process": INTERVAL,
+            "weights": {"family": "exp", "params": [0.05, 0.2]},
+            "hypothesis": {"kind": "linear", "b_bound": 1.0},
+            "n_grid": [128],
+            "replications": 2,
+        })
+        res = run_experiment(cfg)
+        assert len(res.rows) == 4
+        assert res.manifest["failures"] == []
+        assert res.slope is None
 
     def test_config_roundtrip(self):
         cfg = small_config(

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifterm.rates import (
+    ConditionPoint,
+    ConditionReport,
     RateError,
     RateFunction,
     RateParameters,
@@ -177,6 +181,146 @@ class TestConditionChecks:
         grid = default_condition_grid(make_params())
         assert len(grid) == 256
         assert grid[0] == 0.01 and grid[-1] == 1.0
+
+    def test_empty_grid_rejected(self):
+        params = make_params()
+        rate = closed_form_rate(RateVariant.I, params)
+        with pytest.raises(RateError, match="grid is empty"):
+            check_rate_conditions(rate, params, grid=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_point_rejected(self, bad):
+        params = make_params()
+        rate = closed_form_rate(RateVariant.I, params)
+        with pytest.raises(RateError, match="grid has a non-finite point"):
+            check_rate_conditions(rate, params, grid=[0.1, bad, 0.5])
+
+    def test_duplicate_grid_points_dropped(self):
+        params = make_params()
+        rate = closed_form_rate(RateVariant.I, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_rate_conditions(rate, params, grid=[0.5, 0.1, 0.1])
+        assert [p.u for p in report.points] == [0.1, 0.5]
+        assert report.lipschitz_estimate == (rate(0.5) - rate(0.1)) / (0.5 - 0.1)
+
+    def test_preconditions_checked_before_any_covering(self):
+        def forbidden(eps, w_l2):
+            raise AssertionError("covering evaluated before the preconditions")
+
+        with pytest.raises(RatePreconditionError):
+            find_scale_constant(RateVariant.II, make_params(c_inf=0.0, log_ninf_h=forbidden))
+
+
+def reference_check(rate, params, approx_err=None, grid=None):
+    """The growth conditions point by point: rate(u), complexity_term, min and **2."""
+    grid = np.asarray(sorted(default_condition_grid(params) if grid is None else grid), dtype=float)
+    approx = approx_err if approx_err is not None else (lambda u: 0.0)
+    values = np.array([rate(float(u)) for u in grid])
+    points, slack = [], math.inf
+    for u, r in zip(grid, values):
+        kw = complexity_term(params, float(u))
+        local = min(2.0, params.c_p * r / params.c_inf) if params.c_inf > 0 else 2.0
+        dependence = params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
+        required_growth = kw * u**2 * dependence
+        required_approx = 4.0 * params.c_l * approx(float(u)) ** 2
+        r_sq = r**2
+        required = max(required_growth, required_approx)
+        if required > 0:
+            slack = min(slack, r_sq / required)
+        points.append(ConditionPoint(
+            u=float(u), rate_sq=float(r_sq), required_growth=float(required_growth),
+            required_approx=float(required_approx), growth_ok=bool(r_sq >= required_growth),
+            approx_ok=bool(r_sq >= required_approx),
+        ))
+    lipschitz = float(np.max(np.abs(np.diff(values)) / np.diff(grid))) if len(grid) > 1 else 0.0
+    return ConditionReport(
+        points=tuple(points),
+        all_pass=all(p.growth_ok and p.approx_ok for p in points),
+        lipschitz_estimate=lipschitz,
+        min_slack=float(slack) if math.isfinite(slack) else math.inf,
+    )
+
+
+def reference_scale_constant(variant, params, approx_err=None, grid=None):
+    """Double a from 1, re-checking the whole grid point by point at each trial."""
+    a = 1.0
+    for _ in range(40):
+        trial = replace(params, a=a, k=a**2 * params.n**2)
+        report = reference_check(closed_form_rate(variant, trial), trial, approx_err, grid)
+        if report.all_pass:
+            return a, report
+        a *= 2.0
+    raise AssertionError("reference search did not pass")
+
+
+def oracle_setups():
+    """(name, params, approx_err) with real weight and hypothesis coverings."""
+    from drifterm.hypotheses import basis_size
+
+    n = 4096
+    base = dict(
+        n=n,
+        cw=1 / math.sqrt(n),
+        bw=2.0,
+        m_beta=3,
+        k_rho=2.5,
+        log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
+    )
+    linear = class_covering(HypothesisClassSpec.linear(1.0), p=2, n=n)
+    step = class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), n=n)
+    relu = class_covering(HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=8, ell=2,
+                                              param_bound=1.0), n=n)
+    return {
+        "linear_c_inf_0": (make_params(**base, log_ninf_h=linear), None),
+        "linear_c_inf_pos": (make_params(**base, c_inf=math.sqrt(1 / 6), log_ninf_h=linear), None),
+        "step_sized": (make_params(**base, alpha=2 / 3, c_inf=1 / math.sqrt(basis_size(1 / 64)),
+                                   log_ninf_h=step), lambda u: 1.0 / basis_size(u)),
+        "relu": (make_params(**base, alpha=2 / 3, log_ninf_h=relu), lambda u: u ** (2.0 / 3.0)),
+    }
+
+
+class TestSharedEvaluatorOracle:
+    """The array evaluator is byte-equal to the point-by-point reference."""
+
+    @pytest.mark.parametrize("grid", ["default", "custom"])
+    @pytest.mark.parametrize(
+        "name, variant",
+        [(name, variant) for name, (params, _) in sorted(oracle_setups().items())
+         for variant in (RateVariant.I, RateVariant.II)
+         if variant is RateVariant.I or params.c_inf > 0],  # II needs a sup-norm link
+    )
+    def test_scale_search_matches_reference(self, name, variant, grid):
+        params, approx_err = oracle_setups()[name]
+        grid = None if grid == "default" else np.geomspace(params.cw, params.c1, 37)[::-1]
+        rate, report = find_scale_constant(variant, params, approx_err=approx_err, grid=grid)
+        a, expected = reference_scale_constant(variant, params, approx_err, grid)
+        assert rate.params.a == a
+        assert report.points == expected.points
+        assert report.min_slack == expected.min_slack
+        assert report.lipschitz_estimate == expected.lipschitz_estimate
+        assert report == expected
+
+    @pytest.mark.parametrize("name", sorted(oracle_setups()))
+    def test_every_trial_matches_reference(self, name):
+        params, approx_err = oracle_setups()[name]
+        grid = np.geomspace(params.cw, params.c1, 1024)
+        passed = []
+        for a in (2.0**i for i in range(8)):
+            trial = replace(params, a=a, k=a**2 * params.n**2)
+            rate = closed_form_rate(RateVariant.I, trial)
+            report = check_rate_conditions(rate, trial, approx_err=approx_err, grid=grid)
+            assert report == reference_check(rate, trial, approx_err, grid)
+            passed.append(report.all_pass)
+        assert not passed[0] and passed[-1]  # failing and passing trials both compared
+
+    def test_custom_rate_matches_reference(self):
+        params, approx_err = oracle_setups()["step_sized"]
+        custom = RateFunction(RateVariant.CUSTOM, params, lambda u: 3.0 * u**0.8 + 0.01)
+        grid = [params.cw, 0.05, 0.2, 0.7, params.c1]
+        for g in (None, grid):
+            report = check_rate_conditions(custom, params, approx_err=approx_err, grid=g)
+            assert report == reference_check(custom, params, approx_err, g)
 
 
 class TestCertificates:
