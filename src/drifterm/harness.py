@@ -1,12 +1,15 @@
 """Replicated experiment harness: grids, slopes, calibration, persistence.
 
 A config describes a process template, a weight policy, a hypothesis
-class, an n grid, and a replication count.  Running it simulates every
-(n, weight parameter, replication) cell, fits the weighted ERM, measures
-the decomposition terms, attaches the rate certificate, and aggregates
-log-log slopes.  Everything is deterministic given (config, base_seed):
-per-row seeds are derived from the base seed and the cell indices, so
-results do not depend on worker count or completion order.
+class, an n grid, and a replication count.  Running it simulates one path
+per (n, replication), fits the weighted ERM on it under every weight
+parameter of the sweep, measures the decomposition terms, attaches the
+rate certificate, and aggregates log-log slopes.  Everything is
+deterministic given (config, base_seed): the path seed is derived from the
+base seed, the n index and the replication, so the rows of one replication
+share their path (common random numbers across the weights); the fit and
+Monte Carlo seeds also take the weight index.  Results do not depend on
+worker count or completion order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, islice
 
 import numpy as np
 
@@ -197,13 +201,34 @@ def _row_seed(base_seed: int, i_n: int, i_param: int, rep: int, stream: int) -> 
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _row_task(payload: tuple) -> tuple[float, float]:
-    """One replication: simulate, fit, measure. Pure function of the payload."""
-    spec, w, class_spec, t, path_seed, mc_seed, net_seed, draws = payload
-    path = simulate(spec, path_seed)
-    fit = fit_weighted_erm(path, w, class_spec, seed=net_seed)
-    learn, _, _ = learning_error(fit, spec, w, draws=draws, seed=mc_seed)
-    exc, _, _ = excess_risk(fit, spec, t, draws=draws, seed=mc_seed + 1)
+def _path_task(payload: tuple) -> list:
+    """One replication: simulate its path once, then fit and measure it under
+    each weight of its cell.  One outcome per weight, in order:
+    ``(learning, excess)`` or a failure message; a failed simulation fails
+    every weight.  Pure function of the payload."""
+    spec, path_seed, weights, draws, base_seed, i_n, rep = payload
+    try:
+        path = simulate(spec, path_seed)
+    except Exception as err:  # row-level isolation; harness applies the 1% budget
+        return [f"{type(err).__name__}: {err}"] * len(weights)
+    return [
+        _fit_outcome(path, spec, draws, w, class_spec,
+                     _row_seed(base_seed, i_n, i_param, rep, 1),
+                     _row_seed(base_seed, i_n, i_param, rep, 2))
+        for i_param, (w, class_spec) in enumerate(weights)
+    ]
+
+
+def _fit_outcome(path, spec, draws, w, class_spec, mc_seed, net_seed):
+    """Fit one weight on the path and measure it; a failure becomes its message."""
+    try:
+        fit = fit_weighted_erm(path, w, class_spec, seed=net_seed)
+        learn, _, _ = learning_error(fit, spec, w, draws=draws, seed=mc_seed)
+        exc, _, _ = excess_risk(fit, spec, spec.n, draws=draws, seed=mc_seed + 1)
+    except Exception as err:  # row-level isolation; harness applies the 1% budget
+        return f"{type(err).__name__}: {err}"
+    if not (math.isfinite(learn) and math.isfinite(exc)):
+        return f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
     return learn, exc
 
 
@@ -241,18 +266,20 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute the full grid; deterministic given (config, base_seed).
 
-    With ``jobs > 1`` the first row runs in this process and the rest in
-    ``jobs`` workers forked after it, so the workers start with what that
-    row imported or memoised; the rows do not depend on ``jobs``.
-    Row-level failures (an exception, or a non-finite learning or excess
-    value) are recorded in the manifest and tolerated up to 1% of the grid;
-    beyond that the run aborts.
+    The task unit is one path: simulated once per (n, replication) and
+    fitted under every weight of the sweep.  With ``jobs > 1`` the first
+    path runs in this process and the rest in ``jobs`` workers forked after
+    it, so the workers start with what that path imported or memoised; the
+    rows do not depend on ``jobs``.  Rows come in (n, weight, replication)
+    order.  Row-level failures (an exception, or a non-finite learning or
+    excess value) are recorded in the manifest and tolerated up to 1% of the
+    rows; beyond that the run aborts.
     """
     rows: list[Row] = []
     failures: list[dict] = []
     rate_constants: dict[int, float] = {}
     payloads = []
-    meta = []
+    cells = []  # per n: (n, path seeds, per weight (param, w_l2, drift, certificate))
 
     for i_n, n in enumerate(cfg.n_grid):
         spec = replace(cfg.process, n=n)
@@ -262,47 +289,41 @@ def run_experiment(
         except RatePreconditionError as exc:
             raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
         rate_constants[n] = rate.params.a
-        for i_param, wspec in enumerate(wspecs):
+        weights, meta = [], []
+        for wspec in wspecs:
             w = make_weights(wspec)
-            class_spec = cfg.hypothesis.class_spec(spec, w.l2)
             drift = drift_error(spec, w, n)
-            certificate = bound_certificate(rate, w.l2, cfg.delta, drift_term=drift)
-            for rep in range(cfg.replications):
-                path_seed = _row_seed(cfg.base_seed, i_n, i_param, rep, 0)
-                mc_seed = _row_seed(cfg.base_seed, i_n, i_param, rep, 1)
-                net_seed = _row_seed(cfg.base_seed, i_n, i_param, rep, 2)
-                payloads.append(
-                    (spec, w, class_spec, n, path_seed, mc_seed, net_seed, cfg.mc_draws)
-                )
-                meta.append((n, wspec.param, w.l2, path_seed, drift, certificate))
+            weights.append((w, cfg.hypothesis.class_spec(spec, w.l2)))
+            meta.append((float(wspec.param), w.l2, drift,
+                         bound_certificate(rate, w.l2, cfg.delta, drift_term=drift)))
+        path_seeds = [_row_seed(cfg.base_seed, i_n, 0, rep, 0) for rep in range(cfg.replications)]
+        payloads.extend(
+            (spec, path_seed, weights, cfg.mc_draws, cfg.base_seed, i_n, rep)
+            for rep, path_seed in enumerate(path_seeds)
+        )
+        cells.append((n, path_seeds, meta))
 
     if jobs > 1 and payloads:
-        # forked after row 0, so no worker imports scipy.signal again
-        outcomes = [_row_task_safe(payloads[0])]
+        # forked after path 0, so no worker imports scipy.signal again
+        outcomes = _path_task(payloads[0])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes += pool.map(_row_task_safe, payloads[1:], chunksize=8)
+            outcomes += chain.from_iterable(pool.map(_path_task, payloads[1:], chunksize=8))
     else:
-        outcomes = [_row_task_safe(p) for p in payloads]
+        outcomes = [outcome for p in payloads for outcome in _path_task(p)]
 
-    for (n, param, w_l2, path_seed, drift, certificate), outcome in zip(meta, outcomes):
-        if isinstance(outcome, str):
-            failures.append({"n": n, "param": param, "seed": path_seed, "error": outcome})
-            continue
-        learn, exc = outcome
-        rows.append(
-            Row(
-                n=n,
-                param=float(param),
-                w_l2=w_l2,
-                seed=path_seed,
-                learning_error=learn,
-                drift_error=drift,
-                excess_risk=exc,
-                certificate=certificate,
-            )
-        )
+    # outcomes run (n, replication, weight); rows run (n, weight, replication)
+    outcomes = iter(outcomes)
+    for n, path_seeds, meta in cells:
+        cell = list(islice(outcomes, len(path_seeds) * len(meta)))
+        for i_param, (param, w_l2, drift, certificate) in enumerate(meta):
+            for path_seed, outcome in zip(path_seeds, cell[i_param :: len(meta)]):
+                if isinstance(outcome, str):
+                    failures.append({"n": n, "param": param, "seed": path_seed, "error": outcome})
+                    continue
+                learn, exc = outcome
+                rows.append(Row(n, param, w_l2, path_seed, learn, drift, exc, certificate))
 
-    total = len(payloads)
+    total = len(rows) + len(failures)
     if failures and len(failures) > MAX_ROW_FAILURE_FRACTION * total:
         raise HarnessError(
             f"{len(failures)}/{total} rows failed (> {MAX_ROW_FAILURE_FRACTION:.0%})"
@@ -348,16 +369,6 @@ def _flag_outliers(rows) -> list[dict]:
                     {"n": n, "param": param, "seed": r.seed, "learning_error": r.learning_error}
                 )
     return flagged
-
-
-def _row_task_safe(payload):
-    try:
-        learn, exc = _row_task(payload)
-    except Exception as err:  # row-level isolation; harness applies the 1% budget
-        return f"{type(err).__name__}: {err}"
-    if not (math.isfinite(learn) and math.isfinite(exc)):
-        return f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
-    return learn, exc
 
 
 def fit_slope(

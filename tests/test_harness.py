@@ -28,16 +28,18 @@ from drifterm.harness import (
 )
 import drifterm
 from drifterm import harness, hypotheses
-from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind
+from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind, fit_weighted_erm
 from drifterm.processes import (
     CovariateLaw,
     DependenceCore,
     DriftSpec,
     ProcessKind,
     ProcessSpec,
+    simulate,
 )
 from drifterm.rates import RatePreconditionError
-from drifterm.weights import WeightFamily
+from drifterm.risk import excess_risk, learning_error
+from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
 
 def small_config(**overrides):
@@ -157,6 +159,113 @@ class TestRowPool:
         assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
 
 
+THREE_EXP = WeightPolicy(family=WeightFamily.EXPONENTIAL, params=(0.2, 0.05, 0.0125))
+
+
+def three_param_config(**overrides):
+    return small_config(weights=THREE_EXP, n_grid=(128, 256), **overrides)
+
+
+class TestSharedPath:
+    """One path per (n, replication), fitted under every weight of the sweep."""
+
+    def test_one_simulation_per_path_and_one_fit_per_row(self, monkeypatch):
+        calls = {"simulate": 0, "fit": 0}
+        for name, key in (("simulate", "simulate"), ("fit_weighted_erm", "fit")):
+            real = getattr(harness, name)
+
+            def counted(*args, _real=real, _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        cfg = three_param_config()
+        res = run_experiment(cfg)
+        assert len(res.rows) == 2 * 3 * 3
+        assert calls == {"simulate": 2 * 3, "fit": len(res.rows)}
+
+    def test_rows_of_one_replication_share_the_path_seed_in_grid_order(self):
+        cfg = three_param_config()
+        res = run_experiment(cfg)
+        expected = [
+            (n, param, harness._row_seed(cfg.base_seed, i_n, 0, rep, 0))
+            for i_n, n in enumerate(cfg.n_grid)
+            for param in THREE_EXP.params
+            for rep in range(cfg.replications)
+        ]
+        assert [(r.n, r.param, r.seed) for r in res.rows] == expected
+        assert len({r.seed for r in res.rows}) == len(cfg.n_grid) * cfg.replications
+
+    def test_every_row_rebuilds_from_rows_csv(self):
+        cfg = three_param_config()
+        res = run_experiment(cfg)
+        for row in rows_from_csv(rows_to_csv(res.rows)):
+            spec = replace(cfg.process, n=row.n)
+            w = make_weights(WeightSpec(THREE_EXP.family, t=row.n, n=row.n, param=row.param))
+            fit = fit_weighted_erm(simulate(spec, row.seed), w, cfg.hypothesis.class_spec(spec, w.l2))
+            assert w.l2 == row.w_l2
+            assert learning_error(fit, spec, w)[0] == row.learning_error
+            assert excess_risk(fit, spec, row.n)[0] == row.excess_risk
+
+    def test_ar1_n_eff_grid_does_not_depend_on_jobs(self, tmp_path):
+        ar1 = replace(small_config().process, core=DependenceCore(kind="ar1", phi=0.6))
+        cfg = three_param_config(process=ar1)
+        run_experiment(cfg, jobs=1, out_dir=str(tmp_path / "a"))
+        run_experiment(cfg, jobs=2, out_dir=str(tmp_path / "b"))
+        for name in ("rows.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestSharedPathFailures:
+    """A failure stays with its rows: a path's simulation fails all its weights, a fit only its own."""
+
+    cfg = small_config(weights=THREE_EXP, n_grid=(64,), replications=100)
+
+    def seed(self, i_param, rep, stream):
+        return harness._row_seed(self.cfg.base_seed, 0, i_param, rep, stream)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_simulation_fails_every_row_of_its_path(self, monkeypatch, jobs):
+        bad = self.seed(0, 7, 0)
+        real = harness.simulate
+
+        def simulate(spec, seed):
+            if seed == bad:
+                raise RuntimeError("path fails")
+            return real(spec, seed)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        res = run_experiment(self.cfg, jobs=jobs)
+        assert res.manifest["failures"] == [
+            {"n": 64, "param": p, "seed": bad, "error": "RuntimeError: path fails"}
+            for p in THREE_EXP.params
+        ]
+        assert len(res.rows) == 297
+        assert bad not in {r.seed for r in res.rows}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_fit_fails_only_its_row(self, monkeypatch, jobs):
+        bad_net_seed = self.seed(1, 7, 2)
+        real = harness.fit_weighted_erm
+
+        def fit(path, w, class_spec, *, seed=0):
+            if seed == bad_net_seed:
+                raise RuntimeError("fit fails")
+            return real(path, w, class_spec, seed=seed)
+
+        monkeypatch.setattr(harness, "fit_weighted_erm", fit)
+        res = run_experiment(self.cfg, jobs=jobs)
+        path_seed = self.seed(0, 7, 0)
+        assert res.manifest["failures"] == [
+            {"n": 64, "param": THREE_EXP.params[1], "seed": path_seed,
+             "error": "RuntimeError: fit fails"}
+        ]
+        assert len(res.rows) == 299
+        assert sorted(r.param for r in res.rows if r.seed == path_seed) == sorted(
+            [THREE_EXP.params[0], THREE_EXP.params[2]]
+        )
+
+
 class TestNonFiniteOutcome:
     @pytest.mark.parametrize("measure", ["learning_error", "excess_risk"])
     def test_counts_as_a_row_failure(self, monkeypatch, measure):
@@ -264,6 +373,11 @@ ROWS_PINS = {
                  "hypothesis": {"kind": "step", "b_bound": 1.0, "q": 8},
                  "n_grid": [64, 128], "replications": 2, "base_seed": 11},
                 "449469420c1b721877e00377f31be8084ad003bb62175f0d30c6db147709b8f2"),
+    # three weights fitted on each shared path
+    "linear_exp3": ({"process": BALL, "weights": {"family": "exp", "params": [0.2, 0.05, 0.0125]},
+                     "hypothesis": {"kind": "linear", "b_bound": 1.0},
+                     "n_grid": [64, 128], "replications": 2, "base_seed": 11},
+                    "5c7fa88e0f851eaf63c0acd914c2f6276e7e9c0a033a19295b39c82987260181"),
     "relu_cell": (relu_cell_smoke(),
                   "6f7331b63626feb6cd37095323b4df15e42c1554eacecdf1ab70e32a52f034ba"),
 }
