@@ -47,7 +47,6 @@ from .rates import (
 from .risk import drift_error, excess_risk, learning_error
 from .weights import (
     ANALYTIC_NORM_BOUNDS,
-    DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
     WeightSpec,
@@ -72,7 +71,6 @@ class WeightPolicy:
 
     family: WeightFamily = WeightFamily.UNIFORM_WINDOW
     params: tuple[float, ...] | None = None
-    exp_range: float = DEFAULT_EXP_RANGE
 
     def _sweep(self, n: int) -> tuple[WeightFamily, tuple[float, ...]]:
         if self.params is None:
@@ -87,7 +85,7 @@ class WeightPolicy:
         """(c1, bw, eps -> log N1) of the swept weight class at horizon n."""
         family, _ = self._sweep(n)
         c1, bw = ANALYTIC_NORM_BOUNDS[family]
-        log_n1 = weight_class_log_covering(family, "union", n=n, exp_range=self.exp_range)
+        log_n1 = weight_class_log_covering(family, "union", n=n)
         return c1, bw, log_n1
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .processes import CovariateLaw, ProcessSpec, SamplePath, lambda_min, sample_covariates
+from .processes import CovariateLaw, ProcessSpec, SamplePath, sample_covariates, second_moment
 from .weights import WeightVector
 
 # Relative floor under which the weighted Gram matrix counts as deficient.
@@ -127,7 +127,8 @@ class HypothesisClassSpec:
 
         alpha is the covering growth exponent in the weight norm: 2/3 for
         classes sized from ||w||, 0 for fixed ones.  c_inf links the class's
-        L2 and sup-norm distances under the law: sqrt(lambda_min) for linear
+        L2 and sup-norm distances under the law, sup <= sqrt(L2) / c_inf:
+        the root of the smallest eigenvalue of E[Z Z^T] for linear
         predictors, 1/sqrt(q) for q orthogonal bins of mass 1/q (q at the
         smallest weight norm 1/sqrt(n) when sized), 0 (no link) for networks.
         The log-coverings are p log(3B/eps) for linear, q log(3B/eps) for
@@ -141,7 +142,7 @@ class HypothesisClassSpec:
             def cover(eps: float, w_l2: float) -> float:
                 return max(0.0, p * math.log(3.0 * B / eps))
 
-            return 0.0, math.sqrt(lambda_min(spec)), cover, None
+            return 0.0, math.sqrt(np.linalg.eigvalsh(second_moment(spec))[0]), cover, None
         if self.kind is HypothesisKind.STEP_BASIS:
             size = basis_size if self.q is None else (lambda u: self.q)  # bins at weight norm u
 

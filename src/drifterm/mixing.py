@@ -11,17 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .weights import WeightVector
-
-
-class ProfileKind(Enum):
-    EXACT = "exact"
-    ANALYTIC_BOUND = "analytic_bound"
 
 
 class MixingError(ValueError):
@@ -39,7 +33,6 @@ class MixingProfile:
 
     beta: Callable[[int], float]
     rho: Callable[[int], float]
-    kind: ProfileKind
     rho_tail: Callable[[int], float] | None = None
 
     @staticmethod
@@ -47,29 +40,26 @@ class MixingProfile:
         return MixingProfile(
             beta=lambda k: 0.0 if k >= 1 else 1.0,
             rho=lambda k: 0.0 if k >= 1 else 1.0,
-            kind=ProfileKind.EXACT,
             rho_tail=lambda k: 0.0,
         )
 
     @staticmethod
-    def ar1(
-        phi: float, *, chains: int = 1, beta_scale: float = 1.0
-    ) -> "MixingProfile":
+    def ar1(phi: float, *, chains: int = 1) -> "MixingProfile":
         """Profile for (functions of) stationary Gaussian AR(1) chains.
 
         rho(k) = |phi|^k is the Gaussian maximal-correlation identity; the
-        beta coefficient uses the analytic envelope beta(k) <= c |phi|^k
-        per chain (numerically verified to hold with c = 1 for |phi| <=
-        0.9), multiplied by the number of independent chains driving the
-        generator.
+        beta coefficient uses the envelope beta(k) <= |phi|^k per chain,
+        multiplied by the number of independent chains driving the
+        generator.  ``tests/test_mixing.py::TestAr1BetaEnvelope`` checks the
+        per-chain envelope against a quadrature of the exact beta(k) for
+        |phi| <= 0.9.
         """
         if not 0 <= abs(phi) < 1:
             raise MixingError(f"need |phi| < 1, got {phi}")
         a = abs(phi)
-        c = beta_scale * chains
 
         def beta(k: int) -> float:
-            return min(1.0, c * a**k) if k >= 1 else 1.0
+            return min(1.0, chains * a**k) if k >= 1 else 1.0
 
         def rho(k: int) -> float:
             return a**k if k >= 1 else 1.0
@@ -77,7 +67,7 @@ class MixingProfile:
         def rho_tail(k: int) -> float:
             return a ** (k + 1) / (1.0 - a) if a > 0 else 0.0
 
-        return MixingProfile(beta=beta, rho=rho, kind=ProfileKind.ANALYTIC_BOUND, rho_tail=rho_tail)
+        return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
 
     @staticmethod
     def markov2(transition: np.ndarray) -> "MixingProfile":
@@ -104,7 +94,7 @@ class MixingProfile:
 
         if lam2 >= 1.0:
             rho_tail = None  # periodic/reducible: tail not summable
-        return MixingProfile(beta=beta, rho=rho, kind=ProfileKind.EXACT, rho_tail=rho_tail)
+        return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
 
 
 class BlockLength(NamedTuple):

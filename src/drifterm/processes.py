@@ -4,8 +4,9 @@ Covariates are uniform on a product region (a cube inscribed in the unit
 ball, or the unit interval), optionally made serially dependent through a
 latent Gaussian AR(1) or a symmetric 2-state Markov chain; the marginal
 law stays fixed over time so the weighted population optimum has a closed
-form.  Responses follow either a drifting linear model with truncated
-noise or a constant-mean model with drifting variance.
+form.  Responses follow either a drifting linear model or a constant-mean
+model with drifting variance; the noise is independent over time and
+truncated in both.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ TRUNC_SUPPORT = TRUNC_LIMIT / TRUNC_SD
 class ProcessKind(Enum):
     DRIFTING_LINEAR = "drifting_linear"
     DRIFTING_VARIANCE = "drifting_variance"
-    REGIME_SWITCH = "regime_switch"
 
 
 class CovariateLaw(Enum):
@@ -120,7 +120,7 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class DependenceCore:
-    """Serial-dependence driver for the covariates (and optionally the noise).
+    """Serial-dependence driver for the covariates.
 
     kind "iid", "ar1" (latent Gaussian AR(1) per coordinate, parameter
     ``phi``), or "markov" (symmetric 2-state chain with flip probability
@@ -130,7 +130,6 @@ class DependenceCore:
     kind: str = "iid"
     phi: float = 0.0
     flip: float = 0.5
-    beta_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "ar1", "markov"):
@@ -154,34 +153,21 @@ class ProcessSpec:
     mean: float = 0.0
     var_start: float = 1.0
     var_end: float = 1.0
-    noise_mode: str = "iid"  # "iid" or "ar1" (latent chain independent of covariates)
-    noise_phi: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.p < 1:
             raise ProcessSpecError("n and p must be >= 1")
         if self.law is CovariateLaw.INTERVAL and self.p != 1:
             raise ProcessSpecError("interval law is univariate")
-        if self.noise_mode not in ("iid", "ar1"):
-            raise ProcessSpecError(f"unknown noise mode {self.noise_mode!r}")
-        if self.noise_mode == "ar1":
-            if self.core.kind == "markov":
-                raise ProcessSpecError("dependent noise is supported for iid/ar1 cores only")
-            if not 0 <= abs(self.noise_phi) < 1:
-                raise ProcessSpecError("noise_phi must satisfy |phi| < 1")
         if self.kind is ProcessKind.DRIFTING_VARIANCE:
             if self.var_start <= 0 or self.var_end <= 0:
                 raise ProcessSpecError("variances must be positive")
-            if self.noise_mode != "iid":
-                raise ProcessSpecError("the variance-drift generator uses independent noise")
             required = abs(self.mean) + math.sqrt(max(self.var_start, self.var_end)) * TRUNC_SUPPORT
         else:
             if self.drift is None:
                 raise ProcessSpecError("linear kinds need a drift spec")
             if self.drift.dim != self.p:
                 raise ProcessSpecError("drift dimension must match p")
-            if self.kind is ProcessKind.REGIME_SWITCH and self.drift.kind != "switch":
-                raise ProcessSpecError("regime-switch kind needs a switch drift")
             if self.noise_sd < 0:
                 raise ProcessSpecError("noise_sd must be >= 0")
             # sup|z| <= 1, so |Y| <= ||beta*_t|| + noise support.
@@ -217,13 +203,6 @@ def second_moment(spec: ProcessSpec) -> np.ndarray:
     return np.array([[1.0 / 3.0]])
 
 
-def lambda_min(spec: ProcessSpec) -> float:
-    """Smallest eigenvalue of the covariate second-moment matrix."""
-    if spec.law is CovariateLaw.BALL:
-        return 1.0 / (3.0 * spec.p)
-    return 1.0 / 3.0
-
-
 @functools.lru_cache(maxsize=16)
 def beta_path(spec: ProcessSpec) -> np.ndarray:
     """Coefficients for times 1..n+1, memoised per spec and returned read-only."""
@@ -243,25 +222,18 @@ def sigma2_path(spec: ProcessSpec) -> np.ndarray:
 
 
 def mixing_profile(spec: ProcessSpec) -> MixingProfile:
-    """Analytic mixing profile of the generator's dependence drivers.
+    """Analytic mixing profile of the generator's covariate dependence.
 
-    The beta envelope of several independent latent chains is the sum of
-    the per-chain envelopes; the rho coefficient is the max.
+    An AR(1) core drives each of the p coordinates by its own latent chain;
+    the beta envelope of independent chains is the sum of the per-chain
+    envelopes, and the rho coefficient is the max.
     """
-    chains = spec.p if spec.core.kind == "ar1" else 0
-    noise_dep = spec.noise_mode == "ar1"
-    if spec.core.kind == "markov":
-        P = np.array(
-            [[1 - spec.core.flip, spec.core.flip], [spec.core.flip, 1 - spec.core.flip]]
-        )
-        return MixingProfile.markov2(P)
-    if spec.core.kind == "iid" and not noise_dep:
-        return MixingProfile.iid()
-    rate = abs(spec.core.phi) if spec.core.kind == "ar1" else 0.0
-    if noise_dep:
-        rate = max(rate, abs(spec.noise_phi))
-        chains += 1
-    return MixingProfile.ar1(rate, chains=max(chains, 1), beta_scale=spec.core.beta_scale)
+    core = spec.core
+    if core.kind == "markov":
+        return MixingProfile.markov2(np.array([[1 - core.flip, core.flip], [core.flip, 1 - core.flip]]))
+    if core.kind == "ar1":
+        return MixingProfile.ar1(core.phi, chains=spec.p)
+    return MixingProfile.iid()
 
 
 def _truncated_std_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -323,13 +295,8 @@ def simulate(spec: ProcessSpec, seed: int) -> SamplePath:
         noise = _truncated_std_normal(rng, rows)
         y = spec.mean + np.sqrt(sigma2_path(spec)) * noise
     else:
-        betas = beta_path(spec)
-        if spec.noise_mode == "ar1" and spec.noise_sd > 0:
-            latent = _ar1_latent(rng, spec.noise_phi, (rows, 1))[:, 0]
-            eta = spec.noise_sd * np.clip(latent, -TRUNC_LIMIT, TRUNC_LIMIT) / TRUNC_SD
-        else:
-            eta = spec.noise_sd * _truncated_std_normal(rng, rows)
-        y = np.einsum("tp,tp->t", betas, z) + eta
+        eta = spec.noise_sd * _truncated_std_normal(rng, rows)
+        y = np.einsum("tp,tp->t", beta_path(spec), z) + eta
     y.flags.writeable = False
     z.flags.writeable = False
     return SamplePath(y=y, z=z, seed=int(seed), spec=spec)

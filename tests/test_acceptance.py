@@ -24,7 +24,7 @@ from drifterm.hypotheses import (
     basis_size,
     fit_weighted_erm,
 )
-from drifterm.mixing import MixingProfile, ProfileKind, blocked_bernstein_tail, m_beta
+from drifterm.mixing import MixingProfile, blocked_bernstein_tail, m_beta
 from drifterm.processes import (
     CovariateLaw,
     DependenceCore,
@@ -190,7 +190,6 @@ def test_criterion_4_dependence_robustness():
     prof = MixingProfile(
         beta=lambda k: k**-5.0 if k >= 1 else 1.0,
         rho=lambda k: 0.0 if k >= 1 else 1.0,
-        kind=ProfileKind.ANALYTIC_BOUND,
         rho_tail=lambda k: 0.0,
     )
     mb = m_beta(prof, n, 0.05)

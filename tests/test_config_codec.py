@@ -52,7 +52,6 @@ def process_specs(draw):
         kind=core,
         phi=draw(st.floats(-0.9, 0.9)),
         flip=draw(st.floats(0.05, 0.95)),
-        beta_scale=draw(positive),
     )
     n = draw(st.integers(1, 10_000))
     slack = draw(st.floats(0.0, 3.0))
@@ -66,14 +65,10 @@ def process_specs(draw):
     law = draw(st.sampled_from(CovariateLaw))
     p = 1 if law is CovariateLaw.INTERVAL else draw(st.integers(1, 3))
     drift = draw(drift_specs(p))
-    kind = ProcessKind.REGIME_SWITCH if drift.kind == "switch" and draw(st.booleans()) \
-        else ProcessKind.DRIFTING_LINEAR
     noise_sd = draw(st.floats(0.0, 1.0))
-    noise_mode = "iid" if core.kind == "markov" else draw(st.sampled_from(["iid", "ar1"]))
     return ProcessSpec(
-        kind, n, p, law, core, drift=drift, noise_sd=noise_sd,
+        ProcessKind.DRIFTING_LINEAR, n, p, law, core, drift=drift, noise_sd=noise_sd,
         y_bound=drift.bound() + noise_sd * TRUNC_SUPPORT + slack,
-        noise_mode=noise_mode, noise_phi=draw(st.floats(-0.9, 0.9)),
     )
 
 
@@ -93,7 +88,7 @@ def experiment_configs(draw):
     try:
         return ExperimentConfig(
             process=draw(process_specs()),
-            weights=WeightPolicy(family, params, exp_range=draw(positive)),
+            weights=WeightPolicy(family, params),
             hypothesis=HypothesisClassSpec(
                 kind=kind,
                 b_bound=draw(positive),

@@ -590,7 +590,8 @@ class TestSupDistance:
 class TestSupNormLinkConstant:
     def test_linear_class_inequality(self):
         # for 1000 random coefficient pairs, the smallest L2 distance under
-        # the law dominates sqrt(lambda_min) times the sup-norm distance
+        # the law dominates the root of the smallest second-moment
+        # eigenvalue times the Euclidean distance
         rng = np.random.default_rng(123)
         lam = 1 / 6
         M = lam * np.eye(2)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from drifterm.mixing import (
     MixingError,
     MixingProfile,
-    ProfileKind,
     beta_markov_exact,
     blocked_bernstein_tail,
     k_rho,
@@ -22,7 +21,6 @@ def profile_from(beta, rho=None, tail=None):
     return MixingProfile(
         beta=beta,
         rho=rho or (lambda k: 0.0 if k >= 1 else 1.0),
-        kind=ProfileKind.ANALYTIC_BOUND,
         rho_tail=tail or (lambda k: 0.0),
     )
 
@@ -89,8 +87,7 @@ class TestKRho:
         prof = MixingProfile(
             beta=lambda k: 0.0,
             rho=lambda k: 1.0 / (k + 1),
-            kind=ProfileKind.ANALYTIC_BOUND,
-            rho_tail=None,
+                rho_tail=None,
         )
         with pytest.raises(MixingError):
             k_rho(prof)
@@ -125,6 +122,46 @@ class TestMarkovBeta:
         prof = MixingProfile.markov2(np.array([[0.8, 0.2], [0.2, 0.8]]))
         assert prof.beta(2) == pytest.approx(0.5 * 0.6**2, abs=1e-12)
         assert prof.rho(3) == pytest.approx(0.6**3)
+
+
+def normal_tv(m, s):
+    """TV(N(m, s^2), N(0, 1)) for 0 < s < 1.  The densities cross at the two
+    roots of (s^2 - 1) y^2 + 2 m y - m^2 - 2 s^2 log s = 0, and the narrower
+    one is the larger between them."""
+    from scipy.special import ndtr
+
+    half = np.sqrt(s**2 * m**2 + 2.0 * s**2 * (s**2 - 1.0) * math.log(s))
+    lo, hi = (m + half) / (1.0 - s**2), (m - half) / (1.0 - s**2)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    return ndtr((hi - m) / s) - ndtr((lo - m) / s) - (ndtr(hi) - ndtr(lo))
+
+
+def ar1_beta(phi: float, k: int) -> float:
+    """beta(k) of a stationary N(0, 1) AR(1) chain: E_x TV(N(phi^k x, 1 - phi^2k), N(0, 1))
+    over x ~ N(0, 1), by 200-node Gauss-Hermite quadrature."""
+    x, weights = np.polynomial.hermite_e.hermegauss(200)
+    a = phi**k
+    return float(weights @ normal_tv(a * x, math.sqrt(1.0 - a * a)) / weights.sum())
+
+
+class TestAr1BetaEnvelope:
+    """MixingProfile.ar1's per-chain envelope beta(k) <= |phi|^k against quadrature."""
+
+    def test_closed_form_tv_matches_direct_integration(self):
+        y = np.linspace(-15.0, 15.0, 300_001)
+        m, s = 0.7, 0.6
+        f = np.exp(-((y - m) ** 2) / (2 * s * s)) / (s * math.sqrt(2 * math.pi))
+        g = np.exp(-y * y / 2) / math.sqrt(2 * math.pi)
+        direct = 0.5 * float(np.sum(np.abs(f - g)) * (y[1] - y[0]))
+        assert float(normal_tv(m, s)) == pytest.approx(direct, abs=1e-8)
+
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 0.9])
+    def test_envelope_holds(self, phi):
+        profile = MixingProfile.ar1(phi)
+        for k in (1, 2, 5, 10):
+            beta = ar1_beta(phi, k)
+            assert 0 < beta <= phi**k
+            assert beta <= profile.beta(k) == phi**k
 
 
 class TestBernsteinTail:

@@ -15,7 +15,6 @@ from drifterm.processes import (
     ProcessSpec,
     ProcessSpecError,
     beta_path,
-    lambda_min,
     mixing_profile,
     population_optimum_next,
     population_optimum_weighted,
@@ -161,7 +160,7 @@ class TestPopulationOptima:
 
     def test_two_regime_average(self):
         spec = ProcessSpec(
-            kind=ProcessKind.REGIME_SWITCH,
+            kind=ProcessKind.DRIFTING_LINEAR,
             n=100,
             p=2,
             law=CovariateLaw.BALL,
@@ -182,7 +181,7 @@ class TestPopulationOptima:
 
     def test_next_reads_drift(self):
         spec = ProcessSpec(
-            kind=ProcessKind.REGIME_SWITCH,
+            kind=ProcessKind.DRIFTING_LINEAR,
             n=100,
             p=2,
             law=CovariateLaw.BALL,
@@ -268,10 +267,13 @@ def test_sigma2_path_endpoints():
     assert len(var) == 2001
 
 
-def test_lambda_min_values():
-    assert lambda_min(linear_spec(p=2)) == pytest.approx(1 / 6)
+def test_second_moment_smallest_eigenvalue():
+    # bit for bit the closed form 1/(3p) that the linear class's c_inf reads
+    for p in range(1, 9):
+        spec = linear_spec(p=p, drift=DriftSpec.constant([0.1] * p))
+        assert np.linalg.eigvalsh(second_moment(spec))[0] == 1.0 / (3.0 * p)
     spec = linear_spec(p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
-    assert lambda_min(spec) == pytest.approx(1 / 3)
+    assert np.linalg.eigvalsh(second_moment(spec))[0] == 1.0 / 3.0
 
 
 def test_path_csv_round_trip():

@@ -356,13 +356,12 @@ class TestVariantDominance:
         # hypothesis class (exact sup-norm link 1), the two-term rate's
         # certificate at the unweighted norm is strictly below the
         # single-term rate's.
-        from drifterm.mixing import MixingProfile, ProfileKind, m_beta
+        from drifterm.mixing import MixingProfile, m_beta
 
         n = 10_000
         prof = MixingProfile(
             beta=lambda k: k**-5.0 if k >= 1 else 1.0,
             rho=lambda k: 0.0 if k >= 1 else 1.0,
-            kind=ProfileKind.ANALYTIC_BOUND,
             rho_tail=lambda k: 0.0,
         )
         mb = m_beta(prof, n, 0.05)

@@ -109,9 +109,9 @@ class TestDriftError:
         spec = variance_spec()
         assert drift_error(spec, uniform_w(spec.n), spec.n) == 0.0
 
-    def test_regime_switch_quarter_gap(self):
+    def test_switch_drift_quarter_gap(self):
         spec = ProcessSpec(
-            kind=ProcessKind.REGIME_SWITCH,
+            kind=ProcessKind.DRIFTING_LINEAR,
             n=100,
             p=2,
             law=CovariateLaw.BALL,
