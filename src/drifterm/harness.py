@@ -47,6 +47,7 @@ from .rates import (
 from .risk import drift_error, excess_risk, learning_error
 from .weights import (
     ANALYTIC_NORM_BOUNDS,
+    DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
     WeightSpec,
@@ -66,7 +67,8 @@ class WeightPolicy:
 
     ``params`` is the family parameter sweep; None means the full uniform
     window (s = n), the unweighted baseline.  Weights are always anchored
-    at t = n.
+    at t = n.  Exponential rates must lie below DEFAULT_EXP_RANGE, the R of
+    the class that the weight covering counts.
     """
 
     family: WeightFamily = WeightFamily.UNIFORM_WINDOW
@@ -79,6 +81,9 @@ class WeightPolicy:
 
     def specs(self, n: int) -> list[WeightSpec]:
         family, params = self._sweep(n)
+        for p in params:
+            if family is WeightFamily.EXPONENTIAL and p >= DEFAULT_EXP_RANGE:
+                raise WeightDomainError(f"exponential decay rate must lie below R = {DEFAULT_EXP_RANGE}, got {p}")
         return [WeightSpec(family, t=n, n=n, param=float(p)) for p in params]
 
     def rate_inputs(self, n: int):
@@ -112,6 +117,14 @@ class ExperimentConfig:
             raise HarnessError("need at least one replication")
         if not 0 < self.delta < 1:
             raise HarnessError("delta must be in (0,1)")
+        if self.rate_variant is RateVariant.CUSTOM:
+            raise HarnessError("rate_variant: a config takes 'i' or 'ii'; custom rates are built in code")
+        if self.slope_band is not None:
+            lo, hi = self.slope_band
+            if lo > hi:
+                raise HarnessError(f"slope_band: reversed band [{lo}, {hi}]")
+            if self.slope_target is not None and not lo <= self.slope_target <= hi:
+                raise HarnessError(f"slope_target: {self.slope_target} lies outside slope_band [{lo}, {hi}]")
         try:
             for n in self.n_grid:
                 self.weights.specs(n)

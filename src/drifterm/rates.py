@@ -23,7 +23,7 @@ class RateError(ValueError):
 
 
 class RatePreconditionError(RateError):
-    """A closed-form variant's side condition fails; fall back or enlarge n."""
+    """A closed-form variant's side condition fails at this n; no rate is built."""
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from drifterm.processes import (
     ProcessSpec,
 )
 from drifterm.rates import RateVariant
-from drifterm.weights import WeightFamily
+from drifterm.weights import DEFAULT_EXP_RANGE, WeightFamily
 
 BASE = json.loads((Path(__file__).resolve().parents[1] / "configs" / "linear_rate.json").read_text())
 
@@ -78,11 +78,13 @@ def experiment_configs(draw):
     family = draw(st.sampled_from(WeightFamily))
     param = {
         WeightFamily.UNIFORM_WINDOW: st.integers(1, n_grid[0]).map(float),
-        WeightFamily.EXPONENTIAL: positive,
+        WeightFamily.EXPONENTIAL: st.floats(0.01, DEFAULT_EXP_RANGE, exclude_max=True),
         WeightFamily.BROWN_DES: st.floats(0.01, 1.0),
     }[family]
     params = draw(maybe(st.lists(param, min_size=1, max_size=4).map(tuple)))
-    band = draw(maybe(st.tuples(finite, finite)))
+    # the load checks want an ordered band that holds the target
+    band = draw(maybe(st.tuples(finite, finite).map(lambda b: tuple(sorted(b)))))
+    target = draw(maybe(finite if band is None else st.floats(*band)))
     kind = draw(st.sampled_from(HypothesisKind))
     net = (lambda s: s) if kind is HypothesisKind.RELU_NET else maybe  # a network needs all three
     try:
@@ -101,9 +103,9 @@ def experiment_configs(draw):
             replications=draw(st.integers(1, 500)),
             delta=draw(st.floats(0.001, 0.999)),
             base_seed=draw(st.integers(0, 2**63)),
-            rate_variant=draw(st.sampled_from(RateVariant)),
+            rate_variant=draw(st.sampled_from([RateVariant.I, RateVariant.II])),
             mc_draws=draw(st.integers(1, 10**6)),
-            slope_target=draw(maybe(finite)),
+            slope_target=target,
             slope_band=band,
         )
     except HarnessError:  # e.g. a slope target on a narrow grid
@@ -211,6 +213,14 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("hypothesis", {"kind": "step", "q": 4}),
          r"^hypothesis: step class needs the interval law, got ball$"),
         (with_key("hypothesis", {"kind": "step", "q": 0}), r"^hypothesis: step class needs q >= 1$"),
+        (with_key("rate_variant", "custom"), r"^rate_variant: a config takes 'i' or 'ii'"),
+        (with_key("slope_band", [-0.85, -1.15]), r"^slope_band: reversed band \[-0\.85, -1\.15\]$"),
+        (with_key("slope_target", -2.0), r"^slope_target: -2\.0 lies outside slope_band \[-1\.15, -0\.85\]$"),
+        (with_key("slope_target", -0.5), r"^slope_target: -0\.5 lies outside slope_band"),
+        (with_key("weights", {"family": "exp", "params": [0.1, 25.0]}),
+         r"^weights\.params: exponential decay rate must lie below R = 10\.0, got 25\.0$"),
+        (with_key("weights", {"family": "exp", "params": [10.0]}),
+         r"^weights\.params: exponential decay rate must lie below R = 10\.0, got 10\.0$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):
@@ -242,3 +252,10 @@ def test_ints_in_float_fields_are_kept_as_given():
     assert type(cfg.process.y_bound) is int
     assert config_to_dict(cfg)["process"]["y_bound"] == 2
     assert config_hash(cfg) != config_hash(config_from_dict(BASE))
+
+
+def test_slope_target_on_a_band_edge_loads():
+    for target in (-1.15, -0.85):
+        assert config_from_dict(with_key("slope_target", target)).slope_target == target
+    cfg = config_from_dict(with_key("slope_band", [-1.0, -1.0]))
+    assert cfg.slope_band == (-1.0, -1.0)

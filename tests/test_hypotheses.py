@@ -25,6 +25,7 @@ from drifterm.processes import (
     ProcessKind,
     ProcessSpec,
     sample_covariates,
+    second_moment,
     simulate,
 )
 from drifterm.weights import WeightFamily, WeightSpec, make_weights, _from_entries
@@ -601,6 +602,64 @@ class TestSupNormLinkConstant:
             l2 = math.sqrt(float(d @ M @ d))
             sup = float(np.linalg.norm(d))
             assert l2 >= math.sqrt(lam) * sup - 1e-9
+
+    @given(p=st.integers(1, 4), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_linear_c_inf_on_the_ball_law(self, p, data):
+        # sup <= sqrt(L2) / c_inf with sup_distance as the oracle
+        spec = linear_spec(64, p=p, drift=DriftSpec.constant([0.1] * p))
+        _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
+        coef = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
+        f, g = linear_fit(data.draw(coef)), linear_fit(data.draw(coef))
+        l2, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=p, second_moment=second_moment(spec))
+        assert sup_distance(f, g) <= math.sqrt(l2) / c_inf * (1 + 1e-12) + 1e-15  # d^2 may underflow
+
+    @given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_linear_c_inf_is_tight_on_the_interval_law(self, a, b):
+        spec = linear_spec(64, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
+        _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
+        f, g = linear_fit([a]), linear_fit([b])
+        l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL, second_moment=second_moment(spec))
+        assert sup_distance(f, g) == pytest.approx(math.sqrt(l2) / c_inf, rel=1e-12, abs=1e-15)
+
+    @given(n=st.integers(2, 8192), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_step_c_inf_up_to_the_sized_q(self, n, data):
+        # the sized class's c_inf is 1/sqrt(q) at the smallest norm 1/sqrt(n),
+        # so it must hold for every pair with at most that many bins
+        spec = linear_spec(n, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
+        _, c_inf, _, _ = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS).rate_inputs(spec)
+        q = data.draw(st.integers(1, basis_size(1.0 / math.sqrt(n))))
+        values = st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q)
+        f, g = step_fit(data.draw(values)), step_fit(data.draw(values))
+        l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL)
+        assert sup_distance(f, g) <= math.sqrt(l2) / c_inf * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("q", [1, 3, 8, 20])
+    def test_step_c_inf_is_tight_for_a_fixed_q(self, q):
+        spec = linear_spec(256, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
+        _, c_inf, _, _ = HypothesisClassSpec.step(q, 1.0).rate_inputs(spec)
+        f, g = step_fit(np.full(q, 0.5)), step_fit(np.tile([-0.25, 0.25], q)[:q])
+        l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL)
+        assert sup_distance(f, g) <= math.sqrt(l2) / c_inf * (1 + 1e-12)
+        # a difference on one bin attains the bound
+        one_bin = step_fit(np.concatenate([[-0.25], np.full(q - 1, 0.5)]))
+        l2, _, _ = l2_distance(f, one_bin, CovariateLaw.INTERVAL)
+        assert sup_distance(f, one_bin) == pytest.approx(math.sqrt(l2) / c_inf, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 8192])
+    def test_step_approx_err_covers_the_bin_mean_step_of_the_identity(self, n):
+        # the bin-mean step of h(z) = z sits 1/(2q) from h in sup, within
+        # the 1/q that the class claims for 1-Lipschitz targets
+        spec = linear_spec(n, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
+        for klass in (HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), HypothesisClassSpec.step(8, 1.0)):
+            _, _, _, approx_err = klass.rate_inputs(spec)
+            for w_l2 in (1.0 / math.sqrt(n), 0.1, 0.5, 1.0):
+                q = klass.class_spec(spec, w_l2).q
+                gap = sup_distance(step_fit((np.arange(q) + 0.5) / q), linear_fit([1.0]))
+                assert gap == pytest.approx(1.0 / (2 * q), rel=1e-12)
+                assert gap <= approx_err(w_l2) == 1.0 / q
 
     def test_step_basis_indicator_moments(self):
         # under the uniform law the bin indicators satisfy
