@@ -321,9 +321,10 @@ def covering_number_bound(
     """Analytic upper bound on the ||.||_1 covering number of a weight class.
 
     ``scope`` is "single" (one anchor time t) or "union" (anchors 1..n).
-    Bounds: uniform t and n^2/2; exponential 3R(t-1)/eps and 3Rn^2/(2 eps);
-    Brown 60t/eps and 60n^2/eps.  Floored at 1 since a nonempty class
-    always needs at least one ball.
+    Bounds: uniform t and n(n+1)/2, the member counts, which a fine cover
+    needs since distinct windows lie at least 2/n apart; exponential
+    3R(t-1)/eps and 3Rn^2/(2 eps); Brown 60t/eps and 60n^2/eps.  Floored at
+    1 since a nonempty class always needs at least one ball.
     """
     if epsilon <= 0:
         raise WeightDomainError(f"epsilon must be > 0, got {epsilon}")
@@ -335,7 +336,7 @@ def covering_number_bound(
         raise ValueError("union scope needs n")
 
     if family is WeightFamily.UNIFORM_WINDOW:
-        bound = float(t) if scope == "single" else n**2 / 2.0
+        bound = float(t) if scope == "single" else n * (n + 1) / 2.0
     elif family is WeightFamily.EXPONENTIAL:
         if scope == "single":
             bound = 3.0 * exp_range * (t - 1) / epsilon

@@ -64,7 +64,7 @@ class TestComplexityTerm:
 
     def test_uniform_union_with_linear_class_fixture(self):
         # plug-in arithmetic for n=1000, p=2, B=1, uniform weights:
-        # 4 + log(n^2/2) + 2 p log(3 B * 32 * n)   [eps_w = (1/n)/32]
+        # 4 + log(n(n+1)/2) + 2 p log(3 B * 32 * n)   [eps_w = (1/n)/32]
         n, p = 1000, 2
         params = make_params(
             n=n,
@@ -73,7 +73,7 @@ class TestComplexityTerm:
             log_n1_w=weight_class_log_covering(WeightFamily.UNIFORM_WINDOW, "union", n=n),
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=p),
         )
-        expected = 4.0 + math.log(n**2 / 2) + 2 * p * math.log(3 * 32 * n)
+        expected = 4.0 + math.log(n * (n + 1) / 2) + 2 * p * math.log(3 * 32 * n)
         assert complexity_term(params, 1 / math.sqrt(n)) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weight_cover_adds_log_two(self):

@@ -205,7 +205,27 @@ class TestWeightNets:
 
 class TestCoveringBounds:
     def test_uniform_union(self):
-        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "union", 0.1, n=100) == 5000
+        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "union", 0.1, n=100) == 5050
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_uniform_bounds_count_every_window(self, n):
+        # brute force: every window (t, s), 1 <= s <= t <= n, as a length-n
+        # vector.  Below half the smallest pairwise l1 distance a ball holds
+        # one member, so there the covering number is the member count.
+        windows = {
+            t: {tuple(make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=t, n=n, param=s)).entries)
+                for s in range(1, t + 1)}
+            for t in range(1, n + 1)
+        }
+        members = np.array(sorted(set().union(*windows.values())))
+        assert len(members) == n * (n + 1) // 2
+        gaps = np.abs(members[:, None, :] - members[None, :, :]).sum(axis=2)
+        d_min = gaps[~np.eye(len(members), dtype=bool)].min() if len(members) > 1 else 2.0
+        assert d_min >= 2.0 / n - 1e-12
+        eps = 0.49 * d_min
+        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "union", eps, n=n) >= len(members)
+        for t, single in windows.items():
+            assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "single", eps, t=t) >= len(single)
 
     def test_exponential_union(self):
         got = covering_number_bound(WeightFamily.EXPONENTIAL, "union", 0.3, n=10, exp_range=1.0)
