@@ -45,7 +45,7 @@ class ProcessSpecError(ValueError):
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Coefficient path t -> beta*_t for the linear kinds.
+    """Coefficient path t -> beta*_t of the drifting-linear kind.
 
     Kinds: constant, linear (interpolation between endpoints), switch
     (single change point), sinusoidal (center + amplitude * sin).
@@ -165,7 +165,7 @@ class ProcessSpec:
             required = abs(self.mean) + math.sqrt(max(self.var_start, self.var_end)) * TRUNC_SUPPORT
         else:
             if self.drift is None:
-                raise ProcessSpecError("linear kinds need a drift spec")
+                raise ProcessSpecError("the drifting-linear kind needs a drift spec")
             if self.drift.dim != self.p:
                 raise ProcessSpecError("drift dimension must match p")
             if self.noise_sd < 0:
@@ -176,10 +176,6 @@ class ProcessSpec:
             raise ProcessSpecError(
                 f"y_bound={self.y_bound} cannot hold: responses reach {required:.6g}"
             )
-
-    @property
-    def is_linear_kind(self) -> bool:
-        return self.kind is not ProcessKind.DRIFTING_VARIANCE
 
 
 @dataclass(frozen=True)
@@ -206,8 +202,8 @@ def second_moment(spec: ProcessSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def beta_path(spec: ProcessSpec) -> np.ndarray:
     """Coefficients for times 1..n+1, memoised per spec and returned read-only."""
-    if not spec.is_linear_kind:
-        raise ProcessSpecError("coefficient path is defined for the linear kinds")
+    if spec.kind is not ProcessKind.DRIFTING_LINEAR:
+        raise ProcessSpecError("coefficient path is defined for the drifting-linear kind")
     betas = spec.drift.path(spec.n)
     betas.flags.writeable = False
     return betas
