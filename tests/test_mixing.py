@@ -87,7 +87,7 @@ class TestKRho:
         prof = MixingProfile(
             beta=lambda k: 0.0,
             rho=lambda k: 1.0 / (k + 1),
-                rho_tail=None,
+            rho_tail=None,
         )
         with pytest.raises(MixingError):
             k_rho(prof)
