@@ -206,10 +206,8 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# Defaults for the RateParameters scalars of ``rates --params``.  find_scale_constant
-# searches ``a`` and sets k = a^2 n^2 itself, so those two are only checked.
-_RATE_DEFAULTS = {"c_p": 1.0, "c_inf": 0.0, "c_l": 1.0, "alpha": 0.0, "a": 1.0, "k": 1.0,
-                  "delta": 0.05}
+# Defaults for the RateParameters scalars of ``rates --params``.
+_RATE_DEFAULTS = {"c_p": 1.0, "c_inf": 0.0, "c_l": 1.0, "alpha": 0.0, "delta": 0.05}
 
 
 def _hypothesis_log_covering(d, n: int):
@@ -242,7 +240,7 @@ def _cmd_rates(args) -> int:
              for u in grid]
     _emit({
         "variant": args.variant,
-        "a": rate.params.a,
+        "a": rate.a,
         "rate_table": table,
         "condition_report": dataclasses.asdict(report),
     })

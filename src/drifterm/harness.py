@@ -119,8 +119,6 @@ class ExperimentConfig:
             raise HarnessError("need at least one replication")
         if not 0 < self.delta < 1:
             raise HarnessError("delta must be in (0,1)")
-        if self.rate_variant is RateVariant.CUSTOM:
-            raise HarnessError("rate_variant: a config takes 'i' or 'ii'; custom rates are built in code")
         if self.slope_band is not None:
             lo, hi = self.slope_band
             if lo > hi:
@@ -263,8 +261,6 @@ def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
         c_inf=c_inf,
         c_l=1.0,  # square loss
         alpha=alpha,
-        a=1.0,
-        k=float(n) ** 2,
         delta=cfg.delta,
         n=n,
         log_n1_w=log_n1,
@@ -301,7 +297,7 @@ def run_experiment(
             rate, _ = build_rate(cfg, spec)
         except RatePreconditionError as exc:
             raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
-        rate_constants[n] = rate.params.a
+        rate_constants[n] = rate.a
         weights, meta = [], []
         for wspec in wspecs:
             w = make_weights(wspec)

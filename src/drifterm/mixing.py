@@ -119,12 +119,15 @@ def m_beta(profile: MixingProfile, n: int, delta: float) -> BlockLength:
     return BlockLength(n, False)
 
 
-def k_rho(profile: MixingProfile, truncation_tol: float = 1e-10) -> float:
+RHO_TAIL_TOL = 1e-10
+
+
+def k_rho(profile: MixingProfile) -> float:
     """Long-run correlation sum 1 + 2 sum_{k>=1} rho(k), tail included.
 
     The series is truncated once the analytic tail bound drops below
-    ``truncation_tol`` of the running total; the tail bound itself is added
-    so the result is an upper bound tight to the tolerance.
+    RHO_TAIL_TOL of the running total; the tail bound itself is added so
+    the result is an upper bound tight to the tolerance.
     """
     if profile.rho_tail is None:
         raise MixingError("profile has no summable-tail bound; cannot sum rho")
@@ -135,7 +138,7 @@ def k_rho(profile: MixingProfile, truncation_tol: float = 1e-10) -> float:
         tail = profile.rho_tail(k)
         if tail < 0:
             raise MixingError("tail bound must be nonnegative")
-        if tail <= truncation_tol * max(1.0, 1.0 + 2.0 * partial):
+        if tail <= RHO_TAIL_TOL * max(1.0, 1.0 + 2.0 * partial):
             return 1.0 + 2.0 * (partial + tail)
         k += 1
         if k > max_terms:

@@ -9,7 +9,7 @@ high-probability certificate r(||w||)^2 log^2(1/delta) + drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,11 +33,10 @@ class RateParameters:
     c1/cw/bw are the weight-class norm extremes, m_beta the coupling block
     length, k_rho the long-run correlation sum, c_p the cross-time L2
     comparability constant, c_inf the sup-norm link (0 if none), c_l the
-    loss-curvature constant, alpha the covering growth exponent, ``a`` the
-    scale constant of the closed-form rates, ``k`` the Lipschitz budget
-    (defaults to a^2 n^2 via :func:`find_scale_constant`), and the two
-    log-covering callables: eps -> log N1 for the weight class and
-    (eps, w_l2) -> log Ninf for the hypothesis class.
+    loss-curvature constant, alpha the covering growth exponent, and the
+    two log-covering callables: eps -> log N1 for the weight class and
+    (eps, w_l2) -> log Ninf for the hypothesis class.  The scale constant
+    ``a`` belongs to the rate (:func:`closed_form_rate`).
     """
 
     c1: float
@@ -49,16 +48,12 @@ class RateParameters:
     c_inf: float
     c_l: float
     alpha: float
-    a: float
-    k: float
     delta: float
     n: int
     log_n1_w: Callable[[float], float]
     log_ninf_h: Callable[[float, float], float]
 
     def __post_init__(self) -> None:
-        if self.a < 1 or self.k <= 0:
-            raise RateError("need a >= 1 and k > 0")
         if not 0 < self.delta < 1:
             raise RateError("delta must be in (0,1)")
         if not 0 <= self.alpha < 2:
@@ -87,9 +82,11 @@ def _finite_covering(value: float) -> float:
     return value
 
 
-def _log_n1(params: RateParameters) -> float:
-    """log N1(eps_W) at the weight-class scale eps_W = cw^3 / (64 (1 + c1 k))."""
-    return _finite_covering(params.log_n1_w(params.cw**3 / (64.0 * (1.0 + params.c1 * params.k))))
+def _log_n1(params: RateParameters, a: float) -> float:
+    """log N1(eps_W) at the weight-class scale eps_W = cw^3 / (64 (1 + c1 k)),
+    with the Lipschitz budget k = a^2 n^2 of the scale constant a."""
+    k = a**2 * params.n**2
+    return _finite_covering(params.log_n1_w(params.cw**3 / (64.0 * (1.0 + params.c1 * k))))
 
 
 def _log_ninf(params: RateParameters, w_l2: float) -> float:
@@ -101,19 +98,18 @@ def _complexity(log_n1, log_ninf):
     return 4.0 + log_n1 + 2.0 * log_ninf
 
 
-def complexity_term(params: RateParameters, w_l2: float) -> float:
+def complexity_term(params: RateParameters, a: float, w_l2: float) -> float:
     """Class-complexity constant 4 + log N1(eps_W) + 2 log Ninf(eps_w).
 
-    The discretization scales are eps_W = cw^3 / (64 (1 + c1 k)) for the
-    weight class and eps_w = w_l2^2 / (32 c1) for the hypothesis class.
+    The discretization scales are eps_W = cw^3 / (64 (1 + c1 k)), k = a^2 n^2,
+    for the weight class and eps_w = w_l2^2 / (32 c1) for the hypothesis class.
     """
-    return _complexity(_log_n1(params), _log_ninf(params, w_l2))
+    return _complexity(_log_n1(params, a), _log_ninf(params, w_l2))
 
 
 class RateVariant(Enum):
     I = "i"
     II = "ii"
-    CUSTOM = "custom"
 
 
 def _power_sum(terms, power):
@@ -126,17 +122,13 @@ def _power_sum(terms, power):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """An increasing rate function u -> r(u) on [cw, c1].
-
-    A closed-form rate also carries its ``terms``: the (c_i, e_i) of
-    r(u) = sum_i c_i u^(e_i), from which its ``evaluate`` is built.  A
-    custom rate has no terms and is evaluated point by point.
-    """
+    """An increasing rate function u -> r(u) = sum_i c_i u^(e_i) on [cw, c1],
+    with scale constant ``a`` and its (c_i, e_i) ``terms``."""
 
     variant: RateVariant
     params: RateParameters
-    evaluate: Callable[[float], float]
-    terms: tuple[tuple[float, float], ...] | None = None
+    a: float
+    terms: tuple[tuple[float, float], ...]
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -146,22 +138,24 @@ class RateFunction:
         lo, hi = self.domain
         if not lo - 1e-12 <= u <= hi + 1e-12:
             raise RateError(f"u={u} outside rate domain [{lo}, {hi}]")
-        return float(self.evaluate(u))
+        return float(_power_sum(self.terms, lambda e: u**e))
 
 
-def closed_form_rate(variant: RateVariant, params: RateParameters) -> RateFunction:
+def closed_form_rate(variant: RateVariant, params: RateParameters, a: float = 1.0) -> RateFunction:
     """The two closed-form rate families.
 
     Variant I:  r(u) = u^(1-alpha/2) sqrt(a C log n) with the combined
     dependence constant C = c_p^2 k_rho + m_beta bw; requires C <= n.
     Variant II: r(u) = u^(1-alpha/2) sqrt(a c_p^2 k_rho log n)
     + a C' u^(2-alpha) log n with C' = m_beta bw c_p / c_inf; requires
-    c_p^2 k_rho <= n and C' <= n (so c_inf must be positive).
+    c_p^2 k_rho <= n and C' <= n (so c_inf must be positive).  Needs a >= 1.
     """
+    if not a >= 1:
+        raise RateError(f"need a >= 1, got {a}")
     log_n = math.log(params.n)
     if log_n <= 0:
         raise RateError("need n >= 2 for a positive log factor")
-    a, alpha = params.a, params.alpha
+    alpha = params.alpha
     if variant is RateVariant.I:
         c = params.c_beta_rho
         if c > params.n:
@@ -169,7 +163,7 @@ def closed_form_rate(variant: RateVariant, params: RateParameters) -> RateFuncti
                 f"combined dependence constant {c:.3g} exceeds n={params.n}"
             )
         terms = ((math.sqrt(a * c * log_n), 1.0 - alpha / 2.0),)
-    elif variant is RateVariant.II:
+    else:
         if params.c_p**2 * params.k_rho > params.n:
             raise RatePreconditionError("correlation constant exceeds n")
         c_inf_term = params.c_beta_inf
@@ -181,9 +175,7 @@ def closed_form_rate(variant: RateVariant, params: RateParameters) -> RateFuncti
             (math.sqrt(a * params.c_p**2 * params.k_rho * log_n), 1.0 - alpha / 2.0),
             (a * c_inf_term * log_n, 2.0 - alpha),
         )
-    else:
-        raise RateError("custom variants are built directly as RateFunction objects")
-    return RateFunction(variant, params, lambda u: _power_sum(terms, lambda e: u**e), terms)
+    return RateFunction(variant, params, a, terms)
 
 
 @dataclass(frozen=True)
@@ -204,9 +196,13 @@ class ConditionReport:
     min_slack: float
 
 
-def default_condition_grid(params: RateParameters, points: int = 256) -> np.ndarray:
-    """256 log-spaced norms on [cw, c1] plus both endpoints."""
-    grid = np.geomspace(params.cw, params.c1, points)
+GRID_POINTS = 256
+DOUBLINGS = 40  # the scale search's budget: a = 1, 2, ..., 2^39
+
+
+def default_condition_grid(params: RateParameters) -> np.ndarray:
+    """GRID_POINTS log-spaced norms on [cw, c1], both endpoints exact."""
+    grid = np.geomspace(params.cw, params.c1, GRID_POINTS)
     grid[0], grid[-1] = params.cw, params.c1
     return grid
 
@@ -252,14 +248,12 @@ class _ConditionGrid:
             self._powers[exponent] = np.array([x**exponent for x in self.points])
         return self._powers[exponent]
 
-    def check(self, rate: RateFunction, params: RateParameters) -> _GridCheck:
+    def check(self, rate: RateFunction) -> _GridCheck:
         """Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
         r(u)/c_inf}); approximation: r(u)^2 >= 4 c_l approx_err(u)^2."""
-        if rate.terms is None:
-            values = np.array([rate(x) for x in self.points])
-        else:
-            values = _power_sum(rate.terms, self._power)
-        kw = _complexity(_log_n1(params), self.log_ninf)
+        params = rate.params
+        values = _power_sum(rate.terms, self._power)
+        kw = _complexity(_log_n1(params, rate.a), self.log_ninf)
         local = np.minimum(2.0, params.c_p * values / params.c_inf) if params.c_inf > 0 else 2.0
         required_growth = kw * self.u_sq * (
             params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
@@ -305,7 +299,6 @@ class _GridCheck(NamedTuple):
 
 def check_rate_conditions(
     rate: RateFunction,
-    params: RateParameters,
     approx_err: Callable[[float], float] | None = None,
     grid: Sequence[float] | None = None,
 ) -> ConditionReport:
@@ -321,8 +314,8 @@ def check_rate_conditions(
     an empty grid, or a point that is not finite or lies outside [cw, c1],
     is a RateError.
     """
-    conditions = _ConditionGrid(params, approx_err, grid)
-    return conditions.report(conditions.check(rate, params))
+    conditions = _ConditionGrid(rate.params, approx_err, grid)
+    return conditions.report(conditions.check(rate))
 
 
 def find_scale_constant(
@@ -330,7 +323,6 @@ def find_scale_constant(
     params: RateParameters,
     approx_err: Callable[[float], float] | None = None,
     grid: Sequence[float] | None = None,
-    max_doublings: int = 40,
 ) -> tuple[RateFunction, ConditionReport]:
     """Double the scale constant from 1 until the rate passes its conditions.
 
@@ -340,18 +332,14 @@ def find_scale_constant(
     once; a trial evaluates only the weight covering at its k and the
     rate's scaled terms.  Returns the first passing rate with its report.
     """
-
-    def trial_rate(a: float) -> RateFunction:
-        return closed_form_rate(variant, replace(params, a=a, k=a**2 * params.n**2))
-
-    rate = trial_rate(1.0)  # the preconditions, before any covering is evaluated
+    rate = closed_form_rate(variant, params)  # the preconditions, before any covering
     conditions = _ConditionGrid(params, approx_err, grid)
-    for _ in range(max_doublings):
-        check = conditions.check(rate, rate.params)
+    for _ in range(DOUBLINGS):
+        check = conditions.check(rate)
         if check.all_pass:
             return rate, conditions.report(check)
-        rate = trial_rate(2.0 * rate.params.a)
-    raise RateError(f"no passing scale constant within {max_doublings} doublings")
+        rate = closed_form_rate(variant, params, 2.0 * rate.a)
+    raise RateError(f"no passing scale constant within {DOUBLINGS} doublings")
 
 
 def bound_certificate(

@@ -206,8 +206,6 @@ def test_criterion_4_dependence_robustness():
         c_inf=c_inf,
         c_l=1.0,
         alpha=0.0,
-        a=1.0,
-        k=float(n) ** 2,
         delta=0.05,
         n=n,
         log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),

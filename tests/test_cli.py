@@ -275,6 +275,8 @@ class TestStrictInputs:
         [
             (("rates", "--params", "rates.json", "--variant", "ii"), "rates.json",
              {k: v for k, v in RATES.items() if k != "c1"}, "params.c1: missing required key"),
+            (("rates", "--params", "rates.json", "--variant", "ii"), "rates.json",
+             {**RATES, "a": 2.0}, "params.a: unknown key"),
             (FIT, "cls.json", {"kind": "step", "q": 4, "typo": 3}, "hypothesis.typo: unknown key"),
             (FIT, "w.json", {"family": "uniform", "parm": 10},
              "weights.parm: unknown key; did you mean 'param'?"),
@@ -286,7 +288,7 @@ class TestStrictInputs:
              "weights.entries[0]: non-finite nan"),
             (FIT, "cls.json", {"kind": "step"}, "step class needs the interval law, got ball"),
         ],
-        ids=["rates-without-c1", "class-unknown-key", "weights-misspelt-key", "relu-class-bare",
+        ids=["rates-without-c1", "rates-with-scale", "class-unknown-key", "weights-misspelt-key", "relu-class-bare",
              "process-without-n", "nan-weight-entry", "step-class-on-ball"],
     )
     def test_bad_input_is_a_one_line_error(self, inputs, argv, name, content, message):

@@ -213,7 +213,7 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("hypothesis", {"kind": "step", "q": 4}),
          r"^hypothesis: step class needs the interval law, got ball$"),
         (with_key("hypothesis", {"kind": "step", "q": 0}), r"^hypothesis: step class needs q >= 1$"),
-        (with_key("rate_variant", "custom"), r"^rate_variant: a config takes 'i' or 'ii'"),
+        (with_key("rate_variant", "custom"), r"^rate_variant: 'custom' is not one of 'i', 'ii'$"),
         (with_key("slope_band", [-0.85, -1.15]), r"^slope_band: reversed band \[-0\.85, -1\.15\]$"),
         (with_key("slope_target", -2.0), r"^slope_target: -2\.0 lies outside slope_band \[-1\.15, -0\.85\]$"),
         (with_key("slope_target", -0.5), r"^slope_target: -0\.5 lies outside slope_band"),

@@ -442,7 +442,7 @@ class TestBuildRate:
         klass, family, n = key
         rate, report = build_rate(*rate_config(klass, family, n))
         a, slack = RATE_PINS[key]
-        assert rate.params.a == a
+        assert rate.a == a
         assert report.all_pass
         assert report.min_slack == pytest.approx(slack, rel=1e-12)
 
@@ -461,7 +461,7 @@ class TestBuildRate:
 
     def test_no_params_means_full_uniform_window(self):
         rate, report = build_rate(*rate_config("linear", "brown", 256, params=None))
-        assert rate.params.a == 16.0
+        assert rate.a == 16.0
         assert report.min_slack == pytest.approx(1.0785815587459853, rel=1e-12)
 
     def test_coverings_evaluated_once_per_point_and_once_per_trial(self, monkeypatch):
@@ -484,7 +484,7 @@ class TestBuildRate:
         workload = json.loads((WORKLOADS / "step_mc.json").read_text())
         cfg = config_from_dict(workload["config"])
         rate, report = build_rate(cfg, replace(cfg.process, n=1024))
-        trials = int(math.log2(rate.params.a)) + 1
+        trials = int(math.log2(rate.a)) + 1
         assert trials > 1
         assert calls["log_n1_w"] == trials
         assert calls["log_ninf_h"] <= len(report.points)

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,8 +46,6 @@ def make_params(**overrides):
         c_inf=0.0,
         c_l=1.0,
         alpha=0.0,
-        a=1.0,
-        k=1.0,
         delta=0.05,
         n=10_000,
         log_n1_w=lambda eps: 0.0,
@@ -60,7 +57,7 @@ def make_params(**overrides):
 
 class TestComplexityTerm:
     def test_singleton_floor_is_four(self):
-        assert complexity_term(make_params(), 0.1) == pytest.approx(4.0)
+        assert complexity_term(make_params(), 1.0, 0.1) == pytest.approx(4.0)
 
     def test_uniform_union_with_linear_class_fixture(self):
         # plug-in arithmetic for n=1000, p=2, B=1, uniform weights:
@@ -69,25 +66,24 @@ class TestComplexityTerm:
         params = make_params(
             n=n,
             cw=1 / math.sqrt(n),
-            k=float(n) ** 2,
             log_n1_w=weight_class_log_covering(WeightFamily.UNIFORM_WINDOW, "union", n=n),
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=p),
         )
         expected = 4.0 + math.log(n * (n + 1) / 2) + 2 * p * math.log(3 * 32 * n)
-        assert complexity_term(params, 1 / math.sqrt(n)) == pytest.approx(expected, rel=1e-12)
+        assert complexity_term(params, 1.0, 1 / math.sqrt(n)) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weight_cover_adds_log_two(self):
         params = make_params()
-        base = complexity_term(params, 0.1)
+        base = complexity_term(params, 1.0, 0.1)
         doubled = make_params(log_n1_w=lambda eps: math.log(2.0))
-        assert complexity_term(doubled, 0.1) == pytest.approx(base + math.log(2.0))
+        assert complexity_term(doubled, 1.0, 0.1) == pytest.approx(base + math.log(2.0))
 
     def test_nonincreasing_in_weight_norm(self):
         params = make_params(
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=3)
         )
         us = np.linspace(0.02, 1.0, 50)
-        values = [complexity_term(params, float(u)) for u in us]
+        values = [complexity_term(params, 1.0, float(u)) for u in us]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -106,7 +102,7 @@ class TestClosedFormRates:
         params = make_params()
         rate = closed_form_rate(RateVariant.I, params)
         u = 1 / math.sqrt(params.n)
-        expected = params.a * params.c_beta_rho * math.log(params.n) / params.n
+        expected = rate.a * params.c_beta_rho * math.log(params.n) / params.n
         assert rate(u) ** 2 == pytest.approx(expected, rel=1e-12)
 
     def test_variant_ii_needs_positive_sup_link(self):
@@ -118,16 +114,21 @@ class TestClosedFormRates:
             closed_form_rate(RateVariant.I, make_params(m_beta=100_000, n=100, cw=0.1, k_rho=1.0))
 
     def test_increasing_and_lipschitz_budget(self):
-        params = make_params(a=4.0, k=4.0**2 * 10_000**2, alpha=2 / 3, c_inf=1.0)
+        params = make_params(alpha=2 / 3, c_inf=1.0)
         for variant in (RateVariant.I, RateVariant.II):
-            rate = closed_form_rate(variant, params)
+            rate = closed_form_rate(variant, params, a=4.0)
             grid = np.geomspace(params.cw, params.c1, 10_000)
             vals = np.array([rate(float(u)) for u in grid])
             assert np.all(np.diff(vals) > 0)
             lipschitz = float(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
-            assert lipschitz <= params.a**2 * params.n**2
+            assert lipschitz <= rate.a**2 * params.n**2
             # r(u) >= u everywhere once the growth condition can hold
             assert np.all(vals >= grid - 1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, math.nan])
+    def test_scale_below_one_rejected(self, a):
+        with pytest.raises(RateError, match="need a >= 1"):
+            closed_form_rate(RateVariant.I, make_params(), a=a)
 
     def test_domain_enforced(self):
         rate = closed_form_rate(RateVariant.I, make_params())
@@ -145,12 +146,12 @@ class TestConditionChecks:
         rate, report = find_scale_constant(RateVariant.I, params)
         assert report.all_pass
         assert report.min_slack >= 1.0
-        assert rate.params.a >= 1.0
+        assert rate.a >= 1.0
 
     def test_zero_rate_fails_everywhere(self):
         params = make_params()
-        zero = RateFunction(RateVariant.CUSTOM, params, lambda u: 0.0)
-        report = check_rate_conditions(zero, params)
+        zero = RateFunction(RateVariant.I, params, 1.0, ((0.0, 1.0),))
+        report = check_rate_conditions(zero)
         assert not report.all_pass
         assert all(not p.growth_ok for p in report.points)
 
@@ -175,7 +176,7 @@ class TestConditionChecks:
         params = make_params()
         rate = closed_form_rate(RateVariant.I, params)
         with pytest.raises(RateError):
-            check_rate_conditions(rate, params, grid=[2.0])
+            check_rate_conditions(rate, grid=[2.0])
 
     def test_default_grid_shape(self):
         grid = default_condition_grid(make_params())
@@ -186,21 +187,21 @@ class TestConditionChecks:
         params = make_params()
         rate = closed_form_rate(RateVariant.I, params)
         with pytest.raises(RateError, match="grid is empty"):
-            check_rate_conditions(rate, params, grid=[])
+            check_rate_conditions(rate, grid=[])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid_point_rejected(self, bad):
         params = make_params()
         rate = closed_form_rate(RateVariant.I, params)
         with pytest.raises(RateError, match="grid has a non-finite point"):
-            check_rate_conditions(rate, params, grid=[0.1, bad, 0.5])
+            check_rate_conditions(rate, grid=[0.1, bad, 0.5])
 
     def test_duplicate_grid_points_dropped(self):
         params = make_params()
         rate = closed_form_rate(RateVariant.I, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = check_rate_conditions(rate, params, grid=[0.5, 0.1, 0.1])
+            report = check_rate_conditions(rate, grid=[0.5, 0.1, 0.1])
         assert [p.u for p in report.points] == [0.1, 0.5]
         assert report.lipschitz_estimate == (rate(0.5) - rate(0.1)) / (0.5 - 0.1)
 
@@ -212,14 +213,15 @@ class TestConditionChecks:
             find_scale_constant(RateVariant.II, make_params(c_inf=0.0, log_ninf_h=forbidden))
 
 
-def reference_check(rate, params, approx_err=None, grid=None):
+def reference_check(rate, approx_err=None, grid=None):
     """The growth conditions point by point: rate(u), complexity_term, min and **2."""
+    params = rate.params
     grid = np.asarray(sorted(default_condition_grid(params) if grid is None else grid), dtype=float)
     approx = approx_err if approx_err is not None else (lambda u: 0.0)
     values = np.array([rate(float(u)) for u in grid])
     points, slack = [], math.inf
     for u, r in zip(grid, values):
-        kw = complexity_term(params, float(u))
+        kw = complexity_term(params, rate.a, float(u))
         local = min(2.0, params.c_p * r / params.c_inf) if params.c_inf > 0 else 2.0
         dependence = params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
         required_growth = kw * u**2 * dependence
@@ -246,8 +248,7 @@ def reference_scale_constant(variant, params, approx_err=None, grid=None):
     """Double a from 1, re-checking the whole grid point by point at each trial."""
     a = 1.0
     for _ in range(40):
-        trial = replace(params, a=a, k=a**2 * params.n**2)
-        report = reference_check(closed_form_rate(variant, trial), trial, approx_err, grid)
+        report = reference_check(closed_form_rate(variant, params, a), approx_err, grid)
         if report.all_pass:
             return a, report
         a *= 2.0
@@ -295,7 +296,7 @@ class TestSharedEvaluatorOracle:
         grid = None if grid == "default" else np.geomspace(params.cw, params.c1, 37)[::-1]
         rate, report = find_scale_constant(variant, params, approx_err=approx_err, grid=grid)
         a, expected = reference_scale_constant(variant, params, approx_err, grid)
-        assert rate.params.a == a
+        assert rate.a == a
         assert report.points == expected.points
         assert report.min_slack == expected.min_slack
         assert report.lipschitz_estimate == expected.lipschitz_estimate
@@ -307,20 +308,19 @@ class TestSharedEvaluatorOracle:
         grid = np.geomspace(params.cw, params.c1, 1024)
         passed = []
         for a in (2.0**i for i in range(8)):
-            trial = replace(params, a=a, k=a**2 * params.n**2)
-            rate = closed_form_rate(RateVariant.I, trial)
-            report = check_rate_conditions(rate, trial, approx_err=approx_err, grid=grid)
-            assert report == reference_check(rate, trial, approx_err, grid)
+            rate = closed_form_rate(RateVariant.I, params, a)
+            report = check_rate_conditions(rate, approx_err=approx_err, grid=grid)
+            assert report == reference_check(rate, approx_err, grid)
             passed.append(report.all_pass)
         assert not passed[0] and passed[-1]  # failing and passing trials both compared
 
     def test_custom_rate_matches_reference(self):
         params, approx_err = oracle_setups()["step_sized"]
-        custom = RateFunction(RateVariant.CUSTOM, params, lambda u: 3.0 * u**0.8 + 0.01)
+        custom = RateFunction(RateVariant.I, params, 1.0, ((3.0, 0.8), (0.01, 0.0)))  # 3u^0.8 + 0.01
         grid = [params.cw, 0.05, 0.2, 0.7, params.c1]
         for g in (None, grid):
-            report = check_rate_conditions(custom, params, approx_err=approx_err, grid=g)
-            assert report == reference_check(custom, params, approx_err, g)
+            report = check_rate_conditions(custom, approx_err=approx_err, grid=g)
+            assert report == reference_check(custom, approx_err, g)
 
 
 class TestCertificates:
@@ -384,7 +384,7 @@ class TestParameterValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"a": 0.5},
+            {"k_rho": 0.5},
             {"delta": 0.0},
             {"alpha": 2.0},
             {"c_p": 0.5},
