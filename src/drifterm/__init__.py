@@ -25,7 +25,6 @@ from .mixing import (
     MixingProfile,
     m_beta,
     k_rho,
-    beta_markov_exact,
     blocked_bernstein_tail,
 )
 from .processes import (

@@ -115,8 +115,7 @@ def _cmd_mixing(args) -> int:
     else:
         if len(params) < 2:
             raise SystemExit("markov profile needs --params P01 P10")
-        P = np.array([[1 - params[0], params[0]], [params[1], 1 - params[1]]])
-        profile = MixingProfile.markov2(P)
+        profile = MixingProfile.markov2(params[0], params[1])
     mb = m_beta(profile, args.n, args.delta)
     out = {
         "profile": args.profile,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .weights import WeightVector
 
 
@@ -70,30 +68,31 @@ class MixingProfile:
         return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
 
     @staticmethod
-    def markov2(transition: np.ndarray) -> "MixingProfile":
-        """Exact profile of a stationary 2-state Markov chain.
+    def markov2(p01: float, p10: float) -> "MixingProfile":
+        """Exact profile of a stationary 2-state Markov chain that leaves
+        state 0 with probability p01 and state 1 with probability p10.
 
-        beta(k) comes from the total-variation formula; rho(k) = |lambda_2|^k,
-        the second-eigenvalue decay, which is exact for binary state spaces.
+        With pi_0 = p10/(p01+p10) and lambda = 1 - p01 - p10, row i of P^k
+        is pi + lambda^k (e_i - pi), so the total-variation formula gives
+        beta(k) = 2 pi_0 pi_1 |lambda|^k, and rho(k) = |lambda|^k is the
+        second-eigenvalue decay, exact for binary state spaces.
         """
-        P = np.asarray(transition, dtype=float)
-        _check_stochastic(P)
-        if P.shape != (2, 2):
-            raise MixingError("markov2 expects a 2x2 transition matrix")
-        pi = stationary_distribution(P)
-        lam2 = abs(1.0 - P[0, 1] - P[1, 0])
+        if not (0 <= p01 <= 1 and 0 <= p10 <= 1) or p01 + p10 == 0:
+            raise MixingError(f"need flip probabilities in [0, 1], not both 0; got {p01}, {p10}")
+        pi0 = p10 / (p01 + p10)
+        lam = abs(1.0 - p01 - p10)
 
         def beta(k: int) -> float:
-            return beta_markov_exact(P, pi, k)
+            return 2.0 * pi0 * (1.0 - pi0) * lam**k
 
         def rho(k: int) -> float:
-            return lam2**k if k >= 1 else 1.0
+            return lam**k
 
         def rho_tail(k: int) -> float:
-            return lam2 ** (k + 1) / (1.0 - lam2) if lam2 > 0 else 0.0
+            return lam ** (k + 1) / (1.0 - lam) if lam > 0 else 0.0
 
-        if lam2 >= 1.0:
-            rho_tail = None  # periodic/reducible: tail not summable
+        if lam >= 1.0:
+            rho_tail = None  # periodic: tail not summable
         return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
 
 
@@ -144,59 +143,6 @@ def k_rho(profile: MixingProfile) -> float:
         if k > max_terms:
             raise MixingError("rho series did not converge within the term budget")
         partial += profile.rho(k)
-
-
-def _check_stochastic(P: np.ndarray) -> None:
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise MixingError("transition matrix must be square")
-    if np.any(P < -1e-15) or not np.allclose(P.sum(axis=1), 1.0, atol=1e-10):
-        raise MixingError("rows of the transition matrix must be probabilities summing to 1")
-
-
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible finite chain (eigenvector method)."""
-    P = np.asarray(P, dtype=float)
-    _check_stochastic(P)
-    vals, vecs = np.linalg.eig(P.T)
-    i = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, i])
-    pi = np.abs(pi)
-    return pi / pi.sum()
-
-
-def beta_markov_exact(
-    transition: np.ndarray,
-    initial: np.ndarray,
-    k: int,
-    *,
-    max_horizon: int = 1000,
-) -> float:
-    """Exact beta coefficient at lag k for a finite-state Markov chain.
-
-    Computes sup_t (1/2) sum_i P(X_t = i) sum_j |P^k_{ij} - P(X_{t+k} = j)|
-    via matrix powers; the supremum over t is scanned until the marginals
-    stabilize (immediately, for a stationary start).
-    """
-    P = np.asarray(transition, dtype=float)
-    _check_stochastic(P)
-    mu = np.asarray(initial, dtype=float)
-    if mu.shape != (P.shape[0],) or np.any(mu < -1e-15) or abs(mu.sum() - 1.0) > 1e-10:
-        raise MixingError("initial must be a distribution over the states")
-    if k < 0:
-        raise MixingError("lag must be >= 0")
-
-    Pk = np.linalg.matrix_power(P, k)
-    best = 0.0
-    mu_t = mu.copy()
-    for _ in range(max_horizon):
-        mu_tk = mu_t @ Pk
-        val = 0.5 * float(mu_t @ np.abs(Pk - mu_tk[None, :]).sum(axis=1))
-        best = max(best, val)
-        mu_next = mu_t @ P
-        if np.abs(mu_next - mu_t).sum() < 1e-14:
-            break
-        mu_t = mu_next
-    return best
 
 
 def blocked_bernstein_tail(

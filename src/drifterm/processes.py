@@ -226,7 +226,7 @@ def mixing_profile(spec: ProcessSpec) -> MixingProfile:
     """
     core = spec.core
     if core.kind == "markov":
-        return MixingProfile.markov2(np.array([[1 - core.flip, core.flip], [core.flip, 1 - core.flip]]))
+        return MixingProfile.markov2(core.flip, core.flip)
     if core.kind == "ar1":
         return MixingProfile.ar1(core.phi, chains=spec.p)
     return MixingProfile.iid()

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from drifterm.mixing import (
     MixingError,
     MixingProfile,
-    beta_markov_exact,
     blocked_bernstein_tail,
     k_rho,
     m_beta,
-    stationary_distribution,
 )
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
@@ -93,33 +91,64 @@ class TestKRho:
             k_rho(prof)
 
 
+def markov_tv_beta(P, k):
+    """Oracle: beta(k) of a stationary finite chain by matrix powers,
+    (1/2) sum_i pi_i sum_j |P^k_ij - pi_j|, pi the unit left eigenvector."""
+    vals, vecs = np.linalg.eig(P.T)
+    pi = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
+    pi = pi / pi.sum()
+    Pk = np.linalg.matrix_power(P, k)
+    return 0.5 * float(pi @ np.abs(Pk - pi[None, :]).sum(axis=1))
+
+
 class TestMarkovBeta:
-    def test_identity_chain_perfect_dependence(self):
-        assert beta_markov_exact(np.eye(2), [0.5, 0.5], 3) == pytest.approx(0.5)
+    @pytest.mark.parametrize(
+        "p01, p10",
+        [(0.1, 0.1), (0.45, 0.45), (0.8, 0.8), (0.3, 0.4), (0.05, 0.6), (0.9, 0.7), (1.0, 0.25)],
+    )
+    def test_closed_form_matches_matrix_powers(self, p01, p10):
+        prof = MixingProfile.markov2(p01, p10)
+        P = np.array([[1 - p01, p01], [p10, 1 - p10]])
+        k = 0
+        while prof.beta(k) > 1e-12:
+            assert prof.beta(k) == pytest.approx(markov_tv_beta(P, k), rel=1e-9, abs=1e-15)
+            k += 1
+        assert k > 1
+
+    def test_below_the_matrix_power_cancellation_floor(self):
+        # P^k - pi cancels to ~1e-17 in floating point; the closed form does not
+        assert MixingProfile.markov2(0.45, 0.45).beta(20) == pytest.approx(5e-21, rel=1e-12)
 
     def test_one_step_independence(self):
-        P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert beta_markov_exact(P, [0.5, 0.5], 1) == pytest.approx(0.0, abs=1e-15)
+        assert MixingProfile.markov2(0.5, 0.5).beta(1) == 0.0
 
     def test_sticky_chain_values(self):
-        # P^k_{11} - 1/2 = (0.8)^k / 2, so beta(k) = 0.8^k / 2 * ... = 0.4, 0.32
-        P = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert beta_markov_exact(P, [0.5, 0.5], 1) == pytest.approx(0.4, abs=1e-12)
-        assert beta_markov_exact(P, [0.5, 0.5], 2) == pytest.approx(0.32, abs=1e-12)
+        # beta(k) = 2 (1/2)(1/2) 0.8^k = 0.4, 0.32
+        prof = MixingProfile.markov2(0.1, 0.1)
+        assert prof.beta(1) == pytest.approx(0.4, abs=1e-12)
+        assert prof.beta(2) == pytest.approx(0.32, abs=1e-12)
 
-    def test_nonstochastic_rejected(self):
+    def test_periodic_chain_has_no_summable_tail(self):
+        prof = MixingProfile.markov2(1.0, 1.0)
+        assert prof.beta(7) == 0.5 and prof.rho(7) == 1.0
         with pytest.raises(MixingError):
-            beta_markov_exact(np.array([[0.9, 0.2], [0.1, 0.9]]), [0.5, 0.5], 1)
+            k_rho(prof)
+
+    @pytest.mark.parametrize(
+        "p01, p10", [(1.2, 0.1), (-0.1, 0.2), (0.3, math.nan), (0.0, 0.0)]
+    )
+    def test_bad_probabilities_rejected(self, p01, p10):
+        with pytest.raises(MixingError, match="flip probabilities"):
+            MixingProfile.markov2(p01, p10)
 
     def test_decreasing_in_lag_and_vanishing(self):
-        P = np.array([[0.7, 0.3], [0.4, 0.6]])
-        pi = stationary_distribution(P)
-        values = [beta_markov_exact(P, pi, k) for k in range(1, 12)]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        prof = MixingProfile.markov2(0.3, 0.4)
+        values = [prof.beta(k) for k in range(1, 12)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-4
 
     def test_profile_matches_direct_formula(self):
-        prof = MixingProfile.markov2(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        prof = MixingProfile.markov2(0.2, 0.2)
         assert prof.beta(2) == pytest.approx(0.5 * 0.6**2, abs=1e-12)
         assert prof.rho(3) == pytest.approx(0.6**3)
 
