@@ -65,22 +65,24 @@ class HarnessError(RuntimeError):
 class WeightPolicy:
     """Which weight vectors each grid cell uses.
 
-    ``params`` is the family parameter sweep; None means the full uniform
-    window (s = n), the unweighted baseline.  Weights are always anchored
-    at t = n.  Exponential rates must lie below DEFAULT_EXP_RANGE, the R of
-    the class that the weight covering counts.
+    ``params`` is the family parameter sweep, not empty; None means the
+    full uniform window (s = n), the unweighted baseline, and needs the
+    uniform family.  Weights are always anchored at t = n.  Exponential
+    rates must lie below DEFAULT_EXP_RANGE, the R of the class that the
+    weight covering counts.
     """
 
     family: WeightFamily = WeightFamily.UNIFORM_WINDOW
     params: tuple[float, ...] | None = None
 
-    def _sweep(self, n: int) -> tuple[WeightFamily, tuple[float, ...]]:
-        if self.params is None:
-            return WeightFamily.UNIFORM_WINDOW, (float(n),)
-        return self.family, self.params
+    def __post_init__(self) -> None:
+        if self.params is None and self.family is not WeightFamily.UNIFORM_WINDOW:
+            raise HarnessError(f"weights.family: {self.family.value} needs params; null params mean the full uniform window")
+        if self.params is not None and len(self.params) == 0:
+            raise HarnessError("weights.params: empty sweep; give at least one parameter, or null")
 
     def specs(self, n: int) -> list[WeightSpec]:
-        family, params = self._sweep(n)
+        family, params = self.family, self.params or (float(n),)
         too_fast = [p for p in params if p >= DEFAULT_EXP_RANGE]
         if family is WeightFamily.EXPONENTIAL and too_fast:
             raise WeightDomainError(
@@ -90,10 +92,8 @@ class WeightPolicy:
 
     def rate_inputs(self, n: int):
         """(c1, bw, eps -> log N1) of the swept weight class at horizon n."""
-        family, _ = self._sweep(n)
-        c1, bw = ANALYTIC_NORM_BOUNDS[family]
-        log_n1 = weight_class_log_covering(family, "union", n=n)
-        return c1, bw, log_n1
+        c1, bw = ANALYTIC_NORM_BOUNDS[self.family]
+        return c1, bw, weight_class_log_covering(self.family, "union", n=n)
 
 
 @dataclass(frozen=True)

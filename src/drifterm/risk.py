@@ -154,8 +154,9 @@ def _discrepancy_gaps(
     second-moment matrix M plus terms linear in beta*_u, so the gap is the
     difference of the quadratic forms plus the supremum of the linear part:
     2B ||M (beta*_s - beta*_t)|| over the coefficient ball, or
-    2B |beta*_s - beta*_t| sum_j int_bin_j z over step functions clipped to
-    [-B, B].  None for network classes.
+    2B |beta*_s - beta*_t| sum_j int_bin_j z = B |beta*_s - beta*_t| over
+    step functions clipped to [-B, B], whatever the bin count q (the bin
+    integrals of z sum to 1/2).  None for network classes.
     """
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
         var = sigma2_path(spec)
@@ -169,11 +170,7 @@ def _discrepancy_gaps(
     B = class_spec.b_bound
     if class_spec.kind is HypothesisKind.LINEAR_BALL:
         return base + 2.0 * B * np.linalg.norm((bs - bt) @ M, axis=1)
-    # step class over a univariate linear generator: per-bin linear sup
-    q = class_spec.q
-    edges = np.arange(q + 1, dtype=float) / q
-    m1 = 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)  # integral of z over each bin
-    return base + 2.0 * B * np.abs(bs[:, 0] - bt[:, 0]) * float(np.sum(m1))
+    return base + B * np.abs(bs[:, 0] - bt[:, 0])  # step class: per-bin linear sup
 
 
 def discrepancy(

@@ -194,7 +194,8 @@ def exponential_spikiness(theta: float, t: int) -> float:
 
 
 def theta_for_n_eff(n_eff: float, t: int) -> float:
-    """Decay rate whose exponential weights at anchor t have 1/||w||^2 = n_eff."""
+    """Decay rate whose exponential weights at anchor t have 1/||w||^2 = n_eff.
+    It must lie below R = DEFAULT_EXP_RANGE, the range the weight covering counts."""
     if not 1.0 <= n_eff <= t:
         raise WeightDomainError(f"reachable n_eff is [1, t], got {n_eff} with t={t}")
     from scipy.optimize import brentq
@@ -206,7 +207,10 @@ def theta_for_n_eff(n_eff: float, t: int) -> float:
     lo, hi = 1e-12, 60.0
     if gap(lo) < 0:  # n_eff above what theta -> 0 reaches (== t): only at the limit
         return lo
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15))
+    theta = float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-15))
+    if theta >= DEFAULT_EXP_RANGE:
+        raise WeightDomainError(f"n_eff={n_eff} needs decay rate {theta:.4g}, not below R = {DEFAULT_EXP_RANGE}")
+    return theta
 
 
 def _grid(lo: float, hi: float) -> np.ndarray:

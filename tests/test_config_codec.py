@@ -2,10 +2,11 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drifterm.harness import (
@@ -72,44 +73,81 @@ def process_specs(draw):
     )
 
 
+def ints(lo: float, hi: float):
+    return st.integers(math.ceil(lo), math.ceil(hi) - 1)
+
+
+def floats(lo: float, hi: float):
+    return st.floats(lo, hi, exclude_max=True)
+
+
+def increasing(lo: float, hi: float, size: int, values):
+    """``size`` strictly increasing values, one drawn from each of ``size`` equal
+    slices of [lo, hi), so none is filtered out as a duplicate."""
+    width = (hi - lo) / size
+    return st.tuples(*[values(lo + i * width, lo + (i + 1) * width) for i in range(size)])
+
+
+@st.composite
+def n_grids(draw, slope: bool):
+    """A strictly increasing grid; for an n-axis slope, >= 5 points spanning >= 2 octaves."""
+    if not slope:
+        return draw(increasing(1, 10_001, draw(st.integers(1, 6)), ints))
+    lo = draw(st.integers(2, 2_500))
+    inner = draw(increasing(lo + 1, 4 * lo, draw(st.integers(3, 4)), ints))
+    return (lo, *inner, draw(st.integers(4 * lo, 10_000)))
+
+
 @st.composite
 def experiment_configs(draw):
-    n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10_000), min_size=1, max_size=6))))
+    """Configs drawn to pass every load check: no draw is thrown away."""
+    slope = draw(st.sampled_from([None, "n", "n_eff"]))  # the axis of a slope target
+    n_grid = (draw(st.integers(4, 10_000)),) if slope == "n_eff" else draw(n_grids(slope == "n"))
     family = draw(st.sampled_from(WeightFamily))
     param = {
         WeightFamily.UNIFORM_WINDOW: st.integers(1, n_grid[0]).map(float),
         WeightFamily.EXPONENTIAL: st.floats(0.01, DEFAULT_EXP_RANGE, exclude_max=True),
         WeightFamily.BROWN_DES: st.floats(0.01, 1.0),
     }[family]
-    params = draw(maybe(st.lists(param, min_size=1, max_size=4).map(tuple)))
+    if slope == "n_eff":  # an n_eff slope needs >= 3 distinct params
+        lo, hi, values = {
+            WeightFamily.UNIFORM_WINDOW: (1, n_grid[0] + 1, lambda a, b: ints(a, b).map(float)),
+            WeightFamily.EXPONENTIAL: (0.01, DEFAULT_EXP_RANGE, floats),
+            WeightFamily.BROWN_DES: (0.01, 1.0, floats),
+        }[family]
+        params = draw(increasing(lo, hi, draw(st.integers(3, 4)), values))
+    else:
+        params = draw(maybe(st.lists(param, min_size=1, max_size=4).map(tuple)))
+    if params is None:  # null params mean the full uniform window
+        family = WeightFamily.UNIFORM_WINDOW
     # the load checks want an ordered band that holds the target
     band = draw(maybe(st.tuples(finite, finite).map(lambda b: tuple(sorted(b)))))
-    target = draw(maybe(finite if band is None else st.floats(*band)))
-    kind = draw(st.sampled_from(HypothesisKind))
+    target = None if slope is None else draw(maybe(finite if band is None else st.floats(*band)))
+    process = draw(process_specs())
+    kinds = [k for k in HypothesisKind
+             if k is not HypothesisKind.STEP_BASIS or process.law is CovariateLaw.INTERVAL]
+    kind = draw(st.sampled_from(kinds))
     net = (lambda s: s) if kind is HypothesisKind.RELU_NET else maybe  # a network needs all three
-    try:
-        return ExperimentConfig(
-            process=draw(process_specs()),
-            weights=WeightPolicy(family, params),
-            hypothesis=HypothesisClassSpec(
-                kind=kind,
-                b_bound=draw(positive),
-                q=draw(maybe(st.integers(1, 64))),
-                nu=draw(net(st.integers(1, 16))),
-                ell=draw(net(st.integers(1, 4))),
-                param_bound=draw(net(positive)),
-            ),
-            n_grid=n_grid,
-            replications=draw(st.integers(1, 500)),
-            delta=draw(st.floats(0.001, 0.999)),
-            base_seed=draw(st.integers(0, 2**63)),
-            rate_variant=draw(st.sampled_from([RateVariant.I, RateVariant.II])),
-            mc_draws=draw(st.integers(1, 10**6)),
-            slope_target=target,
-            slope_band=band,
-        )
-    except HarnessError:  # e.g. a slope target on a narrow grid
-        assume(False)
+    return ExperimentConfig(
+        process=process,
+        weights=WeightPolicy(family, params),
+        hypothesis=HypothesisClassSpec(
+            kind=kind,
+            b_bound=draw(positive),
+            q=draw(maybe(st.integers(1, 64))),
+            nu=draw(net(st.integers(1, 16))),
+            ell=draw(net(st.integers(1, 4))),
+            param_bound=draw(net(positive)),
+        ),
+        n_grid=n_grid,
+        replications=draw(st.integers(30 if slope == "n" else 1, 500)),
+        delta=draw(st.floats(0.001, 0.999)),
+        base_seed=draw(st.integers(0, 2**63)),
+        rate_variant=draw(st.sampled_from(RateVariant)),
+        mc_draws=draw(st.integers(1, 10**6)),
+        slope_target=target,
+        slope_band=band,
+    )
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -222,6 +260,9 @@ def without_key(path: str, base=BASE) -> dict:
          r"^weights\.params: exponential decay rate must lie below R = 10\.0, got 25\.0$"),
         (with_key("weights", {"family": "exp", "params": [10.0]}),
          r"^weights\.params: exponential decay rate must lie below R = 10\.0, got 10\.0$"),
+        (with_key("weights.params", []), r"^weights\.params: empty sweep"),
+        (with_key("weights", {"family": "exp", "params": None}),
+         r"^weights\.family: exp needs params; null params mean the full uniform window$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):

@@ -460,7 +460,7 @@ class TestBuildRate:
             run_experiment(cfg)
 
     def test_no_params_means_full_uniform_window(self):
-        rate, report = build_rate(*rate_config("linear", "brown", 256, params=None))
+        rate, report = build_rate(*rate_config("linear", "uniform", 256, params=None))
         assert rate.a == 16.0
         assert report.min_slack == pytest.approx(1.0785815587459853, rel=1e-12)
 

@@ -6,6 +6,7 @@ import pytest
 from drifterm.hypotheses import (
     FittedHypothesis,
     HypothesisClassSpec,
+    HypothesisKind,
     fit_weighted_erm,
 )
 from drifterm.processes import (
@@ -244,6 +245,15 @@ class TestDiscrepancySumBruteForce:
             brute_force_step_gap(5, betas[t - 1], betas[t - 2], 0.7) for t in range(2, spec.n + 2)
         )
         assert discrepancy_sum(spec, cls) == pytest.approx(brute, rel=1e-12, abs=1e-14)
+
+    def test_unsized_step_class(self):
+        # q = None, as in every step config: the gap does not depend on q
+        spec = linear_spec(n=12, p=1, law=CovariateLaw.INTERVAL, drift=DRIFTS["linear"]([0.3], [-0.6]))
+        unsized = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=0.7)
+        betas = spec.drift.path(spec.n)[:, 0]
+        brute = brute_force_step_gap(5, betas[3], betas[2], 0.7)
+        assert discrepancy(spec, unsized, 4, 3) == pytest.approx(brute, rel=1e-12, abs=1e-14)
+        assert discrepancy_sum(spec, unsized) == discrepancy_sum(spec, HypothesisClassSpec.step(5, 0.7))
 
     @pytest.mark.parametrize("cls", [HypothesisClassSpec.step(3, 1.0), HypothesisClassSpec.linear(1.0)])
     def test_variance_sum_telescopes(self, cls):

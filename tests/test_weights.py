@@ -239,6 +239,13 @@ class TestCoveringBounds:
             covering_number_bound(WeightFamily.BROWN_DES, "single", -1.0, t=1)
 
 
+@pytest.mark.parametrize("target", [1.0, 1.00001])
+def test_theta_for_n_eff_refuses_rates_at_or_above_range(target):
+    # n_eff = 1.0000908 at theta = R; below it the decay would leave the class
+    with pytest.raises(WeightDomainError, match="not below R = 10"):
+        theta_for_n_eff(target, 8192)
+
+
 def test_theta_for_n_eff_roundtrip():
     from drifterm.weights import exponential_norms
 
