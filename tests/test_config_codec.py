@@ -104,20 +104,15 @@ def experiment_configs(draw):
     slope = draw(st.sampled_from([None, "n", "n_eff"]))  # the axis of a slope target
     n_grid = (draw(st.integers(4, 10_000)),) if slope == "n_eff" else draw(n_grids(slope == "n"))
     family = draw(st.sampled_from(WeightFamily))
-    param = {
-        WeightFamily.UNIFORM_WINDOW: st.integers(1, n_grid[0]).map(float),
-        WeightFamily.EXPONENTIAL: st.floats(0.01, DEFAULT_EXP_RANGE, exclude_max=True),
-        WeightFamily.BROWN_DES: st.floats(0.01, 1.0),
+    lo, hi, values = {  # the family's parameters lie in [lo, hi)
+        WeightFamily.UNIFORM_WINDOW: (1, n_grid[0] + 1, lambda a, b: ints(a, b).map(float)),
+        WeightFamily.EXPONENTIAL: (0.01, DEFAULT_EXP_RANGE, floats),
+        WeightFamily.BROWN_DES: (0.01, 1.0, floats),
     }[family]
     if slope == "n_eff":  # an n_eff slope needs >= 3 distinct params
-        lo, hi, values = {
-            WeightFamily.UNIFORM_WINDOW: (1, n_grid[0] + 1, lambda a, b: ints(a, b).map(float)),
-            WeightFamily.EXPONENTIAL: (0.01, DEFAULT_EXP_RANGE, floats),
-            WeightFamily.BROWN_DES: (0.01, 1.0, floats),
-        }[family]
         params = draw(increasing(lo, hi, draw(st.integers(3, 4)), values))
     else:
-        params = draw(maybe(st.lists(param, min_size=1, max_size=4).map(tuple)))
+        params = draw(maybe(st.lists(values(lo, hi), min_size=1, max_size=4).map(tuple)))
     if params is None:  # null params mean the full uniform window
         family = WeightFamily.UNIFORM_WINDOW
     # the load checks want an ordered band that holds the target
