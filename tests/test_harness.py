@@ -380,6 +380,11 @@ ROWS_PINS = {
                     "5c7fa88e0f851eaf63c0acd914c2f6276e7e9c0a033a19295b39c82987260181"),
     "relu_cell": (relu_cell_smoke(),
                   "6f7331b63626feb6cd37095323b4df15e42c1554eacecdf1ab70e32a52f034ba"),
+    # the one pinned grid whose distances draw covariates (Monte Carlo on the ball law)
+    "relu_ball_mc": ({"process": BALL,
+                      "hypothesis": {"kind": "relu", "nu": 4, "ell": 1, "param_bound": 1.0},
+                      "n_grid": [32, 64], "replications": 2, "base_seed": 11, "mc_draws": 2000},
+                     "235dfd6d4b3f3f965c75ffc182d3aaa723f782ae479d092c7067b1f24e5d7806"),
 }
 
 
