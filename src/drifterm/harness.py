@@ -8,7 +8,8 @@ rate certificate, and aggregates log-log slopes.  Everything is
 deterministic given (config, base_seed): the path seed is derived from the
 base seed, the n index and the replication, so the rows of one replication
 share their path (common random numbers across the weights); the fit and
-Monte Carlo seeds also take the weight index.  Results do not depend on
+Monte Carlo seeds also take the weight index, and a row derives them only
+if its fit or its distances draw from them.  Results do not depend on
 worker count or completion order.
 """
 
@@ -223,19 +224,23 @@ def _path_task(payload: tuple) -> list:
     except Exception as err:  # row-level isolation; harness applies the 1% budget
         return [f"{type(err).__name__}: {err}"] * len(weights)
     return [
-        _fit_outcome(path, spec, draws, w, class_spec,
-                     _row_seed(base_seed, i_n, i_param, rep, 1),
-                     _row_seed(base_seed, i_n, i_param, rep, 2))
+        _fit_outcome(path, spec, draws, w, class_spec, (base_seed, i_n, i_param, rep))
         for i_param, (w, class_spec) in enumerate(weights)
     ]
 
 
-def _fit_outcome(path, spec, draws, w, class_spec, mc_seed, net_seed):
-    """Fit one weight on the path and measure it; a failure becomes its message."""
+def _fit_outcome(path, spec, draws, w, class_spec, key):
+    """Fit one weight on the path and measure it; a failure becomes its message.
+
+    ``key`` is the row's (base_seed, i_n, i_param, rep).  Its seeds go in as
+    callables that derive them from it, stream 2 for a network's start and
+    stream 1 (plus one for the excess risk) for Monte Carlo covariates, so a
+    row derives only the seeds that its fit and its distances draw with.
+    """
     try:
-        fit = fit_weighted_erm(path, w, class_spec, seed=net_seed)
-        learn, _, _ = learning_error(fit, spec, w, draws=draws, seed=mc_seed)
-        exc, _, _ = excess_risk(fit, spec, spec.n, draws=draws, seed=mc_seed + 1)
+        fit = fit_weighted_erm(path, w, class_spec, seed=lambda: _row_seed(*key, 2))
+        learn, _, _ = learning_error(fit, spec, w, draws=draws, seed=lambda: _row_seed(*key, 1))
+        exc, _, _ = excess_risk(fit, spec, spec.n, draws=draws, seed=lambda: _row_seed(*key, 1) + 1)
     except Exception as err:  # row-level isolation; harness applies the 1% budget
         return f"{type(err).__name__}: {err}"
     if not (math.isfinite(learn) and math.isfinite(exc)):

@@ -8,7 +8,8 @@ empirical risk is recorded).
 
 The network fitter keeps all parameters in one flat vector whose reshaped
 views are the layers' (W, b); each step updates and clips that vector in
-place and saves an improving iterate with one copy.  A fit is
+place and saves an improving iterate with one copy, and every view the
+step loop reads is built once before it.  A fit is
 deterministic per seed and byte-identical to the per-layer loop it
 replaced, which kept each layer in its own arrays.
 """
@@ -325,7 +326,7 @@ def _fit_net(
     y: np.ndarray,
     w: np.ndarray,
     spec: HypothesisClassSpec,
-    seed: int,
+    seed,
 ) -> FittedHypothesis:
     """Projected full-batch gradient descent, keeping the best iterate.
 
@@ -334,6 +335,7 @@ def _fit_net(
     order are those of the per-layer loop this replaced, whose fits the
     tests pin byte for byte.
     """
+    seed = _drawn(seed)
     rng = np.random.default_rng(seed)
     n, nu = z.shape[0], spec.nu
     sizes = [z.shape[1]] + [nu] * spec.ell + [1]
@@ -363,18 +365,28 @@ def _fit_net(
     pred, r, sq = out[:, 0], np.empty(n), np.empty(n)
     w2 = 2.0 * w
 
+    # Loop invariants, all views of the buffers above: the hidden (layer,
+    # activation) pairs, the output layer, and for layers ell..1 of the
+    # backward pass (gW, gb, input, its transpose, W^T, delta buffer).
+    hidden = list(zip(layers[:-1], acts[1:]))
+    W_out, b_out = layers[-1]
+    d_col = d_out[:, 0]
+    backward = [(*grads[i], acts[i], acts[i].T, layers[i][0].T, deltas[i]) for i in range(spec.ell, 0, -1)]
+    gW_in, gb_in = grads[0]
+    z_t = z.T
+    lo = -bound
+
     best_risk = math.inf
     best = theta.copy()
     for step in range(NET_ITERATIONS + 1):
         h = z
-        for (W, b), a in zip(layers[:-1], acts[1:]):
+        for (W, b), a in hidden:
             np.dot(h, W, out=a)
             np.add(a, b, out=a)
             np.maximum(a, 0.0, out=a)
             h = a
-        W, b = layers[-1]
-        np.dot(h, W, out=out)
-        np.add(out, b, out=out)
+        np.dot(h, W_out, out=out)
+        np.add(out, b_out, out=out)
         np.subtract(pred, y, out=r)
         np.multiply(r, r, out=sq)
         risk = float(np.dot(w, sq))
@@ -383,19 +395,19 @@ def _fit_net(
             best[:] = theta
         if step == NET_ITERATIONS:  # the last iterate is scored, not stepped
             break
-        np.multiply(w2, r, out=d_out[:, 0])
+        np.multiply(w2, r, out=d_col)
         delta = d_out
-        for i in range(spec.ell, -1, -1):
-            gW, gb = grads[i]
-            np.dot(acts[i].T, delta, out=gW)
+        for gW, gb, act, act_t, W_t, back in backward:
+            np.dot(act_t, delta, out=gW)
             np.add.reduce(delta, axis=0, out=gb)
-            if i > 0:
-                np.dot(delta, layers[i][0].T, out=deltas[i])
-                np.greater(acts[i], 0.0, out=active)
-                delta = np.multiply(deltas[i], active, out=deltas[i])
+            np.dot(delta, W_t, out=back)
+            np.greater(act, 0.0, out=active)
+            delta = np.multiply(back, active, out=back)
+        np.dot(z_t, delta, out=gW_in)
+        np.add.reduce(delta, axis=0, out=gb_in)
         grad *= NET_STEP_SIZE
         np.subtract(theta, grad, out=theta)
-        np.clip(theta, -bound, bound, out=theta)
+        np.minimum(np.maximum(theta, lo, out=theta), bound, out=theta)  # np.clip without its wrapper
     best.flags.writeable = False
     return FittedHypothesis(
         class_spec=spec,
@@ -415,7 +427,7 @@ def fit_weighted_erm(
     w: WeightVector,
     class_spec: HypothesisClassSpec,
     *,
-    seed: int = 0,
+    seed=0,
 ) -> FittedHypothesis:
     """Minimize the weighted empirical square loss over the class.
 
@@ -423,7 +435,9 @@ def fit_weighted_erm(
     final row never does.  Linear and step fits are exact minimizers; the
     network fit is approximate (projected gradient descent) and records
     its achieved empirical risk.  A NaN or infinity in the first n
-    covariates, responses or weights is rejected.
+    covariates, responses or weights is rejected.  ``seed`` seeds the
+    network's start: an int, or a zero-argument callable that returns it,
+    called only by a network fit.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
@@ -441,6 +455,19 @@ def fit_weighted_erm(
 
 # ---------------------------------------------------------------------------
 # Distances
+
+
+def _drawn(seed) -> int:
+    """A seed given as an int, or as a zero-argument callable called where the draw is made."""
+    return seed() if callable(seed) else seed
+
+
+def _linear_coef(g) -> np.ndarray | None:
+    """The coefficients of a linear operand (a linear fit or a coefficient vector), else None."""
+    if isinstance(g, FittedHypothesis):
+        return g.coef if g.kind is HypothesisKind.LINEAR_BALL else None
+    arr = np.asarray(g, dtype=float)
+    return arr if arr.ndim else None
 
 
 def _as_hypothesis(g) -> FittedHypothesis:
@@ -513,7 +540,7 @@ def l2_distance(
     p: int = 1,
     second_moment: np.ndarray | None = None,
     draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
+    seed=0,
 ) -> tuple[float, float, str]:
     """Squared L2 distance between two hypotheses under the covariate law.
 
@@ -524,20 +551,22 @@ def l2_distance(
     of the merged breakpoints, and a piece of width w and midpoint m adds
     w (d(m)^2 + (s w)^2 / 12), a form that does not cancel when f is close
     to g.  Off the interval law (the ball law) every other pairing is Monte
-    Carlo over ``draws`` fresh covariate draws, with its stderr.
+    Carlo over ``draws`` fresh covariate draws, with its stderr.  ``seed``
+    seeds those draws: an int, or a zero-argument callable that returns
+    it, called only on the Monte Carlo branch.
     """
-    g = _as_hypothesis(g)
-    if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
+    if f.kind is HypothesisKind.LINEAR_BALL and (coef := _linear_coef(g)) is not None:
         if second_moment is None:
             raise HypothesisError("linear pairs need the second-moment matrix")
-        d = f.coef - g.coef
+        d = f.coef - coef
         return float(d @ second_moment @ d), 0.0, "exact"
+    g = _as_hypothesis(g)
     if law is CovariateLaw.INTERVAL:
         edges, s, c = _difference_pieces(f, g)
         mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
         value = float(np.sum(widths * ((s * mids + c) ** 2 + (s * widths) ** 2 / 12.0)))
         return value, 0.0, "exact"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_drawn(seed))
     z = sample_covariates(law, p, draws, rng)
     sq = (f.predict(z) - g.predict(z)) ** 2
     value = float(sq.mean())

@@ -193,10 +193,16 @@ class SamplePath:
 
 
 def second_moment(spec: ProcessSpec) -> np.ndarray:
-    """Exact covariate second-moment matrix E[Z Z^T] (time-invariant)."""
-    if spec.law is CovariateLaw.BALL:
-        return np.eye(spec.p) / (3.0 * spec.p)
-    return np.array([[1.0 / 3.0]])
+    """Exact covariate second-moment matrix E[Z Z^T] (time-invariant),
+    memoised per (law, p) and returned read-only."""
+    return _second_moment(spec.law, spec.p)
+
+
+@functools.lru_cache(maxsize=16)
+def _second_moment(law: CovariateLaw, p: int) -> np.ndarray:
+    m = np.eye(p) / (3.0 * p) if law is CovariateLaw.BALL else np.array([[1.0 / 3.0]])
+    m.flags.writeable = False
+    return m
 
 
 @functools.lru_cache(maxsize=16)
@@ -239,7 +245,8 @@ def _truncated_std_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     while bad.any():
         x[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(x) > TRUNC_LIMIT
-    return x / TRUNC_SD
+    x /= TRUNC_SD
+    return x
 
 
 def _ar1_latent(rng: np.random.Generator, phi: float, shape: tuple[int, int]) -> np.ndarray:
@@ -281,18 +288,20 @@ def _uniform_core(rng: np.random.Generator, spec: ProcessSpec) -> np.ndarray:
 def simulate(spec: ProcessSpec, seed: int) -> SamplePath:
     """Generate a trajectory of length n+1; pure function of (spec, seed)."""
     rng = np.random.default_rng(seed)
-    u = _uniform_core(rng, spec)
-    if spec.law is CovariateLaw.BALL:
-        z = (2.0 * u - 1.0) / math.sqrt(spec.p)
-    else:
-        z = u
+    z = _uniform_core(rng, spec)
+    if spec.law is CovariateLaw.BALL:  # (2u - 1) / sqrt(p), in place
+        z *= 2.0
+        z -= 1.0
+        z /= math.sqrt(spec.p)
     rows = spec.n + 1
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
         noise = _truncated_std_normal(rng, rows)
         y = spec.mean + np.sqrt(sigma2_path(spec)) * noise
     else:
-        eta = spec.noise_sd * _truncated_std_normal(rng, rows)
-        y = np.einsum("tp,tp->t", beta_path(spec), z) + eta
+        eta = _truncated_std_normal(rng, rows)
+        eta *= spec.noise_sd
+        y = np.einsum("tp,tp->t", beta_path(spec), z)
+        y += eta
     y.flags.writeable = False
     z.flags.writeable = False
     return SamplePath(y=y, z=z, seed=int(seed), spec=spec)

@@ -78,7 +78,7 @@ def _distance_to_target(
     spec: ProcessSpec,
     coef: np.ndarray,
     draws: int,
-    seed: int,
+    seed,
 ) -> tuple[float, float, str]:
     return l2_distance(
         fit,
@@ -97,7 +97,7 @@ def learning_error(
     w: WeightVector,
     *,
     draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
+    seed=0,
 ) -> tuple[float, float, str]:
     """Squared L2 distance from the fit to the weighted population optimum.
 
@@ -105,7 +105,8 @@ def learning_error(
     fits on every law, and step and network fits on the interval law (the
     target is linear, or a constant for the variance-drift generator).
     Step and network fits on the ball law are Monte Carlo with reported
-    standard error.
+    standard error; ``seed`` seeds their draws, as an int or as a
+    zero-argument callable that ``l2_distance`` calls only then.
     """
     target = population_optimum_weighted(spec, w)
     return _distance_to_target(fit, spec, target, draws, seed)
@@ -127,14 +128,15 @@ def excess_risk(
     t: int,
     *,
     draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
+    seed=0,
 ) -> tuple[float, float, str]:
     """Out-of-sample excess square loss at target time t+1.
 
     Computed through the bias identity: for square loss against the
     conditional mean, the excess risk is the squared L2 distance to the
     target-time regression function (the noise variance cancels), which
-    avoids differencing two Monte Carlo risk estimates.
+    avoids differencing two Monte Carlo risk estimates.  ``seed`` is as in
+    ``learning_error``.
     """
     target = population_optimum_next(spec, t)
     return _distance_to_target(fit, spec, target, draws, seed)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -245,17 +246,17 @@ class TestSharedPathFailures:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_fit_fails_only_its_row(self, monkeypatch, jobs):
-        bad_net_seed = self.seed(1, 7, 2)
+        path_seed = self.seed(0, 7, 0)
+        bad_w = make_weights(WeightSpec(THREE_EXP.family, t=64, n=64, param=THREE_EXP.params[1]))
         real = harness.fit_weighted_erm
 
         def fit(path, w, class_spec, *, seed=0):
-            if seed == bad_net_seed:
+            if path.seed == path_seed and np.array_equal(w.entries, bad_w.entries):
                 raise RuntimeError("fit fails")
             return real(path, w, class_spec, seed=seed)
 
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
         res = run_experiment(self.cfg, jobs=jobs)
-        path_seed = self.seed(0, 7, 0)
         assert res.manifest["failures"] == [
             {"n": 64, "param": THREE_EXP.params[1], "seed": path_seed,
              "error": "RuntimeError: fit fails"}
@@ -264,6 +265,67 @@ class TestSharedPathFailures:
         assert sorted(r.param for r in res.rows if r.seed == path_seed) == sorted(
             [THREE_EXP.params[0], THREE_EXP.params[2]]
         )
+
+
+class TestSeedsDerivedWhereDrawn:
+    """Stream 0 seeds the path, stream 1 the Monte Carlo distances and stream 2
+    a network's start; a row derives a stream only where it draws from it."""
+
+    def streams(self, monkeypatch, cfg):
+        """(rows, derivations per stream, fits) of one run."""
+        counts = collections.Counter()
+        fits = []
+        real_seed, real_fit = harness._row_seed, harness.fit_weighted_erm
+
+        def row_seed(base_seed, i_n, i_param, rep, stream):
+            counts[stream] += 1
+            return real_seed(base_seed, i_n, i_param, rep, stream)
+
+        def fit(path, w, class_spec, *, seed=0):
+            fits.append((path.seed, real_fit(path, w, class_spec, seed=seed)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(harness, "_row_seed", row_seed)
+        monkeypatch.setattr(harness, "fit_weighted_erm", fit)
+        res = run_experiment(cfg)
+        assert res.manifest["failures"] == []
+        return len(res.rows), dict(counts), fits
+
+    def test_linear_ball_grid_derives_only_path_seeds(self, monkeypatch):
+        cfg = three_param_config()
+        rows, counts, _ = self.streams(monkeypatch, cfg)
+        assert rows == 2 * 3 * 3
+        assert counts == {0: len(cfg.n_grid) * cfg.replications}
+
+    def test_step_interval_grid_derives_only_path_seeds(self, monkeypatch):
+        cfg = small_config(
+            process=replace(INTERVAL_AR1, core=DependenceCore()),
+            hypothesis=HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS),
+        )
+        rows, counts, _ = self.streams(monkeypatch, cfg)
+        assert rows == 6
+        assert counts == {0: 6}
+
+    def test_relu_interval_grid_derives_one_network_seed_per_row(self, monkeypatch):
+        cfg = small_config(
+            process=replace(INTERVAL_AR1, core=DependenceCore()),
+            hypothesis=HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=4, ell=1, param_bound=1.0),
+            n_grid=(32,),
+            replications=2,
+        )
+        rows, counts, fits = self.streams(monkeypatch, cfg)
+        assert rows == 2
+        assert counts == {0: 2, 2: 2}
+        for rep in range(cfg.replications):
+            path_seed = harness._row_seed(cfg.base_seed, 0, 0, rep, 0)
+            (fit,) = [f for seed, f in fits if seed == path_seed]
+            assert fit.fit_meta["seed"] == harness._row_seed(cfg.base_seed, 0, 0, rep, 2)
+
+    def test_relu_ball_grid_derives_both(self, monkeypatch):
+        rows, counts, _ = self.streams(monkeypatch, config_from_dict(ROWS_PINS["relu_ball_mc"][0]))
+        assert rows == 4
+        # stream 1 once for each of the row's two Monte Carlo distances
+        assert counts == {0: 4, 1: 2 * 4, 2: 4}
 
 
 class TestNonFiniteOutcome:

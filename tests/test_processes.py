@@ -312,3 +312,16 @@ class TestBetaPathMemo:
         assert drift == DriftSpec.linear((0.0, 1.0), (0.5, 0.0))
         betas = beta_path(linear_spec(n=4, noise_sd=0.1, drift=drift))
         np.testing.assert_allclose(betas[-1], [0.5, 0.0])
+
+
+class TestSecondMomentMemo:
+    @pytest.mark.parametrize("law, p", [(CovariateLaw.BALL, 2), (CovariateLaw.BALL, 5), (CovariateLaw.INTERVAL, 1)])
+    def test_read_only_and_shared(self, law, p):
+        M = second_moment(linear_spec(p=p, drift=DriftSpec.constant([0.1] * p), law=law))
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        # any spec with the same law and p shares the matrix
+        assert second_moment(linear_spec(n=17, p=p, drift=DriftSpec.constant([0.2] * p), law=law)) is M
+        expected = np.eye(p) / (3.0 * p) if law is CovariateLaw.BALL else np.array([[1.0 / 3.0]])
+        np.testing.assert_array_equal(M, expected)
