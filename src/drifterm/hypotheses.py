@@ -226,6 +226,11 @@ def _weighted_risk(w: np.ndarray, residuals: np.ndarray) -> float:
     return float(np.dot(w, residuals**2))
 
 
+def _drawn(seed) -> int:
+    """A seed given as an int, or as a zero-argument callable called where the draw is made."""
+    return seed() if callable(seed) else seed
+
+
 def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
     p = z.shape[1]
     gram = (z * w[:, None]).T @ z
@@ -374,7 +379,6 @@ def _fit_net(
     backward = [(*grads[i], acts[i], acts[i].T, layers[i][0].T, deltas[i]) for i in range(spec.ell, 0, -1)]
     gW_in, gb_in = grads[0]
     z_t = z.T
-    lo = -bound
 
     best_risk = math.inf
     best = theta.copy()
@@ -407,7 +411,7 @@ def _fit_net(
         np.add.reduce(delta, axis=0, out=gb_in)
         grad *= NET_STEP_SIZE
         np.subtract(theta, grad, out=theta)
-        np.minimum(np.maximum(theta, lo, out=theta), bound, out=theta)  # np.clip without its wrapper
+        np.minimum(np.maximum(theta, -bound, out=theta), bound, out=theta)  # np.clip without its wrapper
     best.flags.writeable = False
     return FittedHypothesis(
         class_spec=spec,
@@ -455,11 +459,6 @@ def fit_weighted_erm(
 
 # ---------------------------------------------------------------------------
 # Distances
-
-
-def _drawn(seed) -> int:
-    """A seed given as an int, or as a zero-argument callable called where the draw is made."""
-    return seed() if callable(seed) else seed
 
 
 def _linear_coef(g) -> np.ndarray | None:
