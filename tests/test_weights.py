@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drifterm.rates import weight_class_log_covering
 from drifterm.weights import (
+    ANALYTIC_NORM_BOUNDS,
     DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
@@ -237,6 +239,41 @@ class TestCoveringBounds:
     def test_epsilon_validation(self):
         with pytest.raises(WeightDomainError):
             covering_number_bound(WeightFamily.BROWN_DES, "single", -1.0, t=1)
+
+
+# The weight class's rate inputs (c1, cw, bw, log N1 at each PIN_EPS), as
+# doubles, for each family and horizon n.
+PIN_EPS = (1e-12, 1e-6, 1e-2, 0.3)
+CLASS_RATE_PINS = {
+    (WeightFamily.UNIFORM_WINDOW, 64): (1.0, 0.125, 1.0, (
+        7.640123172695364, 7.640123172695364, 7.640123172695364, 7.640123172695364)),
+    (WeightFamily.UNIFORM_WINDOW, 1024): (1.0, 0.03125, 1.0, (
+        13.170772516612017, 13.170772516612017, 13.170772516612017, 13.170772516612017)),
+    (WeightFamily.UNIFORM_WINDOW, 8192): (1.0, 0.011048543456039804, 1.0, (
+        17.32880157686116, 17.32880157686116, 17.32880157686116, 17.32880157686116)),
+    (WeightFamily.EXPONENTIAL, 64): (1.0, 0.125, 2.0, (
+        38.6568374837501, 24.84132692578583, 15.630986553809645, 12.22978917214749)),
+    (WeightFamily.EXPONENTIAL, 1024): (1.0, 0.03125, 2.0, (
+        44.202014928229666, 30.386504370265392, 21.17616399828921, 17.77496661662705)),
+    (WeightFamily.EXPONENTIAL, 8192): (1.0, 0.011048543456039804, 2.0, (
+        48.360898011589335, 34.54538745362506, 25.33504708164888, 21.933849699986723)),
+    (WeightFamily.BROWN_DES, 64): (3.0, 0.125, 133.00300978075168, (
+        40.04313184486999, 26.22762128690572, 17.017280914929536, 13.61608353326738)),
+    (WeightFamily.BROWN_DES, 1024): (3.0, 0.03125, 133.00300978075168, (
+        45.58830928934955, 31.77279873138528, 22.5624583594091, 19.16126097774694)),
+    (WeightFamily.BROWN_DES, 8192): (3.0, 0.011048543456039804, 133.00300978075168, (
+        49.74719237270923, 35.931681814744955, 26.72134144276877, 23.320144061106614)),
+}
+
+
+@pytest.mark.parametrize("family, n", CLASS_RATE_PINS, ids=lambda v: getattr(v, "value", v))
+def test_class_rate_inputs_pinned(family, n):
+    c1, bw = ANALYTIC_NORM_BOUNDS[family]
+    cw = 1.0 / math.sqrt(n)
+    log_n1 = weight_class_log_covering(family, "union", n=n)
+    want_c1, want_cw, want_bw, want_logs = CLASS_RATE_PINS[family, n]
+    assert (c1, cw, bw) == (want_c1, want_cw, want_bw)
+    assert tuple(log_n1(eps) for eps in PIN_EPS) == want_logs
 
 
 @pytest.mark.parametrize("target", [1.0, 1.00001])
