@@ -19,6 +19,7 @@ from .weights import (
     class_constants,
     build_weight_net,
     covering_number_bound,
+    class_rate_inputs,
     theta_for_n_eff,
 )
 from .mixing import (
@@ -59,7 +60,6 @@ from .rates import (
     check_rate_conditions,
     bound_certificate,
     find_scale_constant,
-    weight_class_log_covering,
 )
 from .risk import (
     RiskReport,

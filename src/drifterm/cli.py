@@ -19,6 +19,9 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    SLOPE_MIN_POINTS,
+    SLOPE_X_FIELDS,
+    SLOPE_Y_FIELDS,
     HarnessError,
     calibrate_ccal,
     config_from_dict,
@@ -39,7 +42,6 @@ from .rates import (
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    weight_class_log_covering,
 )
 from .risk import RiskError, risk_report
 from .weights import (
@@ -51,6 +53,7 @@ from .weights import (
     _from_entries,
     build_weight_net,
     class_constants,
+    class_rate_inputs,
     make_weights,
 )
 
@@ -228,8 +231,7 @@ def _cmd_rates(args) -> int:
                          given={"log_n1_w": None, "log_ninf_h": None})
     params = dataclasses.replace(
         params,
-        log_n1_w=decode_call(weight_class_log_covering, wc, "params.weight_class",
-                             {"scope": "union", "n": params.n}),
+        log_n1_w=decode_call(class_rate_inputs, wc, "params.weight_class", given={"n": params.n})[3],
         log_ninf_h=_hypothesis_log_covering(hc, params.n),
     )
     rate, report = find_scale_constant(RateVariant(args.variant), params)
@@ -346,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("slopes", help="log-log slope from a results CSV")
     pl.add_argument("--results", required=True)
-    pl.add_argument("--x", default="n", choices=["n", "n_eff", "param"])
-    pl.add_argument("--y", default="learning_error")
-    pl.add_argument("--min-points", type=int, default=5)
+    pl.add_argument("--x", default="n", choices=SLOPE_X_FIELDS)
+    pl.add_argument("--y", default="learning_error", choices=SLOPE_Y_FIELDS)
+    pl.add_argument("--min-points", type=int, default=SLOPE_MIN_POINTS["n"])
     pl.set_defaults(func=_cmd_slopes)
 
     pc = sub.add_parser("calibrate", help="calibration constant from a results CSV")

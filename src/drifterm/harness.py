@@ -43,19 +43,24 @@ from .rates import (
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    weight_class_log_covering,
 )
 from .risk import drift_error, excess_risk, learning_error
 from .weights import (
-    ANALYTIC_NORM_BOUNDS,
     DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
     WeightSpec,
+    class_rate_inputs,
     make_weights,
 )
 
 MAX_ROW_FAILURE_FRACTION = 0.01
+
+# Fewest distinct x values for a run's log-log slope on each sweep axis.
+SLOPE_MIN_POINTS = {"n": 5, "n_eff": 3}
+# The Row fields that a slope may take as x and as y.
+SLOPE_X_FIELDS = ("n", "n_eff", "param")
+SLOPE_Y_FIELDS = ("learning_error", "drift_error", "excess_risk", "certificate")
 
 
 class HarnessError(RuntimeError):
@@ -90,11 +95,6 @@ class WeightPolicy:
                 f"exponential decay rate must lie below R = {DEFAULT_EXP_RANGE}, got {too_fast[0]}"
             )
         return [WeightSpec(family, t=n, n=n, param=float(p)) for p in params]
-
-    def rate_inputs(self, n: int):
-        """(c1, bw, eps -> log N1) of the swept weight class at horizon n."""
-        c1, bw = ANALYTIC_NORM_BOUNDS[self.family]
-        return c1, bw, weight_class_log_covering(self.family, "union", n=n)
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,10 @@ class ExperimentConfig:
         if self.slope_target is not None and axis == "n":
             if self.replications < 30:
                 raise HarnessError("slope experiments need >= 30 replications")
-            if len(self.n_grid) < 5 or self.n_grid[-1] < 4 * self.n_grid[0]:
-                raise HarnessError("slope n grids need >= 5 points spanning >= 2 octaves")
+            if len(self.n_grid) < SLOPE_MIN_POINTS["n"] or self.n_grid[-1] < 4 * self.n_grid[0]:
+                raise HarnessError(f"slope n grids need >= {SLOPE_MIN_POINTS['n']} points spanning >= 2 octaves")
         if self.slope_target is not None and axis == "n_eff" and self._slope_axis() is None:
-            raise HarnessError("weights.params: an n_eff slope needs >= 3 distinct params")
+            raise HarnessError(f"weights.params: an n_eff slope needs >= {SLOPE_MIN_POINTS['n_eff']} distinct params")
 
     def _sweep_axis(self) -> str | None:
         if len(self.n_grid) > 1:
@@ -152,14 +152,11 @@ class ExperimentConfig:
         return None
 
     def _slope_axis(self) -> str | None:
-        """The sweep axis when it has enough points for a log-log slope:
-        >= 5 grid n, or >= 3 distinct weight params on an n_eff sweep."""
+        """The sweep axis when it has SLOPE_MIN_POINTS points for a log-log
+        slope: grid n, or distinct weight params on an n_eff sweep."""
         axis = self._sweep_axis()
-        if axis == "n" and len(self.n_grid) >= 5:
-            return "n"
-        if axis == "n_eff" and len(set(self.weights.params)) >= 3:
-            return "n_eff"
-        return None
+        points = {"n": len(self.n_grid), "n_eff": len(set(self.weights.params or ()))}
+        return axis if axis is not None and points[axis] >= SLOPE_MIN_POINTS[axis] else None
 
 
 @dataclass(frozen=True)
@@ -254,11 +251,11 @@ def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
     profile = mixing_profile(spec)
     mb = m_beta(profile, n, cfg.delta).m
     kr = k_rho_sum(profile)
-    c1, bw, log_n1 = cfg.weights.rate_inputs(n)
+    c1, cw, bw, log_n1 = class_rate_inputs(cfg.weights.family, n)
     alpha, c_inf, log_ninf, approx_err = cfg.hypothesis.rate_inputs(spec)
     params = RateParameters(
         c1=c1,
-        cw=1.0 / math.sqrt(n),  # ||w||^2 >= 1/n whenever the entries sum to one
+        cw=cw,
         bw=bw,
         m_beta=mb,
         k_rho=kr,
@@ -347,10 +344,8 @@ def run_experiment(
 
     axis = cfg._slope_axis()
     slope = None
-    if axis == "n":
-        slope = fit_slope(rows, "n", "learning_error")
-    elif axis == "n_eff":
-        slope = fit_slope(rows, "n_eff", "learning_error", min_points=3)
+    if axis is not None:
+        slope = fit_slope(rows, axis, "learning_error", min_points=SLOPE_MIN_POINTS[axis])
 
     manifest = build_manifest(cfg, rate_constants, failures, len(rows))
     manifest["outliers"] = outliers
@@ -390,27 +385,21 @@ def fit_slope(
     x_field: str,
     y_field: str,
     *,
-    min_points: int = 5,
+    min_points: int = SLOPE_MIN_POINTS["n"],
 ) -> SlopeFit:
     """OLS slope of log(mean y) against log x over the grid means.
 
-    Rows are grouped by the x value and the y values averaged within each
-    group before taking logs.  ``min_points`` defaults to 5 distinct x
-    values; the effective-sample-size sweeps pass 3.
+    ``x_field`` is one of SLOPE_X_FIELDS and ``y_field`` one of
+    SLOPE_Y_FIELDS, read from each row by name.  Rows are grouped by the x
+    value and the y values averaged within each group before taking logs;
+    fewer than ``min_points`` distinct x values is an error.
     """
-
-    def x_of(row) -> float:
-        if x_field == "n":
-            return float(row.n)
-        if x_field == "n_eff":
-            return row.n_eff
-        if x_field == "param":
-            return float(row.param)
-        raise HarnessError(f"unknown x field {x_field!r}")
-
+    for name, field, allowed in (("x", x_field, SLOPE_X_FIELDS), ("y", y_field, SLOPE_Y_FIELDS)):
+        if field not in allowed:
+            raise HarnessError(f"slope {name} field {field!r} is not one of {', '.join(allowed)}")
     groups: dict[float, list[float]] = {}
     for row in rows:
-        groups.setdefault(x_of(row), []).append(getattr(row, y_field))
+        groups.setdefault(float(getattr(row, x_field)), []).append(float(getattr(row, y_field)))
     if len(groups) < min_points:
         raise HarnessError(f"need >= {min_points} distinct x values, got {len(groups)}")
     xs = np.array(sorted(groups))

@@ -15,8 +15,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .weights import DEFAULT_EXP_RANGE, WeightFamily, covering_number_bound
-
 
 class RateError(ValueError):
     """Invalid rate parameters or violated construction preconditions."""
@@ -354,26 +352,3 @@ def bound_certificate(
         raise RateError("delta must be in (0,1)")
     return rate(w_l2) ** 2 * math.log(1.0 / delta) ** 2 + drift_term
 
-
-# ---------------------------------------------------------------------------
-# The weight class's analytic log-covering bound, an input to the complexity
-# constant; each hypothesis class gives its own (HypothesisClassSpec.rate_inputs).
-
-
-def weight_class_log_covering(
-    family: WeightFamily,
-    scope: str,
-    *,
-    t: int | None = None,
-    n: int | None = None,
-    exp_range: float = DEFAULT_EXP_RANGE,
-) -> Callable[[float], float]:
-    """log of the analytic covering-number bound for a weight class."""
-
-    def log_cover(eps: float) -> float:
-        return math.log(
-            covering_number_bound(family, scope, eps, t=t, n=n, exp_range=exp_range)
-        )
-
-    log_cover(1.0)  # check the scope and its t or n now, not at the first use
-    return log_cover

@@ -313,39 +313,36 @@ def build_weight_net(
     return [WeightSpec(family, t=t, n=t, param=float(p)) for p in params]
 
 
-def covering_number_bound(
-    family: WeightFamily,
-    scope: str,
-    epsilon: float,
-    *,
-    t: int | None = None,
-    n: int | None = None,
-    exp_range: float = DEFAULT_EXP_RANGE,
-) -> float:
-    """Analytic upper bound on the ||.||_1 covering number of a weight class.
+def covering_number_bound(family: WeightFamily, epsilon: float, n: int) -> float:
+    """Analytic upper bound on the ||.||_1 covering number of a weight class:
+    the union over anchors 1..n of the family's members at horizon n.
 
-    ``scope`` is "single" (one anchor time t) or "union" (anchors 1..n).
-    Bounds: uniform t and n(n+1)/2, the member counts, which a fine cover
-    needs since distinct windows lie at least 2/n apart; exponential
-    3R(t-1)/eps and 3Rn^2/(2 eps); Brown 60t/eps and 60n^2/eps.  Floored at
+    Bounds: uniform n(n+1)/2, the member count, which a fine cover needs
+    since distinct windows lie at least 2/n apart; exponential
+    3Rn^2/(2 eps) with R = DEFAULT_EXP_RANGE; Brown 60n^2/eps.  Floored at
     1 since a nonempty class always needs at least one ball.
     """
     if epsilon <= 0:
         raise WeightDomainError(f"epsilon must be > 0, got {epsilon}")
-    if scope not in ("single", "union"):
-        raise ValueError(f"scope must be 'single' or 'union', got {scope!r}")
-    if scope == "single" and t is None:
-        raise ValueError("single scope needs t")
-    if scope == "union" and n is None:
-        raise ValueError("union scope needs n")
-
     if family is WeightFamily.UNIFORM_WINDOW:
-        bound = float(t) if scope == "single" else n * (n + 1) / 2.0
+        bound = n * (n + 1) / 2.0
     elif family is WeightFamily.EXPONENTIAL:
-        if scope == "single":
-            bound = 3.0 * exp_range * (t - 1) / epsilon
-        else:
-            bound = 3.0 * exp_range * n**2 / (2.0 * epsilon)
+        bound = 3.0 * DEFAULT_EXP_RANGE * n**2 / (2.0 * epsilon)
     else:
-        bound = 60.0 * t / epsilon if scope == "single" else 60.0 * n**2 / epsilon
+        bound = 60.0 * n**2 / epsilon
     return max(1.0, bound)
+
+
+def class_rate_inputs(family: WeightFamily, n: int):
+    """(c1, cw, bw, eps -> log N1): what the rate charges for a weight class at horizon n.
+
+    c1 and bw are the family's ANALYTIC_NORM_BOUNDS.  cw = 1/sqrt(n), since
+    ||w||^2 >= 1/n whenever the n entries sum to one.  log N1 is the log of
+    :func:`covering_number_bound`, the union over anchors 1..n.
+    """
+    c1, bw = ANALYTIC_NORM_BOUNDS[family]
+
+    def log_n1(eps: float) -> float:
+        return math.log(covering_number_bound(family, eps, n))
+
+    return c1, 1.0 / math.sqrt(n), bw, log_n1

@@ -38,7 +38,6 @@ from drifterm.rates import (
     RateVariant,
     bound_certificate,
     find_scale_constant,
-    weight_class_log_covering,
 )
 from drifterm.risk import discrepancy_sum, drift_error, excess_risk, learning_error, risk_report
 from drifterm.weights import (
@@ -46,6 +45,7 @@ from drifterm.weights import (
     WeightSpec,
     build_weight_net,
     class_constants,
+    class_rate_inputs,
     exponential_spikiness,
     make_weights,
     theta_for_n_eff,
@@ -208,7 +208,7 @@ def test_criterion_4_dependence_robustness():
         alpha=0.0,
         delta=0.05,
         n=n,
-        log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
+        log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
         log_ninf_h=log_ninf,
     )
     rate_i, _ = find_scale_constant(RateVariant.I, params)

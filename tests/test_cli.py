@@ -134,7 +134,7 @@ class TestRatesCommand:
         pfile.write_text(json.dumps({
             "n": 10_000, "c1": 1.0, "cw": 0.01, "bw": 2.0, "m_beta": 8,
             "k_rho": 1.0, "c_inf": 1.0, "alpha": 0.0, "delta": 0.05,
-            "weight_class": {"family": "exp", "scope": "union"},
+            "weight_class": {"family": "exp"},
             "hypothesis_class": {"kind": "step", "q": 1, "b_bound": 1.0},
         }))
         code, out = run_cli(capsys, "rates", "--params", str(pfile), "--variant", "ii",
@@ -199,6 +199,15 @@ class TestRunPipeline:
             main(["slopes", "--results", str(out_dir / "rows.csv"), "--min-points", "2"])
         assert exc.value.code == "rows.csv line 3: learning_error: non-finite nan"
 
+    @pytest.mark.parametrize("y", ["foo", "seed"])
+    def test_slopes_refuses_a_y_that_is_not_an_outcome(self, capsys, tmp_path, cfg_file, y):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_dir))
+        with pytest.raises(SystemExit) as exc:
+            main(["slopes", "--results", str(out_dir / "rows.csv"), "--min-points", "2", "--y", y])
+        assert exc.value.code == 2
+        assert f"argument --y: invalid choice: '{y}'" in capsys.readouterr().err
+
     def test_misspelt_key_is_a_one_line_error(self, tmp_path, cfg_file):
         cfg = json.loads(Path(cfg_file).read_text())
         cfg["replicatons"] = cfg.pop("replications")
@@ -221,7 +230,7 @@ class TestRunPipeline:
 RATES = {
     "n": 10_000, "c1": 1.0, "cw": 0.01, "bw": 2.0, "m_beta": 8,
     "k_rho": 1.0, "c_inf": 1.0, "alpha": 0.0, "delta": 0.05,
-    "weight_class": {"family": "exp", "scope": "union"},
+    "weight_class": {"family": "exp"},
     "hypothesis_class": {"kind": "step", "q": 1, "b_bound": 1.0},
 }
 FIT = ("fit", "--data", "path.csv", "--weights", "w.json", "--class", "cls.json",
@@ -358,12 +367,14 @@ class TestStrictInputs:
     @pytest.mark.parametrize(
         "nested, message",
         [
-            ({"weight_class": {"family": "exp", "scope": "x"}},
-             "params.weight_class: scope must be 'single' or 'union', got 'x'"),
+            ({"weight_class": {"family": "exp", "scope": "union"}},
+             "params.weight_class.scope: unknown key"),
+            ({"weight_class": {"family": "exp", "n": 100}},
+             "params.weight_class.n: unknown key"),
             ({"hypothesis_class": {"kind": "step", "qq": 1}},
              "params.hypothesis_class.qq: unknown key; did you mean 'q'?"),
         ],
-        ids=["scope", "covering-key"],
+        ids=["scope", "horizon", "covering-key"],
     )
     def test_rates_covering_objects_are_strict(self, inputs, nested, message):
         (inputs / "rates.json").write_text(json.dumps({**RATES, **nested}))

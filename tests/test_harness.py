@@ -658,6 +658,23 @@ class TestFitSlope:
             fit_slope(rows, "n", "learning_error")
         fit_slope(rows, "n", "learning_error", min_points=3)
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("seed", "learning_error", "slope x field 'seed' is not one of n, n_eff, param"),
+            ("n", "seed", "slope y field 'seed' is not one of "
+             "learning_error, drift_error, excess_risk, certificate"),
+            ("n", "foo", "slope y field 'foo' is not one of "
+             "learning_error, drift_error, excess_risk, certificate"),
+        ],
+        ids=["x-seed", "y-seed", "y-foo"],
+    )
+    def test_fields_must_be_a_sweep_axis_and_an_outcome(self, x, y, message):
+        rows = self._rows([2, 4, 8, 16, 32], [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(HarnessError) as exc:
+            fit_slope(rows, x, y)
+        assert str(exc.value) == message
+
     def test_replication_means_are_used(self):
         xs = [2, 2, 4, 4, 8, 8, 16, 16, 32, 32]
         ys = [1.0, 3.0, 2.0, 6.0, 4.0, 12.0, 8.0, 24.0, 16.0, 48.0]  # means double with x

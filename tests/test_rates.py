@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,10 @@ from drifterm.rates import (
     complexity_term,
     default_condition_grid,
     find_scale_constant,
-    weight_class_log_covering,
 )
 from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind
 from drifterm.processes import CovariateLaw, DependenceCore, DriftSpec, ProcessKind, ProcessSpec
-from drifterm.weights import WeightFamily
+from drifterm.weights import WeightFamily, class_rate_inputs
 
 
 def class_covering(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000):
@@ -66,7 +67,7 @@ class TestComplexityTerm:
         params = make_params(
             n=n,
             cw=1 / math.sqrt(n),
-            log_n1_w=weight_class_log_covering(WeightFamily.UNIFORM_WINDOW, "union", n=n),
+            log_n1_w=class_rate_inputs(WeightFamily.UNIFORM_WINDOW, n)[3],
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=p),
         )
         expected = 4.0 + math.log(n * (n + 1) / 2) + 2 * p * math.log(3 * 32 * n)
@@ -139,7 +140,7 @@ class TestClosedFormRates:
 class TestConditionChecks:
     def test_found_scale_passes_everywhere(self):
         params = make_params(
-            log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=10_000),
+            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, 10_000)[3],
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=2),
             c_inf=math.sqrt(1 / 6),
         )
@@ -266,7 +267,7 @@ def oracle_setups():
         bw=2.0,
         m_beta=3,
         k_rho=2.5,
-        log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
+        log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
     )
     linear = class_covering(HypothesisClassSpec.linear(1.0), p=2, n=n)
     step = class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), n=n)
@@ -371,7 +372,7 @@ class TestVariantDominance:
             bw=2.0,
             m_beta=mb.m,
             c_inf=1.0,
-            log_n1_w=weight_class_log_covering(WeightFamily.EXPONENTIAL, "union", n=n),
+            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
             log_ninf_h=class_covering(HypothesisClassSpec.step(1, 1.0)),
         )
         rate_i, _ = find_scale_constant(RateVariant.I, params)
@@ -396,3 +397,19 @@ class TestParameterValidation:
     def test_rejects(self, bad):
         with pytest.raises(RateError):
             make_params(**bad)
+
+
+def test_rates_imports_no_drifterm_module():
+    # rates is plain numeric evaluation: each weight or hypothesis fact it
+    # uses comes in through RateParameters, never by import.
+    import drifterm.rates
+
+    tree = ast.parse(Path(drifterm.rates.__file__).read_text(encoding="utf-8"))
+    imported = {
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "numpy" in imported  # the walk sees the module's imports
+    assert {m for m in imported if m.startswith(".") or m.split(".")[0] == "drifterm"} == set()

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drifterm.rates import weight_class_log_covering
 from drifterm.weights import (
-    ANALYTIC_NORM_BOUNDS,
     DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
     WeightSpec,
     build_weight_net,
     class_constants,
+    class_rate_inputs,
     covering_number_bound,
     exponential_spikiness,
     make_weights,
@@ -207,38 +206,35 @@ class TestWeightNets:
 
 class TestCoveringBounds:
     def test_uniform_union(self):
-        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "union", 0.1, n=100) == 5050
+        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, 0.1, 100) == 5050
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_uniform_bounds_count_every_window(self, n):
         # brute force: every window (t, s), 1 <= s <= t <= n, as a length-n
         # vector.  Below half the smallest pairwise l1 distance a ball holds
         # one member, so there the covering number is the member count.
-        windows = {
-            t: {tuple(make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=t, n=n, param=s)).entries)
-                for s in range(1, t + 1)}
+        members = np.array(sorted({
+            tuple(make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=t, n=n, param=s)).entries)
             for t in range(1, n + 1)
-        }
-        members = np.array(sorted(set().union(*windows.values())))
+            for s in range(1, t + 1)
+        }))
         assert len(members) == n * (n + 1) // 2
         gaps = np.abs(members[:, None, :] - members[None, :, :]).sum(axis=2)
         d_min = gaps[~np.eye(len(members), dtype=bool)].min() if len(members) > 1 else 2.0
         assert d_min >= 2.0 / n - 1e-12
         eps = 0.49 * d_min
-        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "union", eps, n=n) >= len(members)
-        for t, single in windows.items():
-            assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, "single", eps, t=t) >= len(single)
+        assert covering_number_bound(WeightFamily.UNIFORM_WINDOW, eps, n) >= len(members)
 
     def test_exponential_union(self):
-        got = covering_number_bound(WeightFamily.EXPONENTIAL, "union", 0.3, n=10, exp_range=1.0)
-        assert got == pytest.approx(3 * 100 / (2 * 0.3))
+        got = covering_number_bound(WeightFamily.EXPONENTIAL, 0.3, 10)
+        assert got == pytest.approx(5000)  # 3 R n^2 / (2 eps) with R = 10
 
-    def test_brown_single_floor(self):
-        assert covering_number_bound(WeightFamily.BROWN_DES, "single", 60.0, t=1) == 1.0
+    def test_brown_floor(self):
+        assert covering_number_bound(WeightFamily.BROWN_DES, 60.0, 1) == 1.0
 
     def test_epsilon_validation(self):
         with pytest.raises(WeightDomainError):
-            covering_number_bound(WeightFamily.BROWN_DES, "single", -1.0, t=1)
+            covering_number_bound(WeightFamily.BROWN_DES, -1.0, 1)
 
 
 # The weight class's rate inputs (c1, cw, bw, log N1 at each PIN_EPS), as
@@ -268,9 +264,7 @@ CLASS_RATE_PINS = {
 
 @pytest.mark.parametrize("family, n", CLASS_RATE_PINS, ids=lambda v: getattr(v, "value", v))
 def test_class_rate_inputs_pinned(family, n):
-    c1, bw = ANALYTIC_NORM_BOUNDS[family]
-    cw = 1.0 / math.sqrt(n)
-    log_n1 = weight_class_log_covering(family, "union", n=n)
+    c1, cw, bw, log_n1 = class_rate_inputs(family, n)
     want_c1, want_cw, want_bw, want_logs = CLASS_RATE_PINS[family, n]
     assert (c1, cw, bw) == (want_c1, want_cw, want_bw)
     assert tuple(log_n1(eps) for eps in PIN_EPS) == want_logs
