@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands mirror the library surface: ``weights``, ``mixing``,
-``simulate``, ``fit``, ``rates``, ``risk`` operate on single objects and
-print JSON; ``run``, ``slopes``, ``calibrate`` drive the experiment
-harness.  The environment variable ``DRIFTERM_SEED`` overrides the
-config's base seed for ``run``.
+Subcommands mirror the library surface: ``weights``, ``simulate``,
+``fit``, ``risk`` operate on single objects and print JSON; ``mixing``
+and ``rates`` print the dependence constants and the certified rate that
+``run`` uses for a config, at its ``process.n``; ``run``, ``slopes``,
+``calibrate`` drive the experiment harness.  The environment variable
+``DRIFTERM_SEED`` overrides the config's base seed for ``run``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    SLOPE_MIN_POINTS,
     SLOPE_X_FIELDS,
     SLOPE_Y_FIELDS,
     HarnessError,
+    build_rate,
     calibrate_ccal,
     config_from_dict,
     config_to_dict,
@@ -33,16 +34,10 @@ from .harness import (
     run_experiment,
 )
 from .hypotheses import FittedHypothesis, HypothesisClassSpec, HypothesisError, fit_weighted_erm
-from .mixing import MixingError, MixingProfile, k_rho, m_beta
-from .processes import CovariateLaw, DependenceCore, DriftSpec, ProcessKind, ProcessSpec
-from .processes import ProcessSpecError, read_path_csv, simulate, write_path_csv
-from .rates import (
-    RateError,
-    RateParameters,
-    RateVariant,
-    bound_certificate,
-    find_scale_constant,
-)
+from .mixing import MixingError, k_rho, m_beta
+from .processes import ProcessSpec, ProcessSpecError, mixing_profile
+from .processes import read_path_csv, simulate, write_path_csv
+from .rates import RateError, bound_certificate
 from .risk import RiskError, risk_report
 from .weights import (
     DEFAULT_EXP_RANGE,
@@ -53,7 +48,6 @@ from .weights import (
     _from_entries,
     build_weight_net,
     class_constants,
-    class_rate_inputs,
     make_weights,
 )
 
@@ -107,29 +101,18 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    params = args.params or []
-    if args.profile == "iid":
-        profile = MixingProfile.iid()
-    elif args.profile == "ar1":
-        if len(params) < 1:
-            raise SystemExit("ar1 profile needs --params PHI [CHAINS]")
-        chains = int(params[1]) if len(params) > 1 else 1
-        profile = MixingProfile.ar1(params[0], chains=chains)
-    else:
-        if len(params) < 2:
-            raise SystemExit("markov profile needs --params P01 P10")
-        profile = MixingProfile.markov2(params[0], params[1])
-    mb = m_beta(profile, args.n, args.delta)
-    out = {
-        "profile": args.profile,
-        "n": args.n,
-        "delta": args.delta,
+    cfg = config_from_dict(_read_json(args.config))
+    profile = mixing_profile(cfg.process)
+    mb = m_beta(profile, cfg.process.n, cfg.delta)
+    _emit({
+        "profile": cfg.process.core.kind,
+        "n": cfg.process.n,
+        "delta": cfg.delta,
         "beta": {str(k): profile.beta(k) for k in range(0, 51)},
         "m_beta": mb.m,
         "m_beta_satisfied": mb.satisfied,
         "k_rho": k_rho(profile),
-    }
-    _emit(out)
+    })
     return 0
 
 
@@ -208,39 +191,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# Defaults for the RateParameters scalars of ``rates --params``.
-_RATE_DEFAULTS = {"c_p": 1.0, "c_inf": 0.0, "c_l": 1.0, "alpha": 0.0, "delta": 0.05}
-
-
-def _hypothesis_log_covering(d, n: int):
-    """(eps, w_l2) -> log Ninf of ``hypothesis_class``: a hypothesis class object
-    plus ``p``, the covariate dimension (default 1), at horizon n."""
-    d = decode(dict, d, "params.hypothesis_class")
-    p = decode(int, d.pop("p", 1), "params.hypothesis_class.p")
-    klass = decode(HypothesisClassSpec, d, "params.hypothesis_class")
-    law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
-    process = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, p, law, DependenceCore(),
-                          drift=DriftSpec.constant([0.0] * p))
-    return klass.rate_inputs(process)[2]
-
-
 def _cmd_rates(args) -> int:
-    d = decode(dict, _read_json(args.params), "params")
-    wc, hc = d.pop("weight_class", {}), d.pop("hypothesis_class", {})
-    params = decode_call(RateParameters, d, "params", _RATE_DEFAULTS,
-                         given={"log_n1_w": None, "log_ninf_h": None})
-    params = dataclasses.replace(
-        params,
-        log_n1_w=decode_call(class_rate_inputs, wc, "params.weight_class", given={"n": params.n})[3],
-        log_ninf_h=_hypothesis_log_covering(hc, params.n),
-    )
-    rate, report = find_scale_constant(RateVariant(args.variant), params)
-    grid = np.geomspace(params.cw, params.c1, args.grid)
+    cfg = config_from_dict(_read_json(args.config))
+    rate, report = build_rate(cfg, cfg.process)
     table = [{"u": float(u), "r": rate(float(u)),
-              "certificate": bound_certificate(rate, float(u), params.delta)}
-             for u in grid]
+              "certificate": bound_certificate(rate, float(u), cfg.delta)}
+             for u in np.geomspace(*rate.domain, args.grid)]
     _emit({
-        "variant": args.variant,
+        "variant": cfg.rate_variant.value,
+        "n": cfg.process.n,
         "a": rate.a,
         "rate_table": table,
         "condition_report": dataclasses.asdict(report),
@@ -261,7 +220,11 @@ def _cmd_run(args) -> int:
     cfg = config_from_dict(_read_json(args.config))
     env_seed = os.environ.get("DRIFTERM_SEED")
     if env_seed is not None:
-        cfg = dataclasses.replace(cfg, base_seed=int(env_seed))
+        try:
+            base_seed = int(env_seed)
+        except ValueError:
+            raise HarnessError(f"DRIFTERM_SEED: expected an integer, got {env_seed!r}") from None
+        cfg = dataclasses.replace(cfg, base_seed=base_seed)
     result = run_experiment(cfg, jobs=args.jobs, out_dir=args.out)
     summary = {
         "rows": len(result.rows),
@@ -305,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--net-eps", type=float, default=None)
     pw.set_defaults(func=_cmd_weights)
 
-    pm = sub.add_parser("mixing", help="beta table, block length, correlation sum as JSON")
-    pm.add_argument("--profile", choices=["iid", "ar1", "markov"], required=True)
-    pm.add_argument("--params", type=float, nargs="*", default=[])
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--delta", type=float, required=True)
+    pm = sub.add_parser("mixing", help="beta table, block length, correlation sum of a config's process")
+    pm.add_argument("--config", required=True)
     pm.set_defaults(func=_cmd_mixing)
 
     ps = sub.add_parser("simulate", help="write a simulated path as CSV")
@@ -327,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", default=None)
     pf.set_defaults(func=_cmd_fit)
 
-    pr = sub.add_parser("rates", help="rate table, condition report, and found scale")
-    pr.add_argument("--params", required=True)
-    pr.add_argument("--variant", choices=["i", "ii"], required=True)
+    pr = sub.add_parser("rates", help="rate table, condition report, and found scale of a config")
+    pr.add_argument("--config", required=True)
     pr.add_argument("--grid", type=int, default=32)
     pr.set_defaults(func=_cmd_rates)
 
@@ -350,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--results", required=True)
     pl.add_argument("--x", default="n", choices=SLOPE_X_FIELDS)
     pl.add_argument("--y", default="learning_error", choices=SLOPE_Y_FIELDS)
-    pl.add_argument("--min-points", type=int, default=SLOPE_MIN_POINTS["n"])
+    pl.add_argument("--min-points", type=int, default=None)
     pl.set_defaults(func=_cmd_slopes)
 
     pc = sub.add_parser("calibrate", help="calibration constant from a results CSV")

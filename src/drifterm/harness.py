@@ -56,8 +56,8 @@ from .weights import (
 
 MAX_ROW_FAILURE_FRACTION = 0.01
 
-# Fewest distinct x values for a run's log-log slope on each sweep axis.
-SLOPE_MIN_POINTS = {"n": 5, "n_eff": 3}
+# Fewest distinct x values for a log-log slope against each x field.
+SLOPE_MIN_POINTS = {"n": 5, "n_eff": 3, "param": 3}
 # The Row fields that a slope may take as x and as y.
 SLOPE_X_FIELDS = ("n", "n_eff", "param")
 SLOPE_Y_FIELDS = ("learning_error", "drift_error", "excess_risk", "certificate")
@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise HarnessError("need at least one replication")
         if not 0 < self.delta < 1:
             raise HarnessError("delta must be in (0,1)")
+        if self.base_seed < 0:
+            raise HarnessError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         if self.slope_band is not None:
             lo, hi = self.slope_band
             if lo > hi:
@@ -345,7 +347,7 @@ def run_experiment(
     axis = cfg._slope_axis()
     slope = None
     if axis is not None:
-        slope = fit_slope(rows, axis, "learning_error", min_points=SLOPE_MIN_POINTS[axis])
+        slope = fit_slope(rows, axis, "learning_error")
 
     manifest = build_manifest(cfg, rate_constants, failures, len(rows))
     manifest["outliers"] = outliers
@@ -385,18 +387,21 @@ def fit_slope(
     x_field: str,
     y_field: str,
     *,
-    min_points: int = SLOPE_MIN_POINTS["n"],
+    min_points: int | None = None,
 ) -> SlopeFit:
     """OLS slope of log(mean y) against log x over the grid means.
 
     ``x_field`` is one of SLOPE_X_FIELDS and ``y_field`` one of
     SLOPE_Y_FIELDS, read from each row by name.  Rows are grouped by the x
     value and the y values averaged within each group before taking logs;
-    fewer than ``min_points`` distinct x values is an error.
+    fewer than ``min_points`` distinct x values is an error, by default
+    SLOPE_MIN_POINTS of the x field.
     """
     for name, field, allowed in (("x", x_field, SLOPE_X_FIELDS), ("y", y_field, SLOPE_Y_FIELDS)):
         if field not in allowed:
             raise HarnessError(f"slope {name} field {field!r} is not one of {', '.join(allowed)}")
+    if min_points is None:
+        min_points = SLOPE_MIN_POINTS[x_field]
     groups: dict[float, list[float]] = {}
     for row in rows:
         groups.setdefault(float(getattr(row, x_field)), []).append(float(getattr(row, y_field)))

@@ -212,7 +212,6 @@ def risk_report(
     *,
     draws: int = MC_DRAWS_DEFAULT,
     seed: int = 0,
-    include_discrepancy: bool = True,
 ) -> RiskReport:
     """Assemble every decomposition term for one fit at target time t+1, t in 1..n."""
     if not 1 <= t <= spec.n:
@@ -222,7 +221,7 @@ def risk_report(
     learn, learn_se, learn_mode = learning_error(fit, spec, w, draws=draws, seed=seed)
     exc, exc_se, exc_mode = excess_risk(fit, spec, t, draws=draws, seed=seed + 1)
     drift = drift_error(spec, w, t)
-    dis = discrepancy_sum(spec, fit.class_spec) if include_discrepancy else None
+    dis = discrepancy_sum(spec, fit.class_spec)
     return RiskReport(
         excess_risk=exc,
         learning_error=learn,

@@ -228,22 +228,22 @@ def class_constants(
 ) -> WeightClassConstants:
     """Norm extremes of a family over params in ``param_range`` and anchors in ``t_range``.
 
-    Uniform windows have exact constants.  The smoothing families use a
-    geometric grid of 10^4 parameters with endpoints approached to 1e-6,
-    flagged via ``exact=False``.
+    Uniform windows have exact constants and read no parameter range.  The
+    smoothing families use a geometric grid of 10^4 parameters with
+    endpoints approached to 1e-6, flagged via ``exact=False``.
     """
     lo, hi = param_range
     t_lo, t_hi = t_range
     if t_lo < 1 or t_hi < t_lo:
         raise WeightDomainError(f"empty anchor range {t_range}")
-    if hi <= lo:
-        raise WeightDomainError(f"empty parameter range {param_range}")
 
     if family is WeightFamily.UNIFORM_WINDOW:
         # ||w||_1 = 1, ||w||_inf/||w||^2 = 1 for every window; min norm at s = t_hi.
         return WeightClassConstants(
             c1=1.0, cw=1.0 / math.sqrt(t_hi), bw=1.0, n_eff_max=float(t_hi), exact=True
         )
+    if hi <= lo:
+        raise WeightDomainError(f"empty parameter range {param_range}")
 
     if family is WeightFamily.EXPONENTIAL:
         if lo < 0:

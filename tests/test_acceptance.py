@@ -424,7 +424,7 @@ def test_criterion_8_brute_force_oracles():
                 WeightSpec(WeightFamily.EXPONENTIAL, t=64, n=64, param=float(rng.uniform(0.01, 1.0)))
             )
         fit = fit_weighted_erm(path, wv, HypothesisClassSpec.linear(1.0))
-        report = risk_report(fit, rspec, wv, 64, include_discrepancy=False)
+        report = risk_report(fit, rspec, wv, 64)
         holds += report.decomposition_ok
     ok = linear_gap <= 2e-4 and step_gap <= 2e-4 and holds == runs
     _report(8, ok, f"linear oracle gap={linear_gap:.2e} <= 2e-4, "

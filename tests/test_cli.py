@@ -11,11 +11,13 @@ import pytest
 import drifterm
 
 from drifterm.cli import main
-from drifterm.harness import decode
+from drifterm.harness import config_to_dict, decode
 from drifterm.hypotheses import HypothesisClassSpec, fit_weighted_erm
+from drifterm.mixing import MixingProfile, m_beta
 from drifterm.processes import ProcessSpec, simulate
 from drifterm.risk import risk_report
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
+from test_harness import RATE_PINS, WORKLOADS, rate_config
 
 
 def run_cli(capsys, *argv):
@@ -24,9 +26,9 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def drifterm_process(*argv, cwd=None):
-    """``drifterm argv`` in a fresh interpreter, as a shell runs it."""
-    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+def drifterm_process(*argv, cwd=None, env=None):
+    """``drifterm argv`` in a fresh interpreter, as a shell runs it, with ``env`` added."""
+    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1]), **(env or {})}
     return subprocess.run(
         [sys.executable, "-m", "drifterm.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
@@ -71,25 +73,51 @@ class TestWeightsCommand:
         d = json.loads(out)
         assert d["net"]["size"] <= 60 * 4 / 1.0
 
-
-class TestMixingCommand:
-    def test_ar1_profile(self, capsys):
+    def test_one_window_at_t_1(self, capsys):
         code, out = run_cli(
-            capsys, "mixing", "--profile", "ar1", "--params", "0.5",
-            "--n", "1000", "--delta", "0.05",
+            capsys, "weights", "--family", "uniform", "--t", "1", "--n", "1", "--param", "1"
         )
         d = json.loads(out)
+        assert code == 0
+        assert d["entries"] == [1.0]
+        assert d["class_constants"] == {
+            "c1": 1.0, "cw": 1.0, "bw": 1.0, "n_eff_max": 1.0, "exact": True
+        }
+
+
+def interval_config(core, n, **overrides):
+    """A one-point grid config on the interval law at n, with the dependence ``core``."""
+    process = {"kind": "drifting_linear", "p": 1, "law": "interval", "core": core,
+               "drift": {"kind": "constant", "a": [1.0]}, "noise_sd": 0.3, "y_bound": 2.3}
+    return {"process": process, "n_grid": [n], "replications": 1, **overrides}
+
+
+class TestMixingCommand:
+    def mixing(self, capsys, tmp_path, cfg):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        code, out = run_cli(capsys, "mixing", "--config", str(f))
+        assert code == 0
+        return json.loads(out)
+
+    def test_ar1_profile(self, capsys, tmp_path):
+        d = self.mixing(capsys, tmp_path, interval_config({"kind": "ar1", "phi": 0.5}, 1000))
+        assert d["profile"] == "ar1" and d["n"] == 1000 and d["delta"] == 0.05
         assert d["k_rho"] == pytest.approx(3.0, abs=1e-9)
         assert d["m_beta"] >= 1
         assert len(d["beta"]) == 51
 
-    def test_markov_profile(self, capsys):
-        code, out = run_cli(
-            capsys, "mixing", "--profile", "markov", "--params", "0.1", "0.1",
-            "--n", "100", "--delta", "0.1",
-        )
-        d = json.loads(out)
+    def test_markov_profile(self, capsys, tmp_path):
+        cfg = interval_config({"kind": "markov", "flip": 0.1}, 100, delta=0.1)
+        d = self.mixing(capsys, tmp_path, cfg)
         assert d["beta"]["1"] == pytest.approx(0.4, abs=1e-12)
+
+    def test_reads_the_process_n(self, capsys, tmp_path):
+        cfg = interval_config({"kind": "ar1", "phi": 0.9}, 4096, delta=0.2)
+        cfg["process"]["n"] = 50
+        d = self.mixing(capsys, tmp_path, cfg)
+        assert d["n"] == 50 and d["delta"] == 0.2
+        assert d["m_beta"] == m_beta(MixingProfile.ar1(0.9), 50, 0.2).m
 
 
 class TestSimulateAndFit:
@@ -128,21 +156,23 @@ class TestSimulateAndFit:
         assert report["decomposition_ok"]
 
 
-class TestRatesCommand:
-    def test_condition_report_and_scale(self, capsys, tmp_path):
-        pfile = tmp_path / "rates.json"
-        pfile.write_text(json.dumps({
-            "n": 10_000, "c1": 1.0, "cw": 0.01, "bw": 2.0, "m_beta": 8,
-            "k_rho": 1.0, "c_inf": 1.0, "alpha": 0.0, "delta": 0.05,
-            "weight_class": {"family": "exp"},
-            "hypothesis_class": {"kind": "step", "q": 1, "b_bound": 1.0},
-        }))
-        code, out = run_cli(capsys, "rates", "--params", str(pfile), "--variant", "ii",
-                            "--grid", "8")
-        d = json.loads(out)
-        assert d["a"] >= 1.0
-        assert d["condition_report"]["all_pass"]
-        assert len(d["rate_table"]) == 8
+@pytest.mark.parametrize("key", sorted(RATE_PINS), ids=lambda key: "-".join(map(str, key)))
+def test_rates_reproduces_build_rate_pins(capsys, tmp_path, key):
+    """``rates`` on the config of a RATE_PINS case, at its one grid point (the
+    process n is omitted, so it is the largest grid point)."""
+    cfg = config_to_dict(rate_config(*key)[0])
+    del cfg["process"]["n"]
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "rates", "--config", str(f), "--grid", "8")
+    d = json.loads(out)
+    a, slack = RATE_PINS[key]
+    assert code == 0
+    assert (d["variant"], d["n"]) == ("i", key[2])
+    assert d["a"] == a
+    assert d["condition_report"]["all_pass"]
+    assert d["condition_report"]["min_slack"] == slack
+    assert len(d["rate_table"]) == 8
 
 
 class TestRunPipeline:
@@ -177,6 +207,17 @@ class TestRunPipeline:
 
         code, out = run_cli(capsys, "calibrate", "--results", str(out_dir / "rows.csv"))
         assert json.loads(out)["c_cal"] > 0
+
+    def test_rates_gives_the_scale_that_run_writes(self, capsys, tmp_path, cfg_file):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_dir))
+        written = json.loads((out_dir / "manifest.json").read_text())["rate_constants"]
+        cfg = json.loads(Path(cfg_file).read_text())
+        for n in cfg["n_grid"]:
+            at_n = tmp_path / f"cfg_{n}.json"
+            at_n.write_text(json.dumps({**cfg, "process": {**cfg["process"], "n": n}}))
+            code, out = run_cli(capsys, "rates", "--config", str(at_n))
+            assert json.loads(out)["a"] == written[str(n)]
 
     def test_calibrate_header_only_csv(self, capsys, tmp_path):
         from drifterm.harness import CSV_HEADER
@@ -226,40 +267,39 @@ class TestRunPipeline:
         run_cli(capsys, "run", "--config", cfg_file, "--out", str(out_b))
         assert (out_a / "rows.csv").read_text() != (out_b / "rows.csv").read_text()
 
+    def test_env_seed_that_is_not_an_integer(self, cfg_file):
+        proc = drifterm_process("run", "--config", cfg_file, env={"DRIFTERM_SEED": "abc"})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "DRIFTERM_SEED: expected an integer, got 'abc'\n"
 
-RATES = {
-    "n": 10_000, "c1": 1.0, "cw": 0.01, "bw": 2.0, "m_beta": 8,
-    "k_rho": 1.0, "c_inf": 1.0, "alpha": 0.0, "delta": 0.05,
-    "weight_class": {"family": "exp"},
-    "hypothesis_class": {"kind": "step", "q": 1, "b_bound": 1.0},
-}
+    def test_negative_env_seed(self, cfg_file, monkeypatch):
+        monkeypatch.setenv("DRIFTERM_SEED", "-3")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_file])
+        assert exc.value.code == "base_seed must be a non-negative integer, got -3"
+
+
+def test_slopes_on_an_n_eff_sweep_reproduce_the_run(capsys, tmp_path):
+    """``slopes --x n_eff`` needs 3 params by default, as the run's own slope does."""
+    workload = json.loads((WORKLOADS / "neff_ar1_pool.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**workload["config"], **workload["smoke"]}))
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    code, out = run_cli(capsys, "slopes", "--results", str(out_dir / "rows.csv"), "--x", "n_eff")
+    assert code == 0
+    assert json.loads(out) == manifest["slope"]
+
+
 FIT = ("fit", "--data", "path.csv", "--weights", "w.json", "--class", "cls.json",
        "--spec", "spec.json", "--out", "fit.json")
 RISK = ("risk", "--fit", "fit.json", "--spec", "spec.json", "--w", "w.json")
 
-
-# (hypothesis_class, alpha) -> (scale constant, min_slack) that ``rates --variant ii``
-# finds on the exponential-union weight class at n = 10^4.
-RATE_CLASS_PINS = {
-    "linear_p2": ({"kind": "linear", "p": 2, "b_bound": 1.0}, 0.0, 16.0, 1.4916337505134118),
-    "step_sized": ({"kind": "step", "b_bound": 1.0}, 2 / 3, 4.0, 1.3576457172106486),
-    "step_q8": ({"kind": "step", "q": 8, "b_bound": 1.0}, 0.0, 32.0, 1.2674557041983643),
-    "relu": ({"kind": "relu", "b_bound": 1.0, "nu": 8, "ell": 2, "param_bound": 1.0}, 2 / 3,
-             8.0, 2.5433620378014754),
-}
-
-
-@pytest.mark.parametrize("key", sorted(RATE_CLASS_PINS))
-def test_rates_pinned_per_hypothesis_class(capsys, tmp_path, key):
-    klass, alpha, a, slack = RATE_CLASS_PINS[key]
-    pfile = tmp_path / "rates.json"
-    pfile.write_text(json.dumps({**RATES, "alpha": alpha, "hypothesis_class": klass}))
-    code, out = run_cli(capsys, "rates", "--params", str(pfile), "--variant", "ii", "--grid", "8")
-    report = json.loads(out)
-    assert code == 0
-    assert report["a"] == a
-    assert report["condition_report"]["all_pass"]
-    assert report["condition_report"]["min_slack"] == pytest.approx(slack, rel=1e-12)
+RATE_CONFIG = interval_config({"kind": "ar1", "phi": 0.6}, 1024,
+                              hypothesis={"kind": "step", "b_bound": 1.0},
+                              weights={"family": "exp", "params": [0.05]})
 
 
 @pytest.fixture
@@ -270,7 +310,7 @@ def inputs(tmp_path, capsys, monkeypatch):
         "spec.json": PROCESS,
         "w.json": {"family": "uniform", "param": 50},
         "cls.json": {"kind": "linear", "b_bound": 1.0},
-        "rates.json": RATES,
+        "config.json": RATE_CONFIG,
     }
     for name, d in files.items():
         (tmp_path / name).write_text(json.dumps(d))
@@ -282,10 +322,15 @@ class TestStrictInputs:
     @pytest.mark.parametrize(
         "argv, name, content, message",
         [
-            (("rates", "--params", "rates.json", "--variant", "ii"), "rates.json",
-             {k: v for k, v in RATES.items() if k != "c1"}, "params.c1: missing required key"),
-            (("rates", "--params", "rates.json", "--variant", "ii"), "rates.json",
-             {**RATES, "a": 2.0}, "params.a: unknown key"),
+            (("rates", "--config", "config.json"), "config.json", {**RATE_CONFIG, "rate_varaint": "ii"},
+             "rate_varaint: unknown key; did you mean 'rate_variant'?"),
+            (("rates", "--config", "config.json"), "config.json",
+             {**RATE_CONFIG, "rate_variant": "ii",
+              "hypothesis": {"kind": "relu", "nu": 8, "ell": 2, "param_bound": 1.0}},
+             "sup-norm dependence constant inf exceeds n=1024"),
+            (("mixing", "--config", "config.json"), "config.json",
+             interval_config({"kind": "ar1", "phi": 1.5}, 64),
+             "process.core: AR(1) needs |phi| < 1, got 1.5"),
             (FIT, "cls.json", {"kind": "step", "q": 4, "typo": 3}, "hypothesis.typo: unknown key"),
             (FIT, "w.json", {"family": "uniform", "parm": 10},
              "weights.parm: unknown key; did you mean 'param'?"),
@@ -297,8 +342,9 @@ class TestStrictInputs:
              "weights.entries[0]: non-finite nan"),
             (FIT, "cls.json", {"kind": "step"}, "step class needs the interval law, got ball"),
         ],
-        ids=["rates-without-c1", "rates-with-scale", "class-unknown-key", "weights-misspelt-key", "relu-class-bare",
-             "process-without-n", "nan-weight-entry", "step-class-on-ball"],
+        ids=["rates-misspelt-key", "rates-relu-variant-ii", "mixing-bad-core", "class-unknown-key",
+             "weights-misspelt-key", "relu-class-bare", "process-without-n", "nan-weight-entry",
+             "step-class-on-ball"],
     )
     def test_bad_input_is_a_one_line_error(self, inputs, argv, name, content, message):
         (inputs / name).write_text(json.dumps(content))
@@ -364,24 +410,6 @@ class TestStrictInputs:
             main(list(FIT))
         assert exc.value.code == message
 
-    @pytest.mark.parametrize(
-        "nested, message",
-        [
-            ({"weight_class": {"family": "exp", "scope": "union"}},
-             "params.weight_class.scope: unknown key"),
-            ({"weight_class": {"family": "exp", "n": 100}},
-             "params.weight_class.n: unknown key"),
-            ({"hypothesis_class": {"kind": "step", "qq": 1}},
-             "params.hypothesis_class.qq: unknown key; did you mean 'q'?"),
-        ],
-        ids=["scope", "horizon", "covering-key"],
-    )
-    def test_rates_covering_objects_are_strict(self, inputs, nested, message):
-        (inputs / "rates.json").write_text(json.dumps({**RATES, **nested}))
-        with pytest.raises(SystemExit) as exc:
-            main(["rates", "--params", "rates.json", "--variant", "ii"])
-        assert exc.value.code == message
-
 
 class TestRiskUsesTheFittedClass:
     def test_linear_b_bound_3_matches_risk_report(self, inputs, capsys):
@@ -423,23 +451,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_cli_walk(tmp_path):
-    """The README's simulate, fit, rates and risk lines run on its example input files."""
+    """The README's mixing, simulate, fit, rates and risk lines run on its example input files."""
     text = README.read_text()
     examples = re.findall(r"```json (\S+)\n(.*?)```", text, flags=re.S)
     assert sorted(name for name, _ in examples) == [
-        "cls.json", "rateparams.json", "spec.json", "w.json"
+        "cls.json", "config.json", "spec.json", "w.json"
     ]
     for name, body in examples:
         (tmp_path / name).write_text(body)
     commands = re.findall(
-        r"^drifterm ((?:simulate|fit|rates|risk) .*)$", text.replace("\\\n", " "), flags=re.M
+        r"^drifterm ((?:mixing|simulate|fit|rates|risk) .*)$", text.replace("\\\n", " "), flags=re.M
     )
-    assert [c.split()[0] for c in commands] == ["simulate", "fit", "rates", "risk"]
+    assert [c.split()[0] for c in commands] == ["mixing", "simulate", "fit", "rates", "risk"]
     out = {}
     for command in commands:
         proc = drifterm_process(*command.split(), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         out[command.split()[0]] = proc.stdout
     assert json.loads((tmp_path / "fit.json").read_text())["class"]["b_bound"] == 3.0
-    assert json.loads(out["rates"])["condition_report"]["all_pass"]
+    assert json.loads(out["mixing"])["k_rho"] == pytest.approx(4.0)
+    rates = json.loads(out["rates"])
+    assert (rates["variant"], rates["n"]) == ("ii", 4096)
+    assert rates["condition_report"]["all_pass"]
     assert json.loads(out["risk"])["decomposition_ok"]

@@ -562,6 +562,12 @@ class TestConfigValidation:
         with pytest.raises(HarnessError):
             small_config(n_grid=(128, 64))
 
+    def test_negative_base_seed_is_refused_at_load(self):
+        cfg = config_to_dict(small_config())
+        with pytest.raises(HarnessError) as exc:
+            config_from_dict({**cfg, "base_seed": -1})
+        assert str(exc.value) == "base_seed must be a non-negative integer, got -1"
+
     def test_slope_experiments_need_replications(self):
         with pytest.raises(HarnessError):
             small_config(
@@ -657,6 +663,13 @@ class TestFitSlope:
         with pytest.raises(HarnessError):
             fit_slope(rows, "n", "learning_error")
         fit_slope(rows, "n", "learning_error", min_points=3)
+
+    @pytest.mark.parametrize("x", ["n_eff", "param"])
+    def test_min_points_default_follows_the_axis(self, x):
+        rows = self._rows([2, 4, 8], [1.0, 2.0, 3.0])
+        assert fit_slope(rows, x, "learning_error").x_field == x
+        with pytest.raises(HarnessError, match=r"need >= 3 distinct x values, got 2"):
+            fit_slope(rows[:2], x, "learning_error")
 
     @pytest.mark.parametrize(
         "x, y, message",

@@ -352,6 +352,6 @@ class TestRiskReport:
             except RankDeficientGramError:
                 flagged += 1  # signed weights may lose definiteness: flag, no fit
                 continue
-            report = risk_report(fit, spec, w, 64, include_discrepancy=False)
+            report = risk_report(fit, spec, w, 64)
             assert report.decomposition_ok
         assert flagged < 50  # the flag stays the exception, not the rule

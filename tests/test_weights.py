@@ -147,6 +147,10 @@ class TestClassConstants:
         assert c.bw == 1.0 and c.c1 == 1.0 and c.exact
         assert c.n_eff_max == pytest.approx(50.0)
 
+    def test_uniform_reads_no_parameter_range(self):
+        c = class_constants(WeightFamily.UNIFORM_WINDOW, (1.0, 1.0), (1, 1))
+        assert (c.c1, c.cw, c.bw, c.n_eff_max, c.exact) == (1.0, 1.0, 1.0, 1.0, True)
+
     def test_exponential_bounds(self):
         c = class_constants(WeightFamily.EXPONENTIAL, (0.0, DEFAULT_EXP_RANGE), (1, 100))
         assert c.c1 == 1.0
