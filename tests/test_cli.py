@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -300,6 +301,46 @@ RISK = ("risk", "--fit", "fit.json", "--spec", "spec.json", "--w", "w.json")
 RATE_CONFIG = interval_config({"kind": "ar1", "phi": 0.6}, 1024,
                               hypothesis={"kind": "step", "b_bound": 1.0},
                               weights={"family": "exp", "params": [0.05]})
+
+# sha256 of the stdout of each command: the weight-class constants and nets
+# over each family's whole domain, and rates (every condition_report point)
+# for a linear config and for a sized-step config, which has an
+# approximation requirement.  config.json is RATE_CONFIG.
+WEIGHTS_NET = ("--net-eps", "0.5")
+LINEAR_RATE = str(Path(__file__).resolve().parents[1] / "configs" / "linear_rate.json")
+STDOUT_PINS = {
+    "weights-uniform-t100": (
+        ("weights", "--family", "uniform", "--t", "100", "--n", "100", "--param", "10", *WEIGHTS_NET),
+        "fbf892a9e0fc7d3679e390c754e3449c66249bd956eefa60538ee3271d28041a"),
+    "weights-exp-t100": (
+        ("weights", "--family", "exp", "--t", "100", "--n", "100", "--param", "0.05", *WEIGHTS_NET),
+        "bdec8d0d3a1d5dce154946f5dd3e06ccd4be5506d03a13fa60ee9034396f9d26"),
+    "weights-brown-t100": (
+        ("weights", "--family", "brown", "--t", "100", "--n", "100", "--param", "0.1", *WEIGHTS_NET),
+        "ccd0656407d844e1a0d7a5c05534332b3c735d78f280a823a0366fac83e66445"),
+    "weights-exp-t1": (
+        ("weights", "--family", "exp", "--t", "1", "--n", "1", "--param", "0.5", *WEIGHTS_NET),
+        "de8378cc151b5689b6ddc107b5526b3dfa3b2cdc4430f1d976d903b20180bdda"),
+    "weights-brown-t1": (
+        ("weights", "--family", "brown", "--t", "1", "--n", "1", "--param", "0.5", *WEIGHTS_NET),
+        "75d8dde24af4f1856fa56321682e89a7d5f3cecd408b36cee14d941359c954c6"),
+    "rates-linear-uniform": (
+        ("rates", "--config", LINEAR_RATE),
+        "7544c250093eaa7f66173084f31f8e17b92854f1bbe258e6a21082e121be40c0"),
+    "rates-sized-step-exp": (
+        ("rates", "--config", "config.json"),
+        "c47a3ba0bddb79c891e29a4cd7e9cebc7529b9a034ca0e8955e52af4b89bf173"),
+}
+
+
+@pytest.mark.parametrize("key", list(STDOUT_PINS))
+def test_stdout_pinned(capsys, tmp_path, monkeypatch, key):
+    argv, digest = STDOUT_PINS[key]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(RATE_CONFIG))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.fixture
