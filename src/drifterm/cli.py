@@ -40,7 +40,6 @@ from .processes import read_path_csv, simulate, write_path_csv
 from .rates import RateError, bound_certificate
 from .risk import RiskError, risk_report
 from .weights import (
-    DEFAULT_EXP_RANGE,
     WeightDomainError,
     WeightFamily,
     WeightSpec,
@@ -72,13 +71,7 @@ def _cmd_weights(args) -> int:
     family = WeightFamily(args.family)
     spec = WeightSpec(family, t=args.t, n=args.n, param=args.param)
     w = make_weights(spec)
-    if family is WeightFamily.UNIFORM_WINDOW:
-        prange = (1.0, float(args.t))
-    elif family is WeightFamily.EXPONENTIAL:
-        prange = (0.0, DEFAULT_EXP_RANGE)
-    else:
-        prange = (0.0, 1.0)
-    consts = class_constants(family, prange, (1, args.t))
+    consts = class_constants(family, args.t)
     out = {
         "family": args.family,
         "t": args.t,
@@ -93,7 +86,7 @@ def _cmd_weights(args) -> int:
         "class_constants": dataclasses.asdict(consts),
     }
     if args.net_eps is not None:
-        net = build_weight_net(family, prange, args.t, args.net_eps)
+        net = build_weight_net(family, args.t, args.net_eps)
         out["net"] = {"epsilon": args.net_eps, "size": len(net),
                       "params": [s.param for s in net]}
     _emit(out)
@@ -192,6 +185,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if args.grid < 1:
+        raise HarnessError(f"--grid: expected an integer >= 1, got {args.grid}")
     cfg = config_from_dict(_read_json(args.config))
     rate, report = build_rate(cfg, cfg.process)
     table = [{"u": float(u), "r": rate(float(u)),
@@ -322,9 +317,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _USER_ERRORS as exc:
         raise SystemExit(str(exc)) from None
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at exit of what is still buffered does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -263,7 +263,6 @@ def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
         k_rho=kr,
         c_p=1.0,  # time-invariant covariate law
         c_inf=c_inf,
-        c_l=1.0,  # square loss
         alpha=alpha,
         delta=cfg.delta,
         n=n,

@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .processes import CovariateLaw, ProcessSpec, SamplePath, sample_covariates, second_moment
+from .processes import CovariateLaw, ProcessSpec, SamplePath, law_second_moment
+from .processes import sample_covariates, second_moment
 from .weights import WeightVector
 
 # Relative floor under which the weighted Gram matrix counts as deficient.
@@ -537,28 +538,25 @@ def l2_distance(
     law: CovariateLaw,
     *,
     p: int = 1,
-    second_moment: np.ndarray | None = None,
     draws: int = MC_DRAWS_DEFAULT,
     seed=0,
 ) -> tuple[float, float, str]:
     """Squared L2 distance between two hypotheses under the covariate law.
 
-    Returns (value, stderr, mode).  Linear pairs are exact on every law
-    (the quadratic form in the second-moment matrix).  Under the uniform
-    interval law every pairing of univariate linear, step, constant and
-    ReLU hypotheses is exact: f - g is affine, d(z) = s z + c, on each piece
-    of the merged breakpoints, and a piece of width w and midpoint m adds
-    w (d(m)^2 + (s w)^2 / 12), a form that does not cancel when f is close
-    to g.  Off the interval law (the ball law) every other pairing is Monte
+    Returns (value, stderr, mode).  Linear pairs are exact on every law:
+    the quadratic form in the law's second-moment matrix at dimension p.
+    Under the uniform interval law every pairing of univariate linear,
+    step, constant and ReLU hypotheses is exact: f - g is affine,
+    d(z) = s z + c, on each piece of the merged breakpoints, and a piece of
+    width w and midpoint m adds w (d(m)^2 + (s w)^2 / 12), a form that
+    does not cancel when f is close to g.  Off the interval law (the ball law) every other pairing is Monte
     Carlo over ``draws`` fresh covariate draws, with its stderr.  ``seed``
     seeds those draws: an int, or a zero-argument callable that returns
     it, called only on the Monte Carlo branch.
     """
     if f.kind is HypothesisKind.LINEAR_BALL and (coef := _linear_coef(g)) is not None:
-        if second_moment is None:
-            raise HypothesisError("linear pairs need the second-moment matrix")
         d = f.coef - coef
-        return float(d @ second_moment @ d), 0.0, "exact"
+        return float(d @ law_second_moment(law, p) @ d), 0.0, "exact"
     g = _as_hypothesis(g)
     if law is CovariateLaw.INTERVAL:
         edges, s, c = _difference_pieces(f, g)

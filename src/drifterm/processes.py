@@ -195,11 +195,12 @@ class SamplePath:
 def second_moment(spec: ProcessSpec) -> np.ndarray:
     """Exact covariate second-moment matrix E[Z Z^T] (time-invariant),
     memoised per (law, p) and returned read-only."""
-    return _second_moment(spec.law, spec.p)
+    return law_second_moment(spec.law, spec.p)
 
 
 @functools.lru_cache(maxsize=16)
-def _second_moment(law: CovariateLaw, p: int) -> np.ndarray:
+def law_second_moment(law: CovariateLaw, p: int) -> np.ndarray:
+    """E[Z Z^T] of the p-dimensional covariate law, memoised and read-only."""
     m = np.eye(p) / (3.0 * p) if law is CovariateLaw.BALL else np.array([[1.0 / 3.0]])
     m.flags.writeable = False
     return m

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +30,12 @@ class RateParameters:
 
     c1/cw/bw are the weight-class norm extremes, m_beta the coupling block
     length, k_rho the long-run correlation sum, c_p the cross-time L2
-    comparability constant, c_inf the sup-norm link (0 if none), c_l the
-    loss-curvature constant, alpha the covering growth exponent, and the
-    two log-covering callables: eps -> log N1 for the weight class and
-    (eps, w_l2) -> log Ninf for the hypothesis class.  The scale constant
-    ``a`` belongs to the rate (:func:`closed_form_rate`).
+    comparability constant, c_inf the sup-norm link (0 if none), alpha
+    the covering growth exponent, and the two log-covering callables:
+    eps -> log N1 for the weight class and (eps, w_l2) -> log Ninf for the
+    hypothesis class.  The loss is the square loss, whose curvature
+    constant is 1.  The scale constant ``a`` belongs to the rate
+    (:func:`closed_form_rate`).
     """
 
     c1: float
@@ -44,7 +45,6 @@ class RateParameters:
     k_rho: float
     c_p: float
     c_inf: float
-    c_l: float
     alpha: float
     delta: float
     n: int
@@ -56,8 +56,8 @@ class RateParameters:
             raise RateError("delta must be in (0,1)")
         if not 0 <= self.alpha < 2:
             raise RateError("alpha must be in [0, 2)")
-        if self.c_p < 1 or self.c_l <= 0 or self.k_rho < 1 or self.m_beta < 1:
-            raise RateError("need c_p >= 1, c_l > 0, k_rho >= 1, m_beta >= 1")
+        if self.c_p < 1 or self.k_rho < 1 or self.m_beta < 1:
+            raise RateError("need c_p >= 1, k_rho >= 1, m_beta >= 1")
         if not 0 < self.cw <= self.c1:
             raise RateError("need 0 < cw <= c1")
 
@@ -146,7 +146,7 @@ def closed_form_rate(variant: RateVariant, params: RateParameters, a: float = 1.
     dependence constant C = c_p^2 k_rho + m_beta bw; requires C <= n.
     Variant II: r(u) = u^(1-alpha/2) sqrt(a c_p^2 k_rho log n)
     + a C' u^(2-alpha) log n with C' = m_beta bw c_p / c_inf; requires
-    c_p^2 k_rho <= n and C' <= n (so c_inf must be positive).  Needs a >= 1.
+    c_p^2 k_rho <= n, c_inf > 0 and C' <= n.  Needs a >= 1.
     """
     if not a >= 1:
         raise RateError(f"need a >= 1, got {a}")
@@ -164,6 +164,10 @@ def closed_form_rate(variant: RateVariant, params: RateParameters, a: float = 1.
     else:
         if params.c_p**2 * params.k_rho > params.n:
             raise RatePreconditionError("correlation constant exceeds n")
+        if not params.c_inf > 0:
+            raise RatePreconditionError(
+                "the class has no sup-norm link (c_inf = 0); variant ii needs c_inf > 0"
+            )
         c_inf_term = params.c_beta_inf
         if not c_inf_term <= params.n:
             raise RatePreconditionError(
@@ -214,21 +218,8 @@ class _ConditionGrid:
     numpy only adds, multiplies, divides and compares them.
     """
 
-    def __init__(
-        self,
-        params: RateParameters,
-        approx_err: Callable[[float], float] | None,
-        grid: Sequence[float] | None,
-    ) -> None:
-        if grid is None:
-            grid = default_condition_grid(params)
-        u = np.unique(np.asarray(grid, dtype=float))  # sorted, duplicates dropped
-        if u.size == 0:
-            raise RateError("condition grid is empty")
-        if not np.all(np.isfinite(u)):
-            raise RateError("condition grid has a non-finite point")
-        if u[0] < params.cw - 1e-12 or u[-1] > params.c1 + 1e-12:
-            raise RateError("grid must lie inside [cw, c1]")
+    def __init__(self, params: RateParameters, approx_err: Callable[[float], float] | None) -> None:
+        u = np.unique(default_condition_grid(params))  # sorted, duplicates dropped
         self.u = u
         self.points = u.tolist()
         self.u_sq = np.array([x**2 for x in self.points])
@@ -237,7 +228,7 @@ class _ConditionGrid:
             self.required_approx = np.zeros(u.size)
         else:
             self.required_approx = np.array(
-                [4.0 * params.c_l * approx_err(x) ** 2 for x in self.points]
+                [4.0 * approx_err(x) ** 2 for x in self.points]
             )
         self._powers: dict[float, np.ndarray] = {}
 
@@ -248,7 +239,7 @@ class _ConditionGrid:
 
     def check(self, rate: RateFunction) -> _GridCheck:
         """Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
-        r(u)/c_inf}); approximation: r(u)^2 >= 4 c_l approx_err(u)^2."""
+        r(u)/c_inf}); approximation: r(u)^2 >= 4 approx_err(u)^2."""
         params = rate.params
         values = _power_sum(rate.terms, self._power)
         kw = _complexity(_log_n1(params, rate.a), self.log_ninf)
@@ -296,23 +287,19 @@ class _GridCheck(NamedTuple):
 
 
 def check_rate_conditions(
-    rate: RateFunction,
-    approx_err: Callable[[float], float] | None = None,
-    grid: Sequence[float] | None = None,
+    rate: RateFunction, approx_err: Callable[[float], float] | None = None
 ) -> ConditionReport:
-    """Verify the two growth conditions of a candidate rate on a norm grid.
+    """Verify the two growth conditions of a candidate rate on the norm grid
+    :func:`default_condition_grid` of its parameters.
 
     Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
-    r(u)/c_inf}).  Approximation: r(u)^2 >= 4 c_l approx_err(u)^2, where
-    ``approx_err`` maps a weight norm to the sup-norm approximation error
-    of the class at that norm (defaults to zero for well-specified
-    classes).  Also reports the numerical Lipschitz constant of r and the
-    minimal multiplicative slack across the grid.  The grid (default
-    :func:`default_condition_grid`) is sorted and its duplicates dropped;
-    an empty grid, or a point that is not finite or lies outside [cw, c1],
-    is a RateError.
+    r(u)/c_inf}).  Approximation: r(u)^2 >= 4 approx_err(u)^2 (square
+    loss), where ``approx_err`` maps a weight norm to the sup-norm
+    approximation error of the class at that norm (defaults to zero for
+    well-specified classes).  Also reports the numerical Lipschitz
+    constant of r and the minimal multiplicative slack across the grid.
     """
-    conditions = _ConditionGrid(rate.params, approx_err, grid)
+    conditions = _ConditionGrid(rate.params, approx_err)
     return conditions.report(conditions.check(rate))
 
 
@@ -320,7 +307,6 @@ def find_scale_constant(
     variant: RateVariant,
     params: RateParameters,
     approx_err: Callable[[float], float] | None = None,
-    grid: Sequence[float] | None = None,
 ) -> tuple[RateFunction, ConditionReport]:
     """Double the scale constant from 1 until the rate passes its conditions.
 
@@ -331,7 +317,7 @@ def find_scale_constant(
     rate's scaled terms.  Returns the first passing rate with its report.
     """
     rate = closed_form_rate(variant, params)  # the preconditions, before any covering
-    conditions = _ConditionGrid(params, approx_err, grid)
+    conditions = _ConditionGrid(params, approx_err)
     for _ in range(DOUBLINGS):
         check = conditions.check(rate)
         if check.all_pass:

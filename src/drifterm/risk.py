@@ -73,24 +73,6 @@ def _population_target(spec: ProcessSpec, coef: np.ndarray):
     return np.asarray(coef, dtype=float)
 
 
-def _distance_to_target(
-    fit: FittedHypothesis,
-    spec: ProcessSpec,
-    coef: np.ndarray,
-    draws: int,
-    seed,
-) -> tuple[float, float, str]:
-    return l2_distance(
-        fit,
-        _population_target(spec, coef),
-        spec.law,
-        p=spec.p,
-        second_moment=second_moment(spec),
-        draws=draws,
-        seed=seed,
-    )
-
-
 def learning_error(
     fit: FittedHypothesis,
     spec: ProcessSpec,
@@ -108,8 +90,8 @@ def learning_error(
     standard error; ``seed`` seeds their draws, as an int or as a
     zero-argument callable that ``l2_distance`` calls only then.
     """
-    target = population_optimum_weighted(spec, w)
-    return _distance_to_target(fit, spec, target, draws, seed)
+    target = _population_target(spec, population_optimum_weighted(spec, w))
+    return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)
 
 
 def drift_error(spec: ProcessSpec, w: WeightVector, t: int) -> float:
@@ -138,8 +120,8 @@ def excess_risk(
     avoids differencing two Monte Carlo risk estimates.  ``seed`` is as in
     ``learning_error``.
     """
-    target = population_optimum_next(spec, t)
-    return _distance_to_target(fit, spec, target, draws, seed)
+    target = _population_target(spec, population_optimum_next(spec, t))
+    return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)
 
 
 def _discrepancy_gaps(
@@ -209,17 +191,18 @@ def risk_report(
     spec: ProcessSpec,
     w: WeightVector,
     t: int,
-    *,
-    draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> RiskReport:
-    """Assemble every decomposition term for one fit at target time t+1, t in 1..n."""
+    """Assemble every decomposition term for one fit at target time t+1, t in 1..n.
+
+    Monte Carlo distances take MC_DRAWS_DEFAULT draws, seeded 0 for the
+    learning error and 1 for the excess risk.
+    """
     if not 1 <= t <= spec.n:
         raise RiskError(f"t={t} outside 1..n={spec.n}")
     if fit.p != spec.p:
         raise RiskError(f"the fit takes p={fit.p} covariates, the spec has p={spec.p}")
-    learn, learn_se, learn_mode = learning_error(fit, spec, w, draws=draws, seed=seed)
-    exc, exc_se, exc_mode = excess_risk(fit, spec, t, draws=draws, seed=seed + 1)
+    learn, learn_se, learn_mode = learning_error(fit, spec, w)
+    exc, exc_se, exc_mode = excess_risk(fit, spec, t, seed=1)
     drift = drift_error(spec, w, t)
     dis = discrepancy_sum(spec, fit.class_spec)
     return RiskReport(

@@ -44,6 +44,10 @@ ANALYTIC_NORM_BOUNDS = {
     WeightFamily.BROWN_DES: (3.0, 18.0 * math.e**2),
 }
 
+# Upper end of each smoothing family's decay-rate domain: (0, R) for
+# exponential smoothing, (0, 1] for Brown smoothing.
+_DECAY_SUP = {WeightFamily.EXPONENTIAL: DEFAULT_EXP_RANGE, WeightFamily.BROWN_DES: 1.0}
+
 
 class WeightDomainError(ValueError):
     """A weight parameter lies outside its family's domain."""
@@ -213,61 +217,43 @@ def theta_for_n_eff(n_eff: float, t: int) -> float:
     return theta
 
 
-def _grid(lo: float, hi: float) -> np.ndarray:
-    lo_eff = max(lo, 0.0) + _ENDPOINT_EPS
-    hi_eff = hi - _ENDPOINT_EPS
-    if hi_eff <= lo_eff:
-        return np.array([0.5 * (lo + hi)])
-    return np.geomspace(lo_eff, hi_eff, _GRID_POINTS)
+def _grid(hi: float) -> np.ndarray:
+    """Geometric grid on the decay-rate domain (0, hi), endpoints approached to 1e-6."""
+    return np.geomspace(_ENDPOINT_EPS, hi - _ENDPOINT_EPS, _GRID_POINTS)
 
 
-def class_constants(
-    family: WeightFamily,
-    param_range: tuple[float, float],
-    t_range: tuple[int, int],
-) -> WeightClassConstants:
-    """Norm extremes of a family over params in ``param_range`` and anchors in ``t_range``.
+def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
+    """Norm extremes of a family over its whole parameter domain and anchors 1..t.
 
-    Uniform windows have exact constants and read no parameter range.  The
-    smoothing families use a geometric grid of 10^4 parameters with
-    endpoints approached to 1e-6, flagged via ``exact=False``.
+    Uniform windows have exact constants.  The smoothing families take the
+    extremes over a geometric grid of 10^4 decay rates on their domain
+    (0, R) with R = DEFAULT_EXP_RANGE, or (0, 1] for Brown, endpoints
+    approached to 1e-6, flagged via ``exact=False``.
     """
-    lo, hi = param_range
-    t_lo, t_hi = t_range
-    if t_lo < 1 or t_hi < t_lo:
-        raise WeightDomainError(f"empty anchor range {t_range}")
-
     if family is WeightFamily.UNIFORM_WINDOW:
-        # ||w||_1 = 1, ||w||_inf/||w||^2 = 1 for every window; min norm at s = t_hi.
+        # ||w||_1 = 1, ||w||_inf/||w||^2 = 1 for every window; min norm at s = t.
         return WeightClassConstants(
-            c1=1.0, cw=1.0 / math.sqrt(t_hi), bw=1.0, n_eff_max=float(t_hi), exact=True
+            c1=1.0, cw=1.0 / math.sqrt(t), bw=1.0, n_eff_max=float(t), exact=True
         )
-    if hi <= lo:
-        raise WeightDomainError(f"empty parameter range {param_range}")
+    thetas = _grid(_DECAY_SUP[family])
 
     if family is WeightFamily.EXPONENTIAL:
-        if lo < 0:
-            raise WeightDomainError("exponential rates must be positive")
-        thetas = _grid(lo, hi)
         # Spikiness (1+rho)/(1+rho^t) and 1/||w||^2 both increase with t,
-        # so the anchor extremes are attained at t_hi.
-        bw = max(exponential_spikiness(th, t_hi) for th in thetas)
-        cw = math.sqrt(min(exponential_norms(th, t_hi)[0] for th in thetas))
+        # so the anchor extremes are attained at t.
+        bw = max(exponential_spikiness(th, t) for th in thetas)
+        cw = math.sqrt(min(exponential_norms(th, t)[0] for th in thetas))
         return WeightClassConstants(
             c1=1.0, cw=cw, bw=bw, n_eff_max=1.0 / cw**2, exact=False
         )
 
     # BROWN_DES: evaluate realized norms on a theta grid x anchor subgrid.
-    if not (0 <= lo < hi <= 1):
-        raise WeightDomainError("Brown rates must lie in (0, 1)")
-    thetas = _grid(lo, hi)
-    t_values = np.unique(np.geomspace(t_lo, t_hi, 25).astype(int))
+    t_values = np.unique(np.geomspace(1, t, 25).astype(int))
     c1 = 0.0
     bw = 0.0
     cw = math.inf
     r = 1.0 - thetas
-    for t in t_values:
-        k = np.arange(t, dtype=float)
+    for anchor in t_values:
+        k = np.arange(anchor, dtype=float)
         # blocks[j, k] for theta_j, lag k
         blocks = (2.0 - thetas[:, None] * (k[None, :] + 1.0)) * r[:, None] ** k[None, :]
         total = blocks.sum(axis=1)
@@ -280,13 +266,9 @@ def class_constants(
     return WeightClassConstants(c1=c1, cw=cw, bw=bw, n_eff_max=1.0 / cw**2, exact=False)
 
 
-def build_weight_net(
-    family: WeightFamily,
-    param_range: tuple[float, float],
-    t: int,
-    epsilon: float,
-) -> list[WeightSpec]:
-    """Parameter grid whose weight vectors form an epsilon-cover in ||.||_1.
+def build_weight_net(family: WeightFamily, t: int, epsilon: float) -> list[WeightSpec]:
+    """Parameter grid whose anchor-t weight vectors form an epsilon-cover in ||.||_1
+    of the family over its whole parameter domain.
 
     The grids use the families' Lipschitz constants in the decay rate:
     (t-1) for exponential smoothing and 20 t for Brown smoothing, with
@@ -295,21 +277,21 @@ def build_weight_net(
     """
     if epsilon <= 0:
         raise WeightDomainError(f"epsilon must be > 0, got {epsilon}")
-    lo, hi = param_range
 
     if family is WeightFamily.UNIFORM_WINDOW:
         return [WeightSpec(family, t=t, n=t, param=float(s)) for s in range(1, t + 1)]
 
+    hi = _DECAY_SUP[family]
     if family is WeightFamily.EXPONENTIAL:
         lip = float(t - 1)
     else:
         lip = 20.0 * t
     if lip == 0.0:  # t = 1: every member is the point mass at time 1
-        return [WeightSpec(family, t=t, n=t, param=0.5 * (lo + hi))]
+        return [WeightSpec(family, t=t, n=t, param=0.5 * hi)]
     step = epsilon / lip
-    count = max(1, math.ceil((hi - lo) / step))
-    params = lo + (np.arange(count) + 0.5) * step
-    params = np.minimum(params, hi - 1e-12 * max(1.0, abs(hi)))
+    count = max(1, math.ceil(hi / step))
+    params = (np.arange(count) + 0.5) * step
+    params = np.minimum(params, hi - 1e-12 * max(1.0, hi))
     return [WeightSpec(family, t=t, n=t, param=float(p)) for p in params]
 
 

@@ -204,7 +204,6 @@ def test_criterion_4_dependence_robustness():
         k_rho=1.0,
         c_p=1.0,
         c_inf=c_inf,
-        c_l=1.0,
         alpha=0.0,
         delta=0.05,
         n=n,
@@ -253,7 +252,7 @@ def test_criterion_5_variance_drift_reproduction():
 
 def test_criterion_6_weight_class_constants():
     t0 = time.perf_counter()
-    uni = class_constants(WeightFamily.UNIFORM_WINDOW, (1.0, 200.0), (1, 200))
+    uni = class_constants(WeightFamily.UNIFORM_WINDOW, 200)
     exact_ok = uni.bw == 1.0 and uni.c1 == 1.0 and uni.exact
 
     ratio_ok = True
@@ -263,20 +262,16 @@ def test_criterion_6_weight_class_constants():
             if abs(w.linf / w.l2sq - exponential_spikiness(float(theta), t)) > 1e-10:
                 ratio_ok = False
 
-    ce = class_constants(WeightFamily.EXPONENTIAL, (0.0, 10.0), (1, 200))
-    cb = class_constants(WeightFamily.BROWN_DES, (0.0, 1.0), (1, 200))
+    ce = class_constants(WeightFamily.EXPONENTIAL, 200)
+    cb = class_constants(WeightFamily.BROWN_DES, 200)
     bounds_ok = ce.bw <= 2.0 and cb.bw <= 18.0 * math.e**2 and cb.c1 <= 3.0
 
     rng = np.random.default_rng(20260815)
     cover_violations = 0
     t = 50
     eps = 0.25
-    for family, prange in (
-        (WeightFamily.UNIFORM_WINDOW, (1.0, float(t))),
-        (WeightFamily.EXPONENTIAL, (0.0, 10.0)),
-        (WeightFamily.BROWN_DES, (0.0, 1.0)),
-    ):
-        net = build_weight_net(family, prange, t, eps)
+    for family in (WeightFamily.UNIFORM_WINDOW, WeightFamily.EXPONENTIAL, WeightFamily.BROWN_DES):
+        net = build_weight_net(family, t, eps)
         params = np.array([s.param for s in net])
         vectors = np.array([make_weights(s).entries for s in net])
         for _ in range(1000):

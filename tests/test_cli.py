@@ -27,12 +27,12 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def drifterm_process(*argv, cwd=None, env=None):
+def drifterm_process(*argv, cwd=None, env=None, stdout=subprocess.PIPE):
     """``drifterm argv`` in a fresh interpreter, as a shell runs it, with ``env`` added."""
     env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1]), **(env or {})}
     return subprocess.run(
         [sys.executable, "-m", "drifterm.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120, cwd=cwd,
     )
 
 
@@ -368,7 +368,7 @@ class TestStrictInputs:
             (("rates", "--config", "config.json"), "config.json",
              {**RATE_CONFIG, "rate_variant": "ii",
               "hypothesis": {"kind": "relu", "nu": 8, "ell": 2, "param_bound": 1.0}},
-             "sup-norm dependence constant inf exceeds n=1024"),
+             "the class has no sup-norm link (c_inf = 0); variant ii needs c_inf > 0"),
             (("mixing", "--config", "config.json"), "config.json",
              interval_config({"kind": "ar1", "phi": 1.5}, 64),
              "process.core: AR(1) needs |phi| < 1, got 1.5"),
@@ -393,6 +393,24 @@ class TestStrictInputs:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == message + "\n"
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_rates_grid_below_one(self, inputs, grid):
+        proc = drifterm_process("rates", "--config", "config.json", "--grid", grid, cwd=inputs)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"--grid: expected an integer >= 1, got {grid}\n"
+
+    @pytest.mark.parametrize("command", ["rates", "mixing"])
+    def test_reader_that_closed_stdout_gets_no_traceback(self, inputs, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before drifterm writes
+        try:
+            proc = drifterm_process(command, "--config", "config.json", cwd=inputs, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
     def test_risk_target_time_beyond_n(self, inputs, capsys):
         run_cli(capsys, *FIT)

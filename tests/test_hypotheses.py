@@ -25,7 +25,6 @@ from drifterm.processes import (
     ProcessKind,
     ProcessSpec,
     sample_covariates,
-    second_moment,
     simulate,
 )
 from drifterm.weights import WeightFamily, WeightSpec, make_weights, _from_entries
@@ -375,13 +374,13 @@ HINGE = net_fit([([[1.0]], [-0.5]), ([[1.0]], [0.0])])
 class TestL2Distance:
     def test_identical_is_zero(self):
         f = linear_fit([0.3, -0.2])
-        v, se, mode = l2_distance(f, f, CovariateLaw.BALL, p=2, second_moment=np.eye(2) / 6)
+        v, se, mode = l2_distance(f, f, CovariateLaw.BALL, p=2)
         assert v == 0.0 and mode == "exact"
 
     def test_isotropic_scaling(self):
         f, g = linear_fit([0.5, 0.0]), linear_fit([0.1, 0.3])
-        lam = 1 / 6
-        v, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=2, second_moment=lam * np.eye(2))
+        lam = 1 / 6  # the ball law's E[Z Z^T] = I / (3p) at p = 2
+        v, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=2)
         d = np.array([0.4, -0.3])
         assert v == pytest.approx(float(d @ d) * lam)
 
@@ -471,8 +470,7 @@ class TestL2Distance:
             "constant": 0.3,
             "relu": random_net(np.random.default_rng(8), 4, 2),
         }
-        _, se, mode = l2_distance(operands[f], operands[g], CovariateLaw.INTERVAL,
-                                  second_moment=np.array([[1 / 3]]))
+        _, se, mode = l2_distance(operands[f], operands[g], CovariateLaw.INTERVAL)
         assert mode == "exact" and se == 0.0
 
     def test_multivariate_operand_rejected_on_interval(self):
@@ -611,7 +609,7 @@ class TestSupNormLinkConstant:
         _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
         coef = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
         f, g = linear_fit(data.draw(coef)), linear_fit(data.draw(coef))
-        l2, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=p, second_moment=second_moment(spec))
+        l2, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=p)
         assert sup_distance(f, g) <= math.sqrt(l2) / c_inf * (1 + 1e-12) + 1e-15  # d^2 may underflow
 
     @given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
@@ -620,7 +618,7 @@ class TestSupNormLinkConstant:
         spec = linear_spec(64, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
         _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
         f, g = linear_fit([a]), linear_fit([b])
-        l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL, second_moment=second_moment(spec))
+        l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL)
         assert sup_distance(f, g) == pytest.approx(math.sqrt(l2) / c_inf, rel=1e-12, abs=1e-15)
 
     @given(n=st.integers(2, 8192), data=st.data())

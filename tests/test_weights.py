@@ -143,49 +143,43 @@ class TestMakeWeights:
 
 class TestClassConstants:
     def test_uniform_exact(self):
-        c = class_constants(WeightFamily.UNIFORM_WINDOW, (1.0, 50.0), (1, 50))
+        c = class_constants(WeightFamily.UNIFORM_WINDOW, 50)
         assert c.bw == 1.0 and c.c1 == 1.0 and c.exact
         assert c.n_eff_max == pytest.approx(50.0)
 
     def test_uniform_reads_no_parameter_range(self):
-        c = class_constants(WeightFamily.UNIFORM_WINDOW, (1.0, 1.0), (1, 1))
+        c = class_constants(WeightFamily.UNIFORM_WINDOW, 1)
         assert (c.c1, c.cw, c.bw, c.n_eff_max, c.exact) == (1.0, 1.0, 1.0, 1.0, True)
 
     def test_exponential_bounds(self):
-        c = class_constants(WeightFamily.EXPONENTIAL, (0.0, DEFAULT_EXP_RANGE), (1, 100))
+        c = class_constants(WeightFamily.EXPONENTIAL, 100)
         assert c.c1 == 1.0
         assert c.bw <= 2.0
         assert not c.exact
 
     def test_brown_bounds(self):
-        c = class_constants(WeightFamily.BROWN_DES, (0.0, 1.0), (1, 100))
+        c = class_constants(WeightFamily.BROWN_DES, 100)
         assert c.bw <= 18.0 * math.e**2
         assert c.c1 <= 3.0
-
-    def test_empty_ranges(self):
-        with pytest.raises(WeightDomainError):
-            class_constants(WeightFamily.EXPONENTIAL, (2.0, 1.0), (1, 10))
-        with pytest.raises(WeightDomainError):
-            class_constants(WeightFamily.EXPONENTIAL, (0.0, 1.0), (5, 4))
 
 
 class TestWeightNets:
     def test_uniform_net_enumerates(self):
-        net = build_weight_net(WeightFamily.UNIFORM_WINDOW, (1.0, 7.0), 7, 0.01)
+        net = build_weight_net(WeightFamily.UNIFORM_WINDOW, 7, 0.01)
         assert len(net) == 7
         assert sorted(s.param for s in net) == [float(s) for s in range(1, 8)]
 
     def test_exponential_net_size(self):
-        net = build_weight_net(WeightFamily.EXPONENTIAL, (0.0, 1.0), 11, 0.1)
-        assert len(net) <= 3 * 1.0 * 10 / 0.1
+        net = build_weight_net(WeightFamily.EXPONENTIAL, 11, 0.1)
+        assert len(net) <= 3 * DEFAULT_EXP_RANGE * 10 / 0.1
 
     def test_brown_net_size(self):
-        net = build_weight_net(WeightFamily.BROWN_DES, (0.0, 1.0), 5, 0.5)
+        net = build_weight_net(WeightFamily.BROWN_DES, 5, 0.5)
         assert len(net) <= 60 * 5 / 0.5
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(WeightDomainError):
-            build_weight_net(WeightFamily.EXPONENTIAL, (0.0, 1.0), 5, 0.0)
+            build_weight_net(WeightFamily.EXPONENTIAL, 5, 0.0)
 
     @pytest.mark.parametrize(
         "family,prange,eps",
@@ -196,10 +190,12 @@ class TestWeightNets:
         ],
     )
     def test_randomized_cover(self, family, prange, eps):
+        # the net covers the family's whole domain ``prange`` and stays inside it
         t = 40
         rng = np.random.default_rng(7)
-        net = build_weight_net(family, prange, t, eps)
+        net = build_weight_net(family, t, eps)
         params = np.array([s.param for s in net])
+        assert prange[0] <= params.min() and params.max() <= prange[1]
         vectors = np.array([make_weights(s).entries for s in net])
         for _ in range(1000):
             spec = random_spec(rng, family, t, t)
