@@ -217,11 +217,6 @@ def theta_for_n_eff(n_eff: float, t: int) -> float:
     return theta
 
 
-def _grid(hi: float) -> np.ndarray:
-    """Geometric grid on the decay-rate domain (0, hi), endpoints approached to 1e-6."""
-    return np.geomspace(_ENDPOINT_EPS, hi - _ENDPOINT_EPS, _GRID_POINTS)
-
-
 def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
     """Norm extremes of a family over its whole parameter domain and anchors 1..t.
 
@@ -235,7 +230,7 @@ def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
         return WeightClassConstants(
             c1=1.0, cw=1.0 / math.sqrt(t), bw=1.0, n_eff_max=float(t), exact=True
         )
-    thetas = _grid(_DECAY_SUP[family])
+    thetas = np.geomspace(_ENDPOINT_EPS, _DECAY_SUP[family] - _ENDPOINT_EPS, _GRID_POINTS)
 
     if family is WeightFamily.EXPONENTIAL:
         # Spikiness (1+rho)/(1+rho^t) and 1/||w||^2 both increase with t,
