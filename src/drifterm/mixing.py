@@ -1,10 +1,10 @@
 """Mixing coefficients for the supported generators and derived quantities.
 
-A :class:`MixingProfile` carries analytic beta- and rho-coefficient
-functions of the lag.  From it we derive the block length that makes the
-blocked-coupling slack fall below a confidence budget, the long-run
-correlation sum, and a closed-form Bernstein-type tail certificate for
-weighted sums over dependent data.
+A :class:`MixingProfile` carries an analytic beta-coefficient function of
+the lag and the geometric decay rate of the rho coefficients.  From it we
+derive the block length that makes the blocked-coupling slack fall below
+a confidence budget, the long-run correlation sum, and a closed-form
+Bernstein-type tail certificate for weighted sums over dependent data.
 """
 
 from __future__ import annotations
@@ -22,24 +22,23 @@ class MixingError(ValueError):
 
 @dataclass(frozen=True)
 class MixingProfile:
-    """Analytic beta/rho coefficient functions of the lag.
+    """Analytic beta coefficients and geometric rho coefficients of the lag.
 
-    ``rho_tail(k)`` must upper-bound sum_{j > k} rho(j); it is required for
-    the long-run sum and must be None only for profiles that are never fed
-    to :func:`k_rho`.
+    ``beta(k)`` is any function of the lag; the maximal correlation is
+    rho(k) = rho_rate^k for k >= 1 and 1 at k = 0.  Every generator core
+    is of this form: rate 0 for i.i.d. data, |phi| for Gaussian AR(1)
+    chains and |1 - p01 - p10| for the 2-state chain.
     """
 
     beta: Callable[[int], float]
-    rho: Callable[[int], float]
-    rho_tail: Callable[[int], float] | None = None
+    rho_rate: float = 0.0
+
+    def rho(self, k: int) -> float:
+        return self.rho_rate**k if k >= 1 else 1.0
 
     @staticmethod
     def iid() -> "MixingProfile":
-        return MixingProfile(
-            beta=lambda k: 0.0 if k >= 1 else 1.0,
-            rho=lambda k: 0.0 if k >= 1 else 1.0,
-            rho_tail=lambda k: 0.0,
-        )
+        return MixingProfile(beta=lambda k: 0.0 if k >= 1 else 1.0)
 
     @staticmethod
     def ar1(phi: float, *, chains: int = 1) -> "MixingProfile":
@@ -55,17 +54,7 @@ class MixingProfile:
         if not 0 <= abs(phi) < 1:
             raise MixingError(f"need |phi| < 1, got {phi}")
         a = abs(phi)
-
-        def beta(k: int) -> float:
-            return min(1.0, chains * a**k) if k >= 1 else 1.0
-
-        def rho(k: int) -> float:
-            return a**k if k >= 1 else 1.0
-
-        def rho_tail(k: int) -> float:
-            return a ** (k + 1) / (1.0 - a) if a > 0 else 0.0
-
-        return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
+        return MixingProfile(beta=lambda k: min(1.0, chains * a**k) if k >= 1 else 1.0, rho_rate=a)
 
     @staticmethod
     def markov2(p01: float, p10: float) -> "MixingProfile":
@@ -81,19 +70,7 @@ class MixingProfile:
             raise MixingError(f"need flip probabilities in [0, 1], not both 0; got {p01}, {p10}")
         pi0 = p10 / (p01 + p10)
         lam = abs(1.0 - p01 - p10)
-
-        def beta(k: int) -> float:
-            return 2.0 * pi0 * (1.0 - pi0) * lam**k
-
-        def rho(k: int) -> float:
-            return lam**k
-
-        def rho_tail(k: int) -> float:
-            return lam ** (k + 1) / (1.0 - lam) if lam > 0 else 0.0
-
-        if lam >= 1.0:
-            rho_tail = None  # periodic: tail not summable
-        return MixingProfile(beta=beta, rho=rho, rho_tail=rho_tail)
+        return MixingProfile(beta=lambda k: 2.0 * pi0 * (1.0 - pi0) * lam**k, rho_rate=lam)
 
 
 class BlockLength(NamedTuple):
@@ -118,31 +95,16 @@ def m_beta(profile: MixingProfile, n: int, delta: float) -> BlockLength:
     return BlockLength(n, False)
 
 
-RHO_TAIL_TOL = 1e-10
-
-
 def k_rho(profile: MixingProfile) -> float:
-    """Long-run correlation sum 1 + 2 sum_{k>=1} rho(k), tail included.
+    """Long-run correlation sum 1 + 2 sum_{k>=1} rho(k) in closed form.
 
-    The series is truncated once the analytic tail bound drops below
-    RHO_TAIL_TOL of the running total; the tail bound itself is added so
-    the result is an upper bound tight to the tolerance.
+    With rho(k) = r^k the geometric series gives (1 + r) / (1 - r); a rate
+    r >= 1 (the periodic chain ``markov2(1, 1)``) has no finite sum.
     """
-    if profile.rho_tail is None:
-        raise MixingError("profile has no summable-tail bound; cannot sum rho")
-    partial = 0.0
-    k = 0
-    max_terms = 10_000_000
-    while True:
-        tail = profile.rho_tail(k)
-        if tail < 0:
-            raise MixingError("tail bound must be nonnegative")
-        if tail <= RHO_TAIL_TOL * max(1.0, 1.0 + 2.0 * partial):
-            return 1.0 + 2.0 * (partial + tail)
-        k += 1
-        if k > max_terms:
-            raise MixingError("rho series did not converge within the term budget")
-        partial += profile.rho(k)
+    r = profile.rho_rate
+    if not 0 <= r < 1:
+        raise MixingError(f"the correlation sum needs a rho rate in [0, 1), got {r}")
+    return (1.0 + r) / (1.0 - r)
 
 
 def blocked_bernstein_tail(

@@ -255,10 +255,6 @@ def _ar1_latent(rng: np.random.Generator, phi: float, shape: tuple[int, int]) ->
     rows, cols = shape
     x0 = rng.standard_normal(cols)
     e = rng.standard_normal((rows, cols)) * math.sqrt(1.0 - phi**2)
-    if phi == 0.0:
-        out = e
-        out[0] = x0  # stationary start
-        return out
     from scipy.signal import lfilter  # on first use: the slowest import drifterm has
 
     out, _ = lfilter([1.0], [1.0, -phi], e, axis=0, zi=(phi * x0)[None, :])

@@ -123,7 +123,6 @@ class RateFunction:
     """An increasing rate function u -> r(u) = sum_i c_i u^(e_i) on [cw, c1],
     with scale constant ``a`` and its (c_i, e_i) ``terms``."""
 
-    variant: RateVariant
     params: RateParameters
     a: float
     terms: tuple[tuple[float, float], ...]
@@ -177,7 +176,7 @@ def closed_form_rate(variant: RateVariant, params: RateParameters, a: float = 1.
             (math.sqrt(a * params.c_p**2 * params.k_rho * log_n), 1.0 - alpha / 2.0),
             (a * c_inf_term * log_n, 2.0 - alpha),
         )
-    return RateFunction(variant, params, a, terms)
+    return RateFunction(params, a, terms)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ _ENDPOINT_EPS = 1e-6
 # Points in the geometric parameter grid used for grid-approximate suprema.
 _GRID_POINTS = 10_000
 
+# Most (decay rate, lag) entries the Brown constants hold in one array.
+_BLOCK_ENTRIES = 1 << 19
+
 
 class WeightFamily(Enum):
     UNIFORM_WINDOW = "uniform"
@@ -105,10 +108,6 @@ class WeightVector:
     def n_eff(self) -> float:
         """Effective sample size 1 / ||w||^2."""
         return 1.0 / self.l2sq
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,9 @@ def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
     Uniform windows have exact constants.  The smoothing families take the
     extremes over a geometric grid of 10^4 decay rates on their domain
     (0, R) with R = DEFAULT_EXP_RANGE, or (0, 1] for Brown, endpoints
-    approached to 1e-6, flagged via ``exact=False``.
+    approached to 1e-6, flagged via ``exact=False``.  Brown extremes run
+    over 25 anchors, a block of at most _BLOCK_ENTRIES (rate, lag) entries
+    at a time, so memory does not grow with t.
     """
     if family is WeightFamily.UNIFORM_WINDOW:
         # ||w||_1 = 1, ||w||_inf/||w||^2 = 1 for every window; min norm at s = t.
@@ -241,23 +242,26 @@ def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
             c1=1.0, cw=cw, bw=bw, n_eff_max=1.0 / cw**2, exact=False
         )
 
-    # BROWN_DES: evaluate realized norms on a theta grid x anchor subgrid.
+    # BROWN_DES: realized norms on a theta grid x anchor subgrid.  Every
+    # statistic is row-wise, so blocking the rows leaves each value as is.
     t_values = np.unique(np.geomspace(1, t, 25).astype(int))
     c1 = 0.0
     bw = 0.0
     cw = math.inf
-    r = 1.0 - thetas
     for anchor in t_values:
         k = np.arange(anchor, dtype=float)
-        # blocks[j, k] for theta_j, lag k
-        blocks = (2.0 - thetas[:, None] * (k[None, :] + 1.0)) * r[:, None] ** k[None, :]
-        total = blocks.sum(axis=1)
-        l1 = np.abs(blocks).sum(axis=1) / total
-        l2sq = (blocks**2).sum(axis=1) / total**2
-        linf = np.abs(blocks).max(axis=1) / total
-        c1 = max(c1, float(l1.max()))
-        bw = max(bw, float((linf / l2sq).max()))
-        cw = min(cw, float(np.sqrt(l2sq.min())))
+        rows = max(1, _BLOCK_ENTRIES // anchor)
+        for start in range(0, _GRID_POINTS, rows):
+            th = thetas[start : start + rows, None]
+            # blocks[j, k] for theta_j, lag k
+            blocks = (2.0 - th * (k[None, :] + 1.0)) * (1.0 - th) ** k[None, :]
+            total = blocks.sum(axis=1)
+            l1 = np.abs(blocks).sum(axis=1) / total
+            l2sq = (blocks**2).sum(axis=1) / total**2
+            linf = np.abs(blocks).max(axis=1) / total
+            c1 = max(c1, float(l1.max()))
+            bw = max(bw, float((linf / l2sq).max()))
+            cw = min(cw, float(np.sqrt(l2sq.min())))
     return WeightClassConstants(c1=c1, cw=cw, bw=bw, n_eff_max=1.0 / cw**2, exact=False)
 
 
@@ -268,7 +272,9 @@ def build_weight_net(family: WeightFamily, t: int, epsilon: float) -> list[Weigh
     The grids use the families' Lipschitz constants in the decay rate:
     (t-1) for exponential smoothing and 20 t for Brown smoothing, with
     midpoint spacing so every parameter sits within half a step of the
-    grid.  Uniform windows are enumerated exactly.
+    grid.  Uniform windows are enumerated exactly.  At t = 1 every member
+    of a smoothing family is the point mass at time 1, so the net is one
+    spec.
     """
     if epsilon <= 0:
         raise WeightDomainError(f"epsilon must be > 0, got {epsilon}")
@@ -277,12 +283,9 @@ def build_weight_net(family: WeightFamily, t: int, epsilon: float) -> list[Weigh
         return [WeightSpec(family, t=t, n=t, param=float(s)) for s in range(1, t + 1)]
 
     hi = _DECAY_SUP[family]
-    if family is WeightFamily.EXPONENTIAL:
-        lip = float(t - 1)
-    else:
-        lip = 20.0 * t
-    if lip == 0.0:  # t = 1: every member is the point mass at time 1
+    if t == 1:  # every member is the point mass at time 1
         return [WeightSpec(family, t=t, n=t, param=0.5 * hi)]
+    lip = float(t - 1) if family is WeightFamily.EXPONENTIAL else 20.0 * t
     step = epsilon / lip
     count = max(1, math.ceil(hi / step))
     params = (np.arange(count) + 0.5) * step

@@ -187,11 +187,7 @@ def test_criterion_4_dependence_robustness():
     # n = 1e4, exponential-union weight class, constant-predictor class
     # (exact sup-norm link 1); each variant's scale found by doubling
     n = 10_000
-    prof = MixingProfile(
-        beta=lambda k: k**-5.0 if k >= 1 else 1.0,
-        rho=lambda k: 0.0 if k >= 1 else 1.0,
-        rho_tail=lambda k: 0.0,
-    )
+    prof = MixingProfile(beta=lambda k: k**-5.0 if k >= 1 else 1.0)
     mb = m_beta(prof, n, 0.05)
     interval = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, 1, CovariateLaw.INTERVAL,
                            DependenceCore(), drift=DriftSpec.constant([0.0]))

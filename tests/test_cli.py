@@ -120,6 +120,18 @@ class TestMixingCommand:
         assert d["n"] == 50 and d["delta"] == 0.2
         assert d["m_beta"] == m_beta(MixingProfile.ar1(0.9), 50, 0.2).m
 
+    def test_near_unit_phi_is_summed_and_refused_by_run(self, capsys, tmp_path):
+        # |phi| < 1 passes the config check; k_rho is (1 + phi) / (1 - phi),
+        # which puts the combined dependence constant far above n
+        d = self.mixing(capsys, tmp_path, interval_config({"kind": "ar1", "phi": 0.999999}, 128))
+        assert d["k_rho"] == pytest.approx(1999999.0, rel=1e-9)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert exc.value.code == (
+            "uniform weights at n=128: combined dependence constant 2e+06 exceeds n=128"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulateAndFit:
     def test_simulate_csv_schema(self, capsys, tmp_path, spec_file):
@@ -323,7 +335,7 @@ STDOUT_PINS = {
         "de8378cc151b5689b6ddc107b5526b3dfa3b2cdc4430f1d976d903b20180bdda"),
     "weights-brown-t1": (
         ("weights", "--family", "brown", "--t", "1", "--n", "1", "--param", "0.5", *WEIGHTS_NET),
-        "75d8dde24af4f1856fa56321682e89a7d5f3cecd408b36cee14d941359c954c6"),
+        "de1e44e5a689b45ea2609d5c3e01ef36a206290b217cda30f6e7cb0ec81ee1a1"),
     "rates-linear-uniform": (
         ("rates", "--config", LINEAR_RATE),
         "7544c250093eaa7f66173084f31f8e17b92854f1bbe258e6a21082e121be40c0"),

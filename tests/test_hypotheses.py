@@ -218,6 +218,37 @@ class TestStepFits:
                     expected = grid[np.argmin(risks)]
                 assert abs(expected - fit.bins[j]) <= 2e-4
 
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_concave_bins_match_brute_force(self, theta):
+        # signed Brown weights: bins holding only old observations have a
+        # negative weight sum, a concave objective minimised at an endpoint
+        n, q, B = 32, 8, 0.6
+        spec = linear_spec(n, p=1, drift=DriftSpec.constant([0.8]), law=CovariateLaw.INTERVAL)
+        w = make_weights(WeightSpec(WeightFamily.BROWN_DES, t=n, n=n, param=theta))
+        grid = np.linspace(-B, B, 12_001)
+        concave_seen = 0
+        for seed in range(5):
+            path = simulate(spec, 500 + seed)
+            fit = fit_weighted_erm(path, w, HypothesisClassSpec.step(q, B))
+            z, y = path.z[:n, 0], path.y[:n]
+            idx = np.clip((z * q).astype(int), 0, q - 1)
+            concave = 0
+            for j in range(q):
+                mask = idx == j
+                if not mask.any():
+                    assert fit.bins[j] == 0.0
+                    continue
+                risks = ((y[mask][None, :] - grid[:, None]) ** 2 * w.entries[mask][None, :]).sum(axis=1)
+                expected = grid[np.argmin(risks)]
+                if w.entries[mask].sum() < 0:
+                    concave += 1
+                    assert fit.bins[j] == expected  # an endpoint, -B or B
+                else:
+                    assert abs(expected - fit.bins[j]) <= 2e-4
+            assert fit.fit_meta["nonconvex_bins"] == concave
+            concave_seen += concave
+        assert concave_seen > 0
+
     def test_clipping(self):
         spec = ProcessSpec(
             kind=ProcessKind.DRIFTING_LINEAR, n=4, p=1, law=CovariateLaw.INTERVAL,

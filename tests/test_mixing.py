@@ -15,31 +15,23 @@ from drifterm.mixing import (
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
 
 
-def profile_from(beta, rho=None, tail=None):
-    return MixingProfile(
-        beta=beta,
-        rho=rho or (lambda k: 0.0 if k >= 1 else 1.0),
-        rho_tail=tail or (lambda k: 0.0),
-    )
-
-
 class TestMBeta:
     def test_independent_data(self):
         assert m_beta(MixingProfile.iid(), 1000, 0.1).m == 1
 
     def test_polynomial_example(self):
         # (n/m) m^-5 <= delta  <=>  m^6 >= n/delta = 20000, first at m = 6.
-        prof = profile_from(lambda k: k**-5.0 if k >= 1 else 1.0)
+        prof = MixingProfile(beta=lambda k: k**-5.0 if k >= 1 else 1.0)
         assert m_beta(prof, 1000, 0.05) == (6, True)
 
     def test_exponential_times_m_fixture(self):
         # (n/m) m e^-m = n e^-m <= 0.01 with n = 1e4 forces e^-m <= 1e-6,
         # first integer m = 14 (13.82 = ln 1e6).
-        prof = profile_from(lambda k: k * math.exp(-k) if k >= 1 else 1.0)
+        prof = MixingProfile(beta=lambda k: k * math.exp(-k) if k >= 1 else 1.0)
         assert m_beta(prof, 10_000, 0.01) == (14, True)
 
     def test_unsatisfiable_flagged(self):
-        prof = profile_from(lambda k: 1.0)
+        prof = MixingProfile(beta=lambda k: 1.0)
         assert m_beta(prof, 50, 0.5) == (50, False)
 
     def test_delta_domain(self):
@@ -73,22 +65,16 @@ class TestKRho:
         # geometric series: 1 + 2 * phi/(1-phi) = (1+phi)/(1-phi) = 3 at phi=0.5
         assert k_rho(MixingProfile.ar1(0.5)) == pytest.approx(3.0, abs=1e-9)
 
-    def test_finite_support(self):
-        prof = profile_from(
-            lambda k: 0.0,
-            rho=lambda k: 0.9 if k == 1 else (1.0 if k == 0 else 0.0),
-            tail=lambda k: 0.9 if k < 1 else 0.0,
-        )
-        assert k_rho(prof) == pytest.approx(2.8, abs=1e-12)
+    def test_closed_form_is_exact(self):
+        # no truncation or rounding drift, however close the rate is to 1
+        assert k_rho(MixingProfile.ar1(0.6)) == 4.0
+        assert k_rho(MixingProfile.ar1(0.99)) == (1 + 0.99) / (1 - 0.99)
+        assert k_rho(MixingProfile.ar1(0.999999)) == pytest.approx(1999999.0, rel=1e-9)
 
-    def test_non_summable_rejected(self):
-        prof = MixingProfile(
-            beta=lambda k: 0.0,
-            rho=lambda k: 1.0 / (k + 1),
-            rho_tail=None,
-        )
-        with pytest.raises(MixingError):
-            k_rho(prof)
+    def test_geometric_rho(self):
+        prof = MixingProfile(beta=lambda k: 0.0, rho_rate=0.5)
+        assert [prof.rho(k) for k in range(4)] == [1.0, 0.5, 0.25, 0.125]
+        assert MixingProfile.iid().rho(1) == 0.0
 
 
 def markov_tv_beta(P, k):
@@ -131,7 +117,7 @@ class TestMarkovBeta:
     def test_periodic_chain_has_no_summable_tail(self):
         prof = MixingProfile.markov2(1.0, 1.0)
         assert prof.beta(7) == 0.5 and prof.rho(7) == 1.0
-        with pytest.raises(MixingError):
+        with pytest.raises(MixingError, match="rho rate in \\[0, 1\\), got 1.0"):
             k_rho(prof)
 
     @pytest.mark.parametrize(

@@ -151,6 +151,16 @@ class TestSimulate:
         corr = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert corr > 0.4
 
+    def test_ar1_core_at_phi_zero_is_the_innovations(self):
+        # the filter with a zero pole passes the i.i.d. N(0, 1) innovations through
+        from scipy.special import ndtr
+
+        spec = linear_spec(n=20, p=1, core=DependenceCore(kind="ar1", phi=0.0),
+                           drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
+        rng = np.random.default_rng(5)
+        rng.standard_normal(1)  # the stationary start, which phi = 0 forgets
+        np.testing.assert_array_equal(simulate(spec, 5).z, ndtr(rng.standard_normal((21, 1))))
+
 
 class TestPopulationOptima:
     def test_stationary_matches_constant(self):

@@ -150,7 +150,7 @@ class TestConditionChecks:
 
     def test_zero_rate_fails_everywhere(self):
         params = make_params()
-        zero = RateFunction(RateVariant.I, params, 1.0, ((0.0, 1.0),))
+        zero = RateFunction(params, 1.0, ((0.0, 1.0),))
         report = check_rate_conditions(zero)
         assert not report.all_pass
         assert all(not p.growth_ok for p in report.points)
@@ -295,7 +295,7 @@ class TestSharedEvaluatorOracle:
 
     def test_custom_rate_matches_reference(self):
         params, approx_err = oracle_setups()["step_sized"]
-        custom = RateFunction(RateVariant.I, params, 1.0, ((3.0, 0.8), (0.01, 0.0)))  # 3u^0.8 + 0.01
+        custom = RateFunction(params, 1.0, ((3.0, 0.8), (0.01, 0.0)))  # 3u^0.8 + 0.01
         report = check_rate_conditions(custom, approx_err=approx_err)
         assert report == reference_check(custom, approx_err)
 
@@ -336,11 +336,7 @@ class TestVariantDominance:
         from drifterm.mixing import MixingProfile, m_beta
 
         n = 10_000
-        prof = MixingProfile(
-            beta=lambda k: k**-5.0 if k >= 1 else 1.0,
-            rho=lambda k: 0.0 if k >= 1 else 1.0,
-            rho_tail=lambda k: 0.0,
-        )
+        prof = MixingProfile(beta=lambda k: k**-5.0 if k >= 1 else 1.0)
         mb = m_beta(prof, n, 0.05)
         assert mb == (8, True)
         params = make_params(

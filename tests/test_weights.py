@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ class TestClassConstants:
         assert c.bw <= 18.0 * math.e**2
         assert c.c1 <= 3.0
 
+    def test_brown_memory_is_bounded_in_t(self):
+        # one (10^4 decay rates, t lags) float array is 82 MB at t = 1024
+        tracemalloc.start()
+        try:
+            class_constants(WeightFamily.BROWN_DES, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
 
 class TestWeightNets:
     def test_uniform_net_enumerates(self):
@@ -176,6 +187,14 @@ class TestWeightNets:
     def test_brown_net_size(self):
         net = build_weight_net(WeightFamily.BROWN_DES, 5, 0.5)
         assert len(net) <= 60 * 5 / 0.5
+
+    @pytest.mark.parametrize("family", [WeightFamily.EXPONENTIAL, WeightFamily.BROWN_DES])
+    @pytest.mark.parametrize("eps", [0.5, 0.01])
+    def test_t_one_net_is_the_point_mass(self, family, eps):
+        # every member at t = 1 is the point mass at time 1
+        net = build_weight_net(family, 1, eps)
+        assert len(net) == 1
+        assert make_weights(net[0]).entries.tolist() == [1.0]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(WeightDomainError):
