@@ -167,7 +167,7 @@ def _cmd_fit(args) -> int:
     with open(args.data, "r", encoding="utf-8") as f:
         path = read_path_csv(f.read(), spec, args.data)
     w = _read_weights(args.weights, spec.n)
-    fit = fit_weighted_erm(path, w, klass.class_spec(spec, w.l2), seed=args.seed)
+    fit = fit_weighted_erm(path, w, klass, seed=args.seed)
     out = {"class": config_to_dict(fit.class_spec), "fit_meta": fit.fit_meta}
     if fit.coef is not None:
         out["coef"] = [float(v) for v in fit.coef]

@@ -217,14 +217,14 @@ def _path_task(payload: tuple) -> list:
     each weight of its cell.  One outcome per weight, in order:
     ``(learning, excess)`` or a failure message; a failed simulation fails
     every weight.  Pure function of the payload."""
-    spec, path_seed, weights, draws, base_seed, i_n, rep = payload
+    spec, path_seed, weights, class_spec, draws, base_seed, i_n, rep = payload
     try:
         path = simulate(spec, path_seed)
     except Exception as err:  # row-level isolation; harness applies the 1% budget
         return [f"{type(err).__name__}: {err}"] * len(weights)
     return [
         _fit_outcome(path, spec, draws, w, class_spec, (base_seed, i_n, i_param, rep))
-        for i_param, (w, class_spec) in enumerate(weights)
+        for i_param, w in enumerate(weights)
     ]
 
 
@@ -264,7 +264,6 @@ def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
         c_p=1.0,  # time-invariant covariate law
         c_inf=c_inf,
         alpha=alpha,
-        delta=cfg.delta,
         n=n,
         log_n1_w=log_n1,
         log_ninf_h=log_ninf,
@@ -301,16 +300,15 @@ def run_experiment(
         except RatePreconditionError as exc:
             raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
         rate_constants[n] = rate.a
-        weights, meta = [], []
-        for wspec in wspecs:
-            w = make_weights(wspec)
+        weights = [make_weights(wspec) for wspec in wspecs]
+        meta = []
+        for wspec, w in zip(wspecs, weights):
             drift = drift_error(spec, w, n)
-            weights.append((w, cfg.hypothesis.class_spec(spec, w.l2)))
             meta.append((float(wspec.param), w.l2, drift,
                          bound_certificate(rate, w.l2, cfg.delta, drift_term=drift)))
         path_seeds = [_row_seed(cfg.base_seed, i_n, 0, rep, 0) for rep in range(cfg.replications)]
         payloads.extend(
-            (spec, path_seed, weights, cfg.mc_draws, cfg.base_seed, i_n, rep)
+            (spec, path_seed, weights, cfg.hypothesis, cfg.mc_draws, cfg.base_seed, i_n, rep)
             for rep, path_seed in enumerate(path_seeds)
         )
         cells.append((n, path_seeds, meta))

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .processes import CovariateLaw, ProcessSpec, SamplePath, law_second_moment
-from .processes import sample_covariates, second_moment
+from .processes import refuse_unread, sample_covariates
 from .weights import WeightVector
 
 # Relative floor under which the weighted Gram matrix counts as deficient.
@@ -69,9 +69,10 @@ def basis_size(w_l2: float) -> int:
 class HypothesisClassSpec:
     """A regression class: the config's ``hypothesis`` object and a fit's class.
 
-    ``q = None`` on a step class sizes it per cell from the weight norm
-    (see ``class_spec``); every other field is fixed.  The class owns its
-    rate inputs (``rate_inputs``).
+    ``q = None`` on a step class sizes it for each weight from the weight
+    norm (``class_spec``, which ``fit_weighted_erm`` calls); every other
+    field is fixed, and a field that the kind does not read must keep its
+    default.  The class owns its rate inputs (``rate_inputs``).
     """
 
     kind: HypothesisKind = HypothesisKind.LINEAR_BALL
@@ -93,6 +94,8 @@ class HypothesisClassSpec:
                 raise HypothesisError(f"network class needs nu >= 1 and ell >= 1, got {self.nu}, {self.ell}")
             if not (math.isfinite(self.param_bound) and self.param_bound > 0):
                 raise HypothesisError(f"param_bound must be finite and positive, got {self.param_bound}")
+        unread = {"linear": ("q", "nu", "ell", "param_bound"), "step": ("nu", "ell", "param_bound"), "relu": ("q",)}
+        refuse_unread(self, unread, "class", HypothesisError)
 
     @staticmethod
     def linear(b_bound: float) -> "HypothesisClassSpec":
@@ -144,7 +147,7 @@ class HypothesisClassSpec:
             def cover(eps: float, w_l2: float) -> float:
                 return max(0.0, p * math.log(3.0 * B / eps))
 
-            return 0.0, math.sqrt(np.linalg.eigvalsh(second_moment(spec))[0]), cover, None
+            return 0.0, math.sqrt(np.linalg.eigvalsh(law_second_moment(spec.law, p))[0]), cover, None
         if self.kind is HypothesisKind.STEP_BASIS:
             size = basis_size if self.q is None else (lambda u: self.q)  # bins at weight norm u
 
@@ -158,6 +161,12 @@ class HypothesisClassSpec:
             return max(0.0, math.ceil(w_l2 ** (-2.0 / 3.0)) * math.log(n / eps))
 
         return 2.0 / 3.0, 0.0, cover, lambda u: u ** (2.0 / 3.0)
+
+
+# The unbounded classes of a bare comparison operand, a constant or a
+# coefficient vector: a distance reads only its bin values or coefficients.
+_CONSTANT_CLASS = HypothesisClassSpec.step(1, math.inf)
+_LINEAR_CLASS = HypothesisClassSpec.linear(math.inf)
 
 
 @dataclass(frozen=True)
@@ -284,8 +293,6 @@ def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisCla
 
 def _fit_step(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
     q, B = spec.q, spec.b_bound
-    if q is None:
-        raise HypothesisError("a step fit needs a fixed q; class_spec sizes it from ||w||")
     if np.any(z[:, 0] < 0) or np.any(z[:, 0] >= 1):
         raise HypothesisError("step basis expects covariates in [0, 1)")
     idx = _bin_index(z[:, 0], q)
@@ -436,13 +443,15 @@ def fit_weighted_erm(
 ) -> FittedHypothesis:
     """Minimize the weighted empirical square loss over the class.
 
-    Only the first n observations of the path enter the fit; the held-out
-    final row never does.  Linear and step fits are exact minimizers; the
-    network fit is approximate (projected gradient descent) and records
-    its achieved empirical risk.  A NaN or infinity in the first n
-    covariates, responses or weights is rejected.  ``seed`` seeds the
-    network's start: an int, or a zero-argument callable that returns it,
-    called only by a network fit.
+    The class is sized for the weight first (``class_spec.class_spec``): a
+    step class with q unset gets q = basis_size(||w||), and a fixed class
+    is fitted as given.  Only the first n observations of the path enter
+    the fit; the held-out final row never does.  Linear and step fits are
+    exact minimizers; the network fit is approximate (projected gradient
+    descent) and records its achieved empirical risk.  A NaN or infinity
+    in the first n covariates, responses or weights is rejected.  ``seed``
+    seeds the network's start: an int, or a zero-argument callable that
+    returns it, called only by a network fit.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
@@ -451,6 +460,7 @@ def fit_weighted_erm(
     for name, values in (("z", z), ("y", y), ("w", wv)):
         if not np.isfinite(values).all():
             raise HypothesisError(f"{name} has non-finite entries")
+    class_spec = class_spec.class_spec(path.spec, w.l2)
     if class_spec.kind is HypothesisKind.LINEAR_BALL:
         return _fit_linear(z, y, wv, class_spec)
     if class_spec.kind is HypothesisKind.STEP_BASIS:
@@ -476,10 +486,8 @@ def _as_hypothesis(g) -> FittedHypothesis:
         return g
     arr = np.asarray(g, dtype=float)
     if arr.ndim == 0:
-        spec = HypothesisClassSpec.step(q=1, b_bound=max(1.0, abs(float(arr)) + 1.0))
-        return FittedHypothesis(class_spec=spec, bins=np.array([float(arr)]))
-    spec = HypothesisClassSpec.linear(max(1.0, float(np.linalg.norm(arr))))
-    return FittedHypothesis(class_spec=spec, coef=arr)
+        return FittedHypothesis(class_spec=_CONSTANT_CLASS, bins=np.array([float(arr)]))
+    return FittedHypothesis(class_spec=_LINEAR_CLASS, coef=arr)
 
 
 def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,8 +5,8 @@ ball, or the unit interval), optionally made serially dependent through a
 latent Gaussian AR(1) or a symmetric 2-state Markov chain; the marginal
 law stays fixed over time so the weighted population optimum has a closed
 form.  Responses follow either a drifting linear model or a constant-mean
-model with drifting variance; the noise is independent over time and
-truncated in both.
+model with drifting variance on the interval law; the noise is
+independent over time and truncated in both.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .mixing import MixingProfile
+from .weights import WeightVector
 
 # Noise is a standard normal conditioned on |x| <= 4, rescaled to unit
 # standard deviation; the rescale stretches the support to +-TRUNC_SUPPORT.
@@ -41,6 +42,16 @@ class CovariateLaw(Enum):
 
 class ProcessSpecError(ValueError):
     """Invalid generator configuration, or a path file that does not fit it."""
+
+
+def refuse_unread(spec, unread: dict, what: str, error) -> None:
+    """Raise ``error`` if a field that the spec's kind does not read, one of
+    ``unread[kind]``, is set away from its default; ``what`` names the object."""
+    kind = getattr(spec.kind, "_value_", spec.kind)  # an Enum kind's value, or a str kind
+    for name in unread[kind]:
+        default = getattr(type(spec), name)  # a dataclass keeps each plain default on the class
+        if (value := getattr(spec, name)) != default:
+            raise error(f"{kind} {what} does not read {name}: it must keep its default {default!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,8 @@ class DriftSpec:
             raise ProcessSpecError(f"{self.kind} drift needs b with as many entries as a")
         if self.kind == "switch" and self.at is None:
             raise ProcessSpecError("switch drift needs the change point at")
+        refuse_unread(self, {"constant": ("b", "at", "cycles"), "linear": ("at", "cycles"),
+                             "switch": ("cycles",), "sinusoidal": ("at",)}, "drift", ProcessSpecError)
 
     @staticmethod
     def constant(value) -> "DriftSpec":
@@ -138,6 +151,8 @@ class DependenceCore:
             raise ProcessSpecError(f"AR(1) needs |phi| < 1, got {self.phi}")
         if self.kind == "markov" and not 0 < self.flip < 1:
             raise ProcessSpecError(f"flip probability must be in (0,1), got {self.flip}")
+        unread = {"iid": ("phi", "flip"), "ar1": ("flip",), "markov": ("phi",)}
+        refuse_unread(self, unread, "core", ProcessSpecError)
 
 
 @dataclass(frozen=True)
@@ -159,7 +174,11 @@ class ProcessSpec:
             raise ProcessSpecError("n and p must be >= 1")
         if self.law is CovariateLaw.INTERVAL and self.p != 1:
             raise ProcessSpecError("interval law is univariate")
+        unread = {"drifting_linear": ("mean", "var_start", "var_end"), "drifting_variance": ("drift", "noise_sd")}
+        refuse_unread(self, unread, "kind", ProcessSpecError)
         if self.kind is ProcessKind.DRIFTING_VARIANCE:
+            if self.law is not CovariateLaw.INTERVAL:
+                raise ProcessSpecError(f"the drifting_variance kind needs the interval law, got {self.law.value}")
             if self.var_start <= 0 or self.var_end <= 0:
                 raise ProcessSpecError("variances must be positive")
             required = abs(self.mean) + math.sqrt(max(self.var_start, self.var_end)) * TRUNC_SUPPORT
@@ -190,12 +209,6 @@ class SamplePath:
     z: np.ndarray
     seed: int
     spec: ProcessSpec
-
-
-def second_moment(spec: ProcessSpec) -> np.ndarray:
-    """Exact covariate second-moment matrix E[Z Z^T] (time-invariant),
-    memoised per (law, p) and returned read-only."""
-    return law_second_moment(spec.law, spec.p)
 
 
 @functools.lru_cache(maxsize=16)
@@ -304,7 +317,7 @@ def simulate(spec: ProcessSpec, seed: int) -> SamplePath:
     return SamplePath(y=y, z=z, seed=int(seed), spec=spec)
 
 
-def population_optimum_weighted(spec: ProcessSpec, w) -> np.ndarray:
+def population_optimum_weighted(spec: ProcessSpec, w: WeightVector) -> np.ndarray:
     """Measurable minimizer of the weighted population risk.
 
     With a shared covariate law and weights summing to one, the pointwise
@@ -314,10 +327,9 @@ def population_optimum_weighted(spec: ProcessSpec, w) -> np.ndarray:
     """
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
         return np.array([spec.mean])
-    entries = w.entries if hasattr(w, "entries") else np.asarray(w, dtype=float)
-    if entries.shape[0] != spec.n:
-        raise ProcessSpecError(f"weight length {entries.shape[0]} != n={spec.n}")
-    return entries @ beta_path(spec)[: spec.n]
+    if w.entries.shape[0] != spec.n:
+        raise ProcessSpecError(f"weight length {w.entries.shape[0]} != n={spec.n}")
+    return w.entries @ beta_path(spec)[: spec.n]
 
 
 def population_optimum_next(spec: ProcessSpec, t: int) -> np.ndarray:

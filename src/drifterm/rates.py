@@ -35,7 +35,8 @@ class RateParameters:
     eps -> log N1 for the weight class and (eps, w_l2) -> log Ninf for the
     hypothesis class.  The loss is the square loss, whose curvature
     constant is 1.  The scale constant ``a`` belongs to the rate
-    (:func:`closed_form_rate`).
+    (:func:`closed_form_rate`), and the confidence level delta to the
+    certificate (:func:`bound_certificate`) and to ``mixing.m_beta``.
     """
 
     c1: float
@@ -46,14 +47,11 @@ class RateParameters:
     c_p: float
     c_inf: float
     alpha: float
-    delta: float
     n: int
     log_n1_w: Callable[[float], float]
     log_ninf_h: Callable[[float, float], float]
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta < 1:
-            raise RateError("delta must be in (0,1)")
         if not 0 <= self.alpha < 2:
             raise RateError("alpha must be in [0, 2)")
         if self.c_p < 1 or self.k_rho < 1 or self.m_beta < 1:

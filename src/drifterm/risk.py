@@ -26,8 +26,8 @@ from .processes import (
     ProcessSpec,
     beta_path,
     population_optimum_next,
+    law_second_moment,
     population_optimum_weighted,
-    second_moment,
     sigma2_path,
 )
 from .weights import WeightVector
@@ -101,7 +101,7 @@ def drift_error(spec: ProcessSpec, w: WeightVector, t: int) -> float:
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
         return float((a[0] - b[0]) ** 2)
     d = a - b
-    return float(d @ second_moment(spec) @ d)
+    return float(d @ law_second_moment(spec.law, spec.p) @ d)
 
 
 def excess_risk(
@@ -149,7 +149,7 @@ def _discrepancy_gaps(
         return None
     betas = beta_path(spec)
     bs, bt = betas[s - 1], betas[t - 1]
-    M = second_moment(spec)
+    M = law_second_moment(spec.law, spec.p)
     base = np.einsum("ij,jk,ik->i", bs, M, bs) - np.einsum("ij,jk,ik->i", bt, M, bt)
     B = class_spec.b_bound
     if class_spec.kind is HypothesisKind.LINEAR_BALL:

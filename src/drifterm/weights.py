@@ -138,8 +138,8 @@ def _from_entries(entries: np.ndarray) -> WeightVector:
     )
 
 
-def _brown_blocks(theta: float, t: int) -> np.ndarray:
-    """Unnormalized Brown weights b_k = (2 - theta (k+1)) (1-theta)^k, k = 0..t-1."""
+def _brown_blocks(theta, t: int) -> np.ndarray:
+    """Unnormalized Brown weights b_k = (2 - theta (k+1)) (1-theta)^k, k = 0..t-1, a row per rate in theta."""
     k = np.arange(t, dtype=float)
     r = 1.0 - theta
     return (2.0 - theta * (k + 1.0)) * r**k
@@ -224,7 +224,8 @@ def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
     (0, R) with R = DEFAULT_EXP_RANGE, or (0, 1] for Brown, endpoints
     approached to 1e-6, flagged via ``exact=False``.  Brown extremes run
     over 25 anchors, a block of at most _BLOCK_ENTRIES (rate, lag) entries
-    at a time, so memory does not grow with t.
+    at a time (``_brown_blocks`` of a column of rates), so memory does not
+    grow with t.
     """
     if family is WeightFamily.UNIFORM_WINDOW:
         # ||w||_1 = 1, ||w||_inf/||w||^2 = 1 for every window; min norm at s = t.
@@ -249,12 +250,9 @@ def class_constants(family: WeightFamily, t: int) -> WeightClassConstants:
     bw = 0.0
     cw = math.inf
     for anchor in t_values:
-        k = np.arange(anchor, dtype=float)
         rows = max(1, _BLOCK_ENTRIES // anchor)
         for start in range(0, _GRID_POINTS, rows):
-            th = thetas[start : start + rows, None]
-            # blocks[j, k] for theta_j, lag k
-            blocks = (2.0 - th * (k[None, :] + 1.0)) * (1.0 - th) ** k[None, :]
+            blocks = _brown_blocks(thetas[start : start + rows, None], anchor)  # [theta_j, lag k]
             total = blocks.sum(axis=1)
             l1 = np.abs(blocks).sum(axis=1) / total
             l2sq = (blocks**2).sum(axis=1) / total**2

@@ -201,7 +201,6 @@ def test_criterion_4_dependence_robustness():
         c_p=1.0,
         c_inf=c_inf,
         alpha=0.0,
-        delta=0.05,
         n=n,
         log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
         log_ninf_h=log_ninf,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -545,3 +546,11 @@ def test_readme_cli_walk(tmp_path):
     assert (rates["variant"], rates["n"]) == ("ii", 4096)
     assert rates["condition_report"]["all_pass"]
     assert json.loads(out["risk"])["decomposition_ok"]
+
+
+def test_package_init_imports_nothing():
+    # callers import from the modules: the package re-exports none of their names
+    tree = ast.parse(Path(drifterm.__file__).read_text(encoding="utf-8"))
+    assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) for t in node.targets}
+    assert assigned == {"__version__"}  # the walk sees the module's statements
+    assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []

@@ -43,17 +43,17 @@ def drift_specs(draw, p: int):
     if kind == "constant":
         return DriftSpec(kind, draw(vec))
     at = draw(st.integers(1, 50)) if kind == "switch" else None
-    return DriftSpec(kind, draw(vec), draw(vec), at=at, cycles=draw(positive))
+    cycles = draw(positive) if kind == "sinusoidal" else 1.0
+    return DriftSpec(kind, draw(vec), draw(vec), at=at, cycles=cycles)
 
 
 @st.composite
 def process_specs(draw):
-    core = draw(st.sampled_from(["iid", "ar1", "markov"]))
-    core = DependenceCore(
-        kind=core,
-        phi=draw(st.floats(-0.9, 0.9)),
-        flip=draw(st.floats(0.05, 0.95)),
-    )
+    core = draw(st.one_of(  # each core kind with its own parameter only
+        st.just(DependenceCore()),
+        st.builds(DependenceCore, kind=st.just("ar1"), phi=st.floats(-0.9, 0.9)),
+        st.builds(DependenceCore, kind=st.just("markov"), flip=st.floats(0.05, 0.95)),
+    ))
     n = draw(st.integers(1, 10_000))
     slack = draw(st.floats(0.0, 3.0))
     if draw(st.booleans()):
@@ -122,18 +122,17 @@ def experiment_configs(draw):
     kinds = [k for k in HypothesisKind
              if k is not HypothesisKind.STEP_BASIS or process.law is CovariateLaw.INTERVAL]
     kind = draw(st.sampled_from(kinds))
-    net = (lambda s: s) if kind is HypothesisKind.RELU_NET else maybe  # a network needs all three
+    # each kind's own fields only: q for a step class, all three for a network
+    if kind is HypothesisKind.STEP_BASIS:
+        own = {"q": draw(maybe(st.integers(1, 64)))}
+    elif kind is HypothesisKind.RELU_NET:
+        own = {"nu": draw(st.integers(1, 16)), "ell": draw(st.integers(1, 4)), "param_bound": draw(positive)}
+    else:
+        own = {}
     return ExperimentConfig(
         process=process,
         weights=WeightPolicy(family, params),
-        hypothesis=HypothesisClassSpec(
-            kind=kind,
-            b_bound=draw(positive),
-            q=draw(maybe(st.integers(1, 64))),
-            nu=draw(net(st.integers(1, 16))),
-            ell=draw(net(st.integers(1, 4))),
-            param_bound=draw(net(positive)),
-        ),
+        hypothesis=HypothesisClassSpec(kind=kind, b_bound=draw(positive), **own),
         n_grid=n_grid,
         replications=draw(st.integers(30 if slope == "n" else 1, 500)),
         delta=draw(st.floats(0.001, 0.999)),
@@ -162,6 +161,8 @@ def key_paths(d: dict, prefix=()):
 
 
 RELU = {"kind": "relu", "b_bound": 1.0, "nu": 8, "ell": 2, "param_bound": 1.0}
+VARIANCE = {"kind": "drifting_variance", "p": 1, "law": "interval", "mean": 0.5, "var_end": 2.0, "y_bound": 6.5}
+UNREAD = r" does not read {}: it must keep its default {}, got {}$"
 FUZZ_BASES = [BASE, config_to_dict(config_from_dict(BASE))]
 WRONG_VALUES = ["x", "200", True, None, 1.5, -3, 0, [], [1, "a"], {}, {"a": 1}]
 
@@ -258,6 +259,26 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("weights.params", []), r"^weights\.params: empty sweep"),
         (with_key("weights", {"family": "exp", "params": None}),
          r"^weights\.family: exp needs params; null params mean the full uniform window$"),
+        # a field that the kind does not read keeps its default
+        (with_key("process.core.phi", 0.6), r"^process\.core: iid core" + UNREAD.format("phi", r"0\.0", r"0\.6")),
+        (with_key("process.core", {"kind": "ar1", "phi": 0.6, "flip": 0.2}),
+         r"^process\.core: ar1 core" + UNREAD.format("flip", r"0\.5", r"0\.2")),
+        (with_key("process.drift.b", [0.1, 0.1]),
+         r"^process\.drift: constant drift" + UNREAD.format("b", "None", r"\(0\.1, 0\.1\)")),
+        (with_key("process.drift.cycles", 2.0),
+         r"^process\.drift: constant drift" + UNREAD.format("cycles", r"1\.0", r"2\.0")),
+        (with_key("process.mean", 0.5), r"^process: drifting_linear kind" + UNREAD.format("mean", r"0\.0", r"0\.5")),
+        (with_key("process.var_end", 2.0),
+         r"^process: drifting_linear kind" + UNREAD.format("var_end", r"1\.0", r"2\.0")),
+        (with_key("process", VARIANCE | {"noise_sd": 0.3}),
+         r"^process: drifting_variance kind" + UNREAD.format("noise_sd", r"0\.0", r"0\.3")),
+        (with_key("hypothesis.q", 4), r"^hypothesis: linear class" + UNREAD.format("q", "None", "4")),
+        (with_key("hypothesis.nu", 8), r"^hypothesis: linear class" + UNREAD.format("nu", "None", "8")),
+        (with_key("hypothesis", RELU | {"q": 4}), r"^hypothesis: relu class" + UNREAD.format("q", "None", "4")),
+        (with_key("process", VARIANCE | {"p": 2, "law": "ball"}),
+         r"^process: the drifting_variance kind needs the interval law, got ball$"),
+        # the config owns delta's range; the rate parameters no longer carry it
+        (with_key("delta", 0.0), r"^delta must be in \(0,1\)$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):

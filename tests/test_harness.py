@@ -203,7 +203,7 @@ class TestSharedPath:
         for row in rows_from_csv(rows_to_csv(res.rows)):
             spec = replace(cfg.process, n=row.n)
             w = make_weights(WeightSpec(THREE_EXP.family, t=row.n, n=row.n, param=row.param))
-            fit = fit_weighted_erm(simulate(spec, row.seed), w, cfg.hypothesis.class_spec(spec, w.l2))
+            fit = fit_weighted_erm(simulate(spec, row.seed), w, cfg.hypothesis)
             assert w.l2 == row.w_l2
             assert learning_error(fit, spec, w)[0] == row.learning_error
             assert excess_risk(fit, spec, row.n)[0] == row.excess_risk

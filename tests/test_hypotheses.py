@@ -78,10 +78,17 @@ class TestClassSpec:
         with pytest.raises(HypothesisError, match="^step class needs the interval law, got ball$"):
             HypothesisClassSpec.step(3, 1.0).class_spec(linear_spec(64), 1.0)
 
-    def test_unsized_step_class_is_not_fitted(self):
-        spec = linear_spec(8, p=1, law=CovariateLaw.INTERVAL)
-        with pytest.raises(HypothesisError, match="needs a fixed q"):
-            fit_weighted_erm(simulate(spec, 0), uniform_w(8), HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS))
+    @pytest.mark.parametrize("n", [8, 64, 1000])
+    def test_unsized_step_class_is_sized_by_the_fitter(self, n):
+        spec = linear_spec(n, p=1, law=CovariateLaw.INTERVAL)
+        path, w = simulate(spec, 0), uniform_w(n)
+        unsized = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)
+        fit = fit_weighted_erm(path, w, unsized)
+        presized = fit_weighted_erm(path, w, unsized.class_spec(spec, w.l2))
+        assert fit.class_spec == presized.class_spec
+        assert fit.class_spec.q == basis_size(w.l2)
+        assert fit.bins.tobytes() == presized.bins.tobytes()
+        assert fit.fit_meta == presized.fit_meta
 
     @pytest.mark.parametrize(
         "klass, law, p, c_inf",

@@ -18,13 +18,13 @@ from drifterm.processes import (
     mixing_profile,
     population_optimum_next,
     population_optimum_weighted,
+    law_second_moment,
     read_path_csv,
-    second_moment,
     sigma2_path,
     simulate,
     write_path_csv,
 )
-from drifterm.weights import WeightFamily, WeightSpec, make_weights
+from drifterm.weights import WeightFamily, WeightSpec, _from_entries, make_weights
 
 
 def linear_spec(n=200, p=2, core=None, noise_sd=0.3, drift=None, law=CovariateLaw.BALL):
@@ -115,7 +115,7 @@ class TestSimulate:
         spec = linear_spec(n=100_000, p=3, drift=DriftSpec.constant([0.1, 0.1, 0.1]))
         path = simulate(spec, 21)
         emp = path.z.T @ path.z / path.z.shape[0]
-        M = second_moment(spec)
+        M = law_second_moment(spec.law, spec.p)
         # var of z_j^2 for uniform on [-a, a] is a^4 * 4/45 with a^2 = 1/p
         se_diag = math.sqrt(4.0 / 45.0) * (1.0 / spec.p) / math.sqrt(path.z.shape[0])
         se_off = (1.0 / (3 * spec.p)) / math.sqrt(path.z.shape[0])
@@ -186,7 +186,7 @@ class TestPopulationOptima:
         spec = linear_spec(drift=DriftSpec.linear([0.0, 0.0], [0.4, -0.4]))
         entries = np.zeros(spec.n)
         entries[-1] = 1.0
-        got = population_optimum_weighted(spec, entries)
+        got = population_optimum_weighted(spec, _from_entries(entries))
         np.testing.assert_allclose(got, beta_path(spec)[spec.n - 1])
 
     def test_next_reads_drift(self):
@@ -281,9 +281,9 @@ def test_second_moment_smallest_eigenvalue():
     # bit for bit the closed form 1/(3p) that the linear class's c_inf reads
     for p in range(1, 9):
         spec = linear_spec(p=p, drift=DriftSpec.constant([0.1] * p))
-        assert np.linalg.eigvalsh(second_moment(spec))[0] == 1.0 / (3.0 * p)
+        assert np.linalg.eigvalsh(law_second_moment(spec.law, spec.p))[0] == 1.0 / (3.0 * p)
     spec = linear_spec(p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
-    assert np.linalg.eigvalsh(second_moment(spec))[0] == 1.0 / 3.0
+    assert np.linalg.eigvalsh(law_second_moment(spec.law, spec.p))[0] == 1.0 / 3.0
 
 
 def test_path_csv_round_trip():
@@ -327,11 +327,11 @@ class TestBetaPathMemo:
 class TestSecondMomentMemo:
     @pytest.mark.parametrize("law, p", [(CovariateLaw.BALL, 2), (CovariateLaw.BALL, 5), (CovariateLaw.INTERVAL, 1)])
     def test_read_only_and_shared(self, law, p):
-        M = second_moment(linear_spec(p=p, drift=DriftSpec.constant([0.1] * p), law=law))
+        M = law_second_moment(law, p)
         assert not M.flags.writeable
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
-        # any spec with the same law and p shares the matrix
-        assert second_moment(linear_spec(n=17, p=p, drift=DriftSpec.constant([0.2] * p), law=law)) is M
+        # every later call with the same law and p shares the matrix
+        assert law_second_moment(law, p) is M
         expected = np.eye(p) / (3.0 * p) if law is CovariateLaw.BALL else np.array([[1.0 / 3.0]])
         np.testing.assert_array_equal(M, expected)

@@ -46,7 +46,6 @@ def make_params(**overrides):
         c_p=1.0,
         c_inf=0.0,
         alpha=0.0,
-        delta=0.05,
         n=10_000,
         log_n1_w=lambda eps: 0.0,
         log_ninf_h=lambda eps, w_l2: 0.0,
@@ -358,7 +357,6 @@ class TestParameterValidation:
         "bad",
         [
             {"k_rho": 0.5},
-            {"delta": 0.0},
             {"alpha": 2.0},
             {"c_p": 0.5},
             {"cw": 0.0},

@@ -15,7 +15,7 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
-    second_moment,
+    law_second_moment,
     simulate,
 )
 from drifterm.risk import (
@@ -123,7 +123,7 @@ class TestDriftError:
         )
         w = uniform_w(100)
         gap = np.array([1.0, -1.0]) / 2.0
-        M = second_moment(spec)
+        M = law_second_moment(spec.law, spec.p)
         assert drift_error(spec, w, 100) == pytest.approx(float(gap @ M @ gap), rel=1e-12)
 
     def test_population_level_seed_invariance(self):
@@ -167,7 +167,7 @@ class TestDiscrepancy:
         spec = linear_spec(drift=DriftSpec.switch([0.5, 0.0], [0.0, 0.5], at=128))
         cls = HypothesisClassSpec.linear(1.0)
         d = discrepancy(spec, cls, 200, 50)
-        M = second_moment(spec)
+        M = law_second_moment(spec.law, spec.p)
         betas = {50: np.array([0.5, 0.0]), 200: np.array([0.0, 0.5])}
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -228,7 +228,7 @@ class TestDiscrepancySumBruteForce:
     def test_linear_ball(self, drift):
         spec = linear_spec(n=12, drift=DRIFTS[drift]([0.3, -0.2], [-0.4, 0.5]))
         cls = HypothesisClassSpec.linear(0.8)
-        betas, M = spec.drift.path(spec.n), second_moment(spec)
+        betas, M = spec.drift.path(spec.n), law_second_moment(spec.law, spec.p)
         brute = sum(
             brute_force_ball_gap(M, betas[t - 1], betas[t - 2], 0.8) for t in range(2, spec.n + 2)
         )
@@ -275,7 +275,7 @@ class TestExcessRisk:
         d = np.array([0.1, -0.2])
         fit = linear_hyp(np.array([0.3, -0.2]) + d)
         v, _, _ = excess_risk(fit, spec, spec.n)
-        M = second_moment(spec)
+        M = law_second_moment(spec.law, spec.p)
         assert v == pytest.approx(float(d @ M @ d), rel=1e-12)
 
     def test_decomposition_inequality_monte_carlo(self):
