@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifterm.hypotheses import (
+    NET_ITERATIONS,
+    NET_STEP_SIZE,
     FittedHypothesis,
     HypothesisClassSpec,
     HypothesisError,
@@ -329,6 +331,118 @@ def test_net_fit_is_pinned_byte_for_byte(case):
     assert repr(fit.fit_meta["empirical_risk"]) == risk
     assert hashlib.sha256(layer_bytes).hexdigest() == digest
 
+
+
+def reference_fit_net(z, y, w, spec, seed):
+    """The row-major projected-GD loop that the network fitter replaced, kept
+    as its oracle: (layers, best risk) from the same start, step size, box
+    projection, best-iterate rule and step count, with every activation an
+    (n, width) array, a separate bias add and a reduced bias gradient."""
+    rng = np.random.default_rng(seed)
+    n, nu = z.shape[0], spec.nu
+    sizes = [z.shape[1]] + [nu] * spec.ell + [1]
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    bound = spec.param_bound
+    theta = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+    grad = np.empty_like(theta)
+
+    def views(flat):
+        pairs, at = [], 0
+        for fan_in, fan_out in shapes:
+            W = flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+            at += fan_in * fan_out
+            pairs.append((W, flat[at:at + fan_out]))
+            at += fan_out
+        return pairs
+
+    layers, grads = views(theta), views(grad)
+    for (fan_in, _), (W, _) in zip(shapes, layers):
+        W[...] = np.clip(rng.standard_normal(W.shape) / math.sqrt(fan_in), -bound, bound)
+    acts = [z] + [np.empty((n, nu)) for _ in range(spec.ell)]
+    d_out = np.empty((n, 1))
+    deltas = [None] + [np.empty((n, nu)) for _ in range(spec.ell)]
+    active = np.empty((n, nu), dtype=bool)
+    out = np.empty((n, 1))
+    pred, r, sq = out[:, 0], np.empty(n), np.empty(n)
+    w2 = 2.0 * w
+    hidden = list(zip(layers[:-1], acts[1:]))
+    W_out, b_out = layers[-1]
+    d_col = d_out[:, 0]
+    backward = [(*grads[i], acts[i], acts[i].T, layers[i][0].T, deltas[i]) for i in range(spec.ell, 0, -1)]
+    gW_in, gb_in = grads[0]
+    z_t = z.T
+
+    best_risk = math.inf
+    best = theta.copy()
+    for step in range(NET_ITERATIONS + 1):
+        h = z
+        for (W, b), a in hidden:
+            np.dot(h, W, out=a)
+            np.add(a, b, out=a)
+            np.maximum(a, 0.0, out=a)
+            h = a
+        np.dot(h, W_out, out=out)
+        np.add(out, b_out, out=out)
+        np.subtract(pred, y, out=r)
+        np.multiply(r, r, out=sq)
+        risk = float(np.dot(w, sq))
+        if risk < best_risk:
+            best_risk = risk
+            best[:] = theta
+        if step == NET_ITERATIONS:
+            break
+        np.multiply(w2, r, out=d_col)
+        delta = d_out
+        for gW, gb, act, act_t, W_t, back in backward:
+            np.dot(act_t, delta, out=gW)
+            np.add.reduce(delta, axis=0, out=gb)
+            np.dot(delta, W_t, out=back)
+            np.greater(act, 0.0, out=active)
+            delta = np.multiply(back, active, out=back)
+        np.dot(z_t, delta, out=gW_in)
+        np.add.reduce(delta, axis=0, out=gb_in)
+        grad *= NET_STEP_SIZE
+        np.subtract(theta, grad, out=theta)
+        np.minimum(np.maximum(theta, -bound, out=theta), bound, out=theta)
+    return views(best), best_risk
+
+
+# The fitter against its oracle on every (nu, ell, n) of the grid, with p,
+# the weight family and param_bound alternating so that every pair of levels
+# of the six factors appears in some case.
+ORACLE_CASES = [
+    (nu, ell, 1 + (i + j + k) % 2, ("uniform", "exp")[(i // 2 + j) % 2], (0.3, 1.0)[(i + k) % 2], n)
+    for (i, nu), (j, ell), (k, n) in itertools.product(
+        enumerate((1, 4, 8, 16)), enumerate((1, 2, 3)), enumerate((32, 64, 256))
+    )
+]
+ORACLE_RISK_RTOL = 1e-12
+ORACLE_PARAM_ATOL = 1e-7
+
+
+def test_oracle_cases_cover_every_pair_of_levels():
+    levels = [sorted({case[i] for case in ORACLE_CASES}, key=str) for i in range(6)]
+    assert [len(v) for v in levels] == [4, 3, 2, 2, 2, 3]
+    for i, j in itertools.combinations(range(6), 2):
+        seen = {(case[i], case[j]) for case in ORACLE_CASES}
+        assert seen == set(itertools.product(levels[i], levels[j]))
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_net_fit_agrees_with_the_reference_loop(case):
+    nu, ell, p, family, param_bound, n = ORACLE_CASES[case]
+    law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
+    path = simulate(linear_spec(n, p=p, law=law), 500 + case)
+    w = uniform_w(n) if family == "uniform" else make_weights(
+        WeightSpec(WeightFamily.EXPONENTIAL, t=n, n=n, param=0.05)
+    )
+    cls = HypothesisClassSpec.relu(nu, ell, param_bound, 1.0)
+    fit = fit_weighted_erm(path, w, cls, seed=1000 + case)
+    layers, risk = reference_fit_net(path.z[:n], path.y[:n], w.entries, cls, 1000 + case)
+    assert abs(fit.fit_meta["empirical_risk"] - risk) <= ORACLE_RISK_RTOL * risk
+    for (W, b), (W_ref, b_ref) in zip(fit.layers, layers):
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=ORACLE_PARAM_ATOL)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=ORACLE_PARAM_ATOL)
 
 NONFINITE_CLASSES = {
     "linear": HypothesisClassSpec.linear(1.0),
