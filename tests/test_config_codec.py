@@ -122,17 +122,18 @@ def experiment_configs(draw):
     kinds = [k for k in HypothesisKind
              if k is not HypothesisKind.STEP_BASIS or process.law is CovariateLaw.INTERVAL]
     kind = draw(st.sampled_from(kinds))
-    # each kind's own fields only: q for a step class, all three for a network
+    # each kind's own fields only: b_bound and q for a step class, b_bound
+    # for a linear one, and nu, ell and param_bound for a network
     if kind is HypothesisKind.STEP_BASIS:
-        own = {"q": draw(maybe(st.integers(1, 64)))}
+        own = {"b_bound": draw(positive), "q": draw(maybe(st.integers(1, 64)))}
     elif kind is HypothesisKind.RELU_NET:
         own = {"nu": draw(st.integers(1, 16)), "ell": draw(st.integers(1, 4)), "param_bound": draw(positive)}
     else:
-        own = {}
+        own = {"b_bound": draw(positive)}
     return ExperimentConfig(
         process=process,
         weights=WeightPolicy(family, params),
-        hypothesis=HypothesisClassSpec(kind=kind, b_bound=draw(positive), **own),
+        hypothesis=HypothesisClassSpec(kind=kind, **own),
         n_grid=n_grid,
         replications=draw(st.integers(30 if slope == "n" else 1, 500)),
         delta=draw(st.floats(0.001, 0.999)),
@@ -275,6 +276,8 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("hypothesis.q", 4), r"^hypothesis: linear class" + UNREAD.format("q", "None", "4")),
         (with_key("hypothesis.nu", 8), r"^hypothesis: linear class" + UNREAD.format("nu", "None", "8")),
         (with_key("hypothesis", RELU | {"q": 4}), r"^hypothesis: relu class" + UNREAD.format("q", "None", "4")),
+        (with_key("hypothesis", RELU | {"b_bound": 2.0}),
+         r"^hypothesis: relu class" + UNREAD.format("b_bound", r"1\.0", r"2\.0")),
         (with_key("process", VARIANCE | {"p": 2, "law": "ball"}),
          r"^process: the drifting_variance kind needs the interval law, got ball$"),
         # the config owns delta's range; the rate parameters no longer carry it

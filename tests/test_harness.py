@@ -441,12 +441,12 @@ ROWS_PINS = {
                      "n_grid": [64, 128], "replications": 2, "base_seed": 11},
                     "5c7fa88e0f851eaf63c0acd914c2f6276e7e9c0a033a19295b39c82987260181"),
     "relu_cell": (relu_cell_smoke(),
-                  "6f7331b63626feb6cd37095323b4df15e42c1554eacecdf1ab70e32a52f034ba"),
+                  "ff69d4fd88ec652b4f81119ef1b40a7c9bdeeb4702d10bbacb80f79e417fa479"),
     # the one pinned grid whose distances draw covariates (Monte Carlo on the ball law)
     "relu_ball_mc": ({"process": BALL,
                       "hypothesis": {"kind": "relu", "nu": 4, "ell": 1, "param_bound": 1.0},
                       "n_grid": [32, 64], "replications": 2, "base_seed": 11, "mc_draws": 2000},
-                     "235dfd6d4b3f3f965c75ffc182d3aaa723f782ae479d092c7067b1f24e5d7806"),
+                     "117472d267a95e2e34354ee111c79c6ce10dc34d05c11d5a5ddb9d90d615f4fe"),
 }
 
 

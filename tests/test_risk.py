@@ -181,7 +181,7 @@ class TestDiscrepancy:
 
     def test_relu_class_unavailable(self):
         spec = linear_spec()
-        cls = HypothesisClassSpec.relu(4, 1, 1.0, 1.0)
+        cls = HypothesisClassSpec.relu(4, 1, 1.0)
         assert discrepancy(spec, cls, 2, 1) is None
         assert discrepancy_sum(spec, cls) is None
 
