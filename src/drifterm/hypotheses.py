@@ -13,8 +13,8 @@ saves an improving iterate with one copy.  The step loop is feature-major:
 each layer's input is a (fan_in + 1, n) buffer whose last row is ones, so
 one product applies W and b together and one product writes [gW; gb].  A
 fit is deterministic per seed.  Its bytes are pinned, and it agrees with
-the row-major loop it replaced (kept in the tests as the reference) to
-1e-12 relative in the achieved risk and 1e-7 in every parameter.
+a row-major reference loop kept in the tests to 1e-12 relative in the
+achieved risk and 1e-7 in every parameter.
 """
 
 from __future__ import annotations

@@ -276,12 +276,13 @@ def without_key(path: str, base=BASE) -> dict:
         (with_key("hypothesis.q", 4), r"^hypothesis: linear class" + UNREAD.format("q", "None", "4")),
         (with_key("hypothesis.nu", 8), r"^hypothesis: linear class" + UNREAD.format("nu", "None", "8")),
         (with_key("hypothesis", RELU | {"q": 4}), r"^hypothesis: relu class" + UNREAD.format("q", "None", "4")),
-        (with_key("hypothesis", RELU | {"b_bound": 2.0}),
-         r"^hypothesis: relu class" + UNREAD.format("b_bound", r"1\.0", r"2\.0")),
         (with_key("process", VARIANCE | {"p": 2, "law": "ball"}),
          r"^process: the drifting_variance kind needs the interval law, got ball$"),
         # the config owns delta's range; the rate parameters no longer carry it
         (with_key("delta", 0.0), r"^delta must be in \(0,1\)$"),
+        # a relu class reads no b_bound: its box is param_bound
+        (with_key("hypothesis", RELU | {"b_bound": 2.0}),
+         r"^hypothesis: relu class" + UNREAD.format("b_bound", r"1\.0", r"2\.0")),
     ],
 )
 def test_bad_configs_name_the_field(data, message):
