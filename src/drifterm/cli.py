@@ -126,10 +126,13 @@ def _read_spec(file: str) -> ProcessSpec:
 
 
 def _read_weights(file: str, n: int) -> WeightVector:
-    """A WeightSpec object, with ``t`` and ``n`` defaulting to n, or an ``entries`` list."""
+    """A WeightSpec object, with ``t`` and ``n`` defaulting to n, or an ``entries`` list summing to one."""
     d = decode(dict, _read_json(file), "weights")
     if "entries" in d:
-        return decode_call(_from_entries, d, "weights")
+        w = decode_call(_from_entries, d, "weights")
+        if abs(w.sum - 1.0) > 1e-9:
+            raise HarnessError(f"weights.entries: must sum to 1, got {w.sum!r}")
+        return w
     return make_weights(decode_call(WeightSpec, d, "weights", {"t": n, "n": n}))
 
 
@@ -317,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # simulate and fit
+            raise HarnessError(f"--seed: expected a non-negative integer, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise HarnessError("delta must be in (0,1)")
         if self.base_seed < 0:
             raise HarnessError(f"base_seed must be a non-negative integer, got {self.base_seed}")
+        if self.mc_draws < 2:  # the fewest draws that give a Monte Carlo stderr
+            raise HarnessError(f"mc_draws must be an integer >= 2, got {self.mc_draws}")
         if self.slope_band is not None:
             lo, hi = self.slope_band
             if lo > hi:
@@ -248,27 +250,22 @@ def _fit_outcome(path, spec, draws, w, class_spec, key):
 
 
 def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
-    """Rate function for one grid n, with the scale constant found by doubling."""
+    """Rate function for one grid n, with the scale constant found by doubling;
+    a block length that fails its condition is refused after the variant's own preconditions."""
     n = spec.n
     profile = mixing_profile(spec)
-    mb = m_beta(profile, n, cfg.delta).m
-    kr = k_rho_sum(profile)
-    c1, cw, bw, log_n1 = class_rate_inputs(cfg.weights.family, n)
-    alpha, c_inf, log_ninf, approx_err = cfg.hypothesis.rate_inputs(spec)
+    block = m_beta(profile, n, cfg.delta)
     params = RateParameters(
-        c1=c1,
-        cw=cw,
-        bw=bw,
-        m_beta=mb,
-        k_rho=kr,
+        m_beta=block.m,
+        k_rho=k_rho_sum(profile),
         c_p=1.0,  # time-invariant covariate law
-        c_inf=c_inf,
-        alpha=alpha,
         n=n,
-        log_n1_w=log_n1,
-        log_ninf_h=log_ninf,
+        **class_rate_inputs(cfg.weights.family, n),
+        **cfg.hypothesis.rate_inputs(spec),
     )
-    rate, report = find_scale_constant(cfg.rate_variant, params, approx_err=approx_err)
+    rate, report = find_scale_constant(cfg.rate_variant, params)
+    if not block.satisfied:
+        raise RatePreconditionError(f"no block length m <= n={n} has (n/m) beta(m) <= delta={cfg.delta}")
     return rate, report
 
 

@@ -38,6 +38,9 @@ NET_ITERATIONS = 5000
 
 MC_DRAWS_DEFAULT = 100_000
 
+# A class sized from the weight norm u has ceil(u^-SIZE_EXPONENT) pieces: its covering growth alpha.
+SIZE_EXPONENT = 2.0 / 3.0
+
 
 class HypothesisKind(Enum):
     LINEAR_BALL = "linear"
@@ -54,14 +57,14 @@ class HypothesisError(ValueError):
 
 
 def basis_size(w_l2: float) -> int:
-    """Bin count matched to a weight norm: ceil(w_l2^(-2/3)).
+    """Piece count matched to a weight norm: ceil(w_l2^(-SIZE_EXPONENT)).
 
     Snaps values within 1e-9 of an integer before the ceiling so exact
     powers are not bumped up by float rounding.
     """
     if not 0 < w_l2 <= 1:
         raise HypothesisError(f"weight norm must be in (0, 1], got {w_l2}")
-    v = w_l2 ** (-2.0 / 3.0)
+    v = w_l2 ** -SIZE_EXPONENT
     nearest = round(v)
     if abs(v - nearest) < 1e-9 * max(1.0, v):
         return int(nearest)
@@ -125,40 +128,38 @@ class HypothesisClassSpec:
             raise HypothesisError(f"step class needs the interval law, got {spec.law.value}")
         return self if self.q is not None else replace(self, q=basis_size(w_l2))
 
-    def rate_inputs(self, spec: ProcessSpec):
-        """(alpha, c_inf, (eps, w_l2) -> log Ninf, approximation error) at horizon spec.n.
+    def rate_inputs(self, spec: ProcessSpec) -> dict:
+        """The ``RateParameters`` fields that the class owns at horizon spec.n, by
+        name: alpha, c_inf, log_ninf_h ((eps, w_l2) -> log Ninf) and approx_err.
 
-        alpha is the covering growth exponent in the weight norm: 2/3 for
-        classes sized from ||w||, 0 for fixed ones.  c_inf links the class's
-        L2 and sup-norm distances under the law, sup <= sqrt(L2) / c_inf:
-        the root of the smallest eigenvalue of E[Z Z^T] for linear
-        predictors, 1/sqrt(q) for q orthogonal bins of mass 1/q (q at the
-        smallest weight norm 1/sqrt(n) when sized), 0 (no link) for networks.
-        The log-coverings are p log(3B/eps) for linear, q log(3B/eps) for
-        step and ceil(w_l2^(-2/3)) log(n/eps) for ReLU classes, all floored
-        at zero.  The approximation errors assume 1-Lipschitz targets.
+        alpha is SIZE_EXPONENT for classes sized from ||w||, 0 for fixed ones.
+        c_inf links the class's L2 and sup-norm distances under the law, sup
+        <= sqrt(L2) / c_inf: the root of the smallest eigenvalue of E[Z Z^T]
+        for linear predictors, 1/sqrt(q) for q orthogonal bins of mass 1/q (q
+        at the smallest weight norm 1/sqrt(n) when sized), 0 (no link) for
+        networks.  A log-covering is size(w_l2) log(scale/eps) floored at 0:
+        p, q or basis_size(w_l2) pieces at scale 3B, or basis_size(w_l2) at
+        scale n for ReLU; a norm above 1 (Brown's c1 = 3) is one piece.  The
+        approximation errors assume 1-Lipschitz targets.
         """
-        B, n = self.b_bound, spec.n
+        sized = lambda u: basis_size(min(u, 1.0))
+
         if self.kind is HypothesisKind.LINEAR_BALL:
             p = spec.p
+            alpha, size, scale, approx_err = 0.0, (lambda u: p), 3.0 * self.b_bound, None
+            c_inf = math.sqrt(np.linalg.eigvalsh(law_second_moment(spec.law, p))[0])
+        elif self.kind is HypothesisKind.STEP_BASIS:
+            alpha, size = (SIZE_EXPONENT, sized) if self.q is None else (0.0, lambda u: self.q)
+            scale, c_inf = 3.0 * self.b_bound, 1.0 / math.sqrt(size(1.0 / math.sqrt(spec.n)))
+            approx_err = lambda u: 1.0 / size(u)
+        else:
+            alpha, size, scale, c_inf = SIZE_EXPONENT, sized, spec.n, 0.0
+            approx_err = lambda u: u**SIZE_EXPONENT
 
-            def cover(eps: float, w_l2: float) -> float:
-                return max(0.0, p * math.log(3.0 * B / eps))
+        def log_ninf(eps: float, w_l2: float) -> float:
+            return max(0.0, size(w_l2) * math.log(scale / eps))
 
-            return 0.0, math.sqrt(np.linalg.eigvalsh(law_second_moment(spec.law, p))[0]), cover, None
-        if self.kind is HypothesisKind.STEP_BASIS:
-            size = basis_size if self.q is None else (lambda u: self.q)  # bins at weight norm u
-
-            def cover(eps: float, w_l2: float) -> float:
-                return max(0.0, size(w_l2) * math.log(3.0 * B / eps))
-
-            alpha = 2.0 / 3.0 if self.q is None else 0.0
-            return alpha, 1.0 / math.sqrt(size(1.0 / math.sqrt(n))), cover, lambda u: 1.0 / size(u)
-
-        def cover(eps: float, w_l2: float) -> float:
-            return max(0.0, math.ceil(w_l2 ** (-2.0 / 3.0)) * math.log(n / eps))
-
-        return 2.0 / 3.0, 0.0, cover, lambda u: u ** (2.0 / 3.0)
+        return dict(alpha=alpha, c_inf=c_inf, log_ninf_h=log_ninf, approx_err=approx_err)
 
 
 # The unbounded classes of a bare comparison operand, a constant or a

@@ -201,13 +201,12 @@ class ProcessSpec:
 class SamplePath:
     """A realized trajectory of length n+1; row i holds time t = i+1.
 
-    The final row is the held-out target time.  Regeneration from
-    (spec, seed) is bit-identical.
+    The final row is the held-out target time.  ``simulate(spec, seed)``
+    regenerates it bit for bit.
     """
 
     y: np.ndarray
     z: np.ndarray
-    seed: int
     spec: ProcessSpec
 
 
@@ -314,7 +313,7 @@ def simulate(spec: ProcessSpec, seed: int) -> SamplePath:
         y += eta
     y.flags.writeable = False
     z.flags.writeable = False
-    return SamplePath(y=y, z=z, seed=int(seed), spec=spec)
+    return SamplePath(y=y, z=z, spec=spec)
 
 
 def population_optimum_weighted(spec: ProcessSpec, w: WeightVector) -> np.ndarray:
@@ -401,4 +400,4 @@ def read_path_csv(text: str, spec: ProcessSpec, name: str) -> SamplePath:
     if len(rows) != spec.n + 1:
         raise ProcessSpecError(f"{name}: expected n+1 = {spec.n + 1} rows, got {len(rows)}")
     raw = np.array(rows)
-    return SamplePath(y=raw[:, 1].copy(), z=raw[:, 2:].copy(), seed=-1, spec=spec)
+    return SamplePath(y=raw[:, 1].copy(), z=raw[:, 2:].copy(), spec=spec)

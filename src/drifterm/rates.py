@@ -31,10 +31,11 @@ class RateParameters:
     c1/cw/bw are the weight-class norm extremes, m_beta the coupling block
     length, k_rho the long-run correlation sum, c_p the cross-time L2
     comparability constant, c_inf the sup-norm link (0 if none), alpha
-    the covering growth exponent, and the two log-covering callables:
-    eps -> log N1 for the weight class and (eps, w_l2) -> log Ninf for the
-    hypothesis class.  The loss is the square loss, whose curvature
-    constant is 1.  The scale constant ``a`` belongs to the rate
+    the covering growth exponent, the two log-covering callables: eps ->
+    log N1 for the weight class and (eps, w_l2) -> log Ninf for the
+    hypothesis class, and approx_err: w_l2 -> the class's sup-norm
+    approximation error (None: zero).  The loss is the square loss, whose
+    curvature constant is 1.  The scale constant ``a`` belongs to the rate
     (:func:`closed_form_rate`), and the confidence level delta to the
     certificate (:func:`bound_certificate`) and to ``mixing.m_beta``.
     """
@@ -50,6 +51,7 @@ class RateParameters:
     n: int
     log_n1_w: Callable[[float], float]
     log_ninf_h: Callable[[float, float], float]
+    approx_err: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.alpha < 2:
@@ -215,18 +217,14 @@ class _ConditionGrid:
     numpy only adds, multiplies, divides and compares them.
     """
 
-    def __init__(self, params: RateParameters, approx_err: Callable[[float], float] | None) -> None:
+    def __init__(self, params: RateParameters) -> None:
         u = np.unique(default_condition_grid(params))  # sorted, duplicates dropped
         self.u = u
         self.points = u.tolist()
         self.u_sq = np.array([x**2 for x in self.points])
         self.log_ninf = np.array([_log_ninf(params, x) for x in self.points])
-        if approx_err is None:
-            self.required_approx = np.zeros(u.size)
-        else:
-            self.required_approx = np.array(
-                [4.0 * approx_err(x) ** 2 for x in self.points]
-            )
+        approx_err = params.approx_err or (lambda u: 0.0)
+        self.required_approx = np.array([4.0 * approx_err(x) ** 2 for x in self.points])
         self._powers: dict[float, np.ndarray] = {}
 
     def _power(self, exponent: float) -> np.ndarray:
@@ -283,27 +281,22 @@ class _GridCheck(NamedTuple):
     all_pass: bool
 
 
-def check_rate_conditions(
-    rate: RateFunction, approx_err: Callable[[float], float] | None = None
-) -> ConditionReport:
+def check_rate_conditions(rate: RateFunction) -> ConditionReport:
     """Verify the two growth conditions of a candidate rate on the norm grid
     :func:`default_condition_grid` of its parameters.
 
     Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
     r(u)/c_inf}).  Approximation: r(u)^2 >= 4 approx_err(u)^2 (square
-    loss), where ``approx_err`` maps a weight norm to the sup-norm
-    approximation error of the class at that norm (defaults to zero for
-    well-specified classes).  Also reports the numerical Lipschitz
-    constant of r and the minimal multiplicative slack across the grid.
+    loss), with the ``approx_err`` of the rate's parameters.  Also reports
+    the numerical Lipschitz constant of r and the minimal multiplicative
+    slack across the grid.
     """
-    conditions = _ConditionGrid(rate.params, approx_err)
+    conditions = _ConditionGrid(rate.params)
     return conditions.report(conditions.check(rate))
 
 
 def find_scale_constant(
-    variant: RateVariant,
-    params: RateParameters,
-    approx_err: Callable[[float], float] | None = None,
+    variant: RateVariant, params: RateParameters
 ) -> tuple[RateFunction, ConditionReport]:
     """Double the scale constant from 1 until the rate passes its conditions.
 
@@ -314,7 +307,7 @@ def find_scale_constant(
     rate's scaled terms.  Returns the first passing rate with its report.
     """
     rate = closed_form_rate(variant, params)  # the preconditions, before any covering
-    conditions = _ConditionGrid(params, approx_err)
+    conditions = _ConditionGrid(params)
     for _ in range(DOUBLINGS):
         check = conditions.check(rate)
         if check.all_pass:

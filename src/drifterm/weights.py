@@ -311,8 +311,9 @@ def covering_number_bound(family: WeightFamily, epsilon: float, n: int) -> float
     return max(1.0, bound)
 
 
-def class_rate_inputs(family: WeightFamily, n: int):
-    """(c1, cw, bw, eps -> log N1): what the rate charges for a weight class at horizon n.
+def class_rate_inputs(family: WeightFamily, n: int) -> dict:
+    """The ``RateParameters`` fields that a weight class at horizon n owns,
+    by name: c1, cw, bw and log_n1_w (eps -> log N1).
 
     c1 and bw are the family's ANALYTIC_NORM_BOUNDS.  cw = 1/sqrt(n), since
     ||w||^2 >= 1/n whenever the n entries sum to one.  log N1 is the log of
@@ -323,4 +324,4 @@ def class_rate_inputs(family: WeightFamily, n: int):
     def log_n1(eps: float) -> float:
         return math.log(covering_number_bound(family, eps, n))
 
-    return c1, 1.0 / math.sqrt(n), bw, log_n1
+    return dict(c1=c1, cw=1.0 / math.sqrt(n), bw=bw, log_n1_w=log_n1)

@@ -191,19 +191,14 @@ def test_criterion_4_dependence_robustness():
     mb = m_beta(prof, n, 0.05)
     interval = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, 1, CovariateLaw.INTERVAL,
                            DependenceCore(), drift=DriftSpec.constant([0.0]))
-    _, c_inf, log_ninf, _ = HypothesisClassSpec.step(1, 1.0).rate_inputs(interval)
     params = RateParameters(
-        c1=1.0,
-        cw=1 / math.sqrt(n),
-        bw=2.0,
         m_beta=mb.m,
         k_rho=1.0,
         c_p=1.0,
-        c_inf=c_inf,
-        alpha=0.0,
         n=n,
-        log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
-        log_ninf_h=log_ninf,
+        **class_rate_inputs(WeightFamily.EXPONENTIAL, n),
+        # the zero-drift target is a constant: no approximation error
+        **{**HypothesisClassSpec.step(1, 1.0).rate_inputs(interval), "approx_err": None},
     )
     rate_i, _ = find_scale_constant(RateVariant.I, params)
     rate_ii, _ = find_scale_constant(RateVariant.II, params)

@@ -395,10 +395,16 @@ class TestStrictInputs:
             (FIT, "w.json", {"entries": [float("nan")] + [0.02] * 49},
              "weights.entries[0]: non-finite nan"),
             (FIT, "cls.json", {"kind": "step"}, "step class needs the interval law, got ball"),
+            (FIT, "w.json", {"entries": [0.8] + [0.0] * 49}, "weights.entries: must sum to 1, got 0.8"),
+            (("simulate", "--spec", "spec.json", "--seed", "-1", "--out", "p.csv"), "spec.json", PROCESS,
+             "--seed: expected a non-negative integer, got -1"),
+            ((*FIT, "--seed", "-2"), "cls.json", {"kind": "relu", "nu": 4, "ell": 1, "param_bound": 1.0},
+             "--seed: expected a non-negative integer, got -2"),
         ],
         ids=["rates-misspelt-key", "rates-relu-variant-ii", "mixing-bad-core", "class-unknown-key",
              "weights-misspelt-key", "relu-class-bare", "process-without-n", "nan-weight-entry",
-             "step-class-on-ball"],
+             "step-class-on-ball", "weights-not-summing-to-one", "simulate-negative-seed",
+             "fit-negative-seed"],
     )
     def test_bad_input_is_a_one_line_error(self, inputs, argv, name, content, message):
         (inputs / name).write_text(json.dumps(content))

@@ -139,7 +139,7 @@ def experiment_configs(draw):
         delta=draw(st.floats(0.001, 0.999)),
         base_seed=draw(st.integers(0, 2**63)),
         rate_variant=draw(st.sampled_from(RateVariant)),
-        mc_draws=draw(st.integers(1, 10**6)),
+        mc_draws=draw(st.integers(2, 10**6)),
         slope_target=target,
         slope_band=band,
     )

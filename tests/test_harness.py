@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,9 +39,9 @@ from drifterm.processes import (
     ProcessSpec,
     simulate,
 )
-from drifterm.rates import RatePreconditionError
+from drifterm.rates import RateParameters, RatePreconditionError, RateVariant
 from drifterm.risk import excess_risk, learning_error
-from drifterm.weights import WeightFamily, WeightSpec, make_weights
+from drifterm.weights import WeightFamily, WeightSpec, class_rate_inputs, make_weights
 
 
 def small_config(**overrides):
@@ -248,10 +249,11 @@ class TestSharedPathFailures:
     def test_failed_fit_fails_only_its_row(self, monkeypatch, jobs):
         path_seed = self.seed(0, 7, 0)
         bad_w = make_weights(WeightSpec(THREE_EXP.family, t=64, n=64, param=THREE_EXP.params[1]))
+        bad_y = simulate(replace(self.cfg.process, n=64), path_seed).y
         real = harness.fit_weighted_erm
 
         def fit(path, w, class_spec, *, seed=0):
-            if path.seed == path_seed and np.array_equal(w.entries, bad_w.entries):
+            if np.array_equal(path.y, bad_y) and np.array_equal(w.entries, bad_w.entries):
                 raise RuntimeError("fit fails")
             return real(path, w, class_spec, seed=seed)
 
@@ -272,7 +274,7 @@ class TestSeedsDerivedWhereDrawn:
     a network's start; a row derives a stream only where it draws from it."""
 
     def streams(self, monkeypatch, cfg):
-        """(rows, derivations per stream, fits) of one run."""
+        """(rows, derivations per stream, fits in row order) of one run."""
         counts = collections.Counter()
         fits = []
         real_seed, real_fit = harness._row_seed, harness.fit_weighted_erm
@@ -282,8 +284,8 @@ class TestSeedsDerivedWhereDrawn:
             return real_seed(base_seed, i_n, i_param, rep, stream)
 
         def fit(path, w, class_spec, *, seed=0):
-            fits.append((path.seed, real_fit(path, w, class_spec, seed=seed)))
-            return fits[-1][1]
+            fits.append(real_fit(path, w, class_spec, seed=seed))
+            return fits[-1]
 
         monkeypatch.setattr(harness, "_row_seed", row_seed)
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
@@ -316,9 +318,8 @@ class TestSeedsDerivedWhereDrawn:
         rows, counts, fits = self.streams(monkeypatch, cfg)
         assert rows == 2
         assert counts == {0: 2, 2: 2}
-        for rep in range(cfg.replications):
-            path_seed = harness._row_seed(cfg.base_seed, 0, 0, rep, 0)
-            (fit,) = [f for seed, f in fits if seed == path_seed]
+        assert len(fits) == cfg.replications
+        for rep, fit in enumerate(fits):
             assert fit.fit_meta["seed"] == harness._row_seed(cfg.base_seed, 0, 0, rep, 2)
 
     def test_relu_ball_grid_derives_both(self, monkeypatch):
@@ -526,6 +527,43 @@ class TestBuildRate:
         ):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("klass", sorted(RATE_CLASSES))
+    @pytest.mark.parametrize("family", list(WeightFamily), ids=lambda f: f.value)
+    def test_owners_hand_in_every_rate_parameter_by_name(self, klass, family):
+        proc, hyp = RATE_CLASSES[klass]
+        weight_keys = set(class_rate_inputs(family, 256))
+        class_keys = set(hyp.rate_inputs(proc))
+        assert not weight_keys & class_keys
+        assert weight_keys | class_keys | {"m_beta", "k_rho", "c_p", "n"} == {
+            f.name for f in dataclasses.fields(RateParameters)
+        }
+
+    def test_block_length_that_fails_its_condition_is_refused(self):
+        # AR(1) phi = 0.99 at n = 256: no m <= n has (n/m) beta(m) <= 0.05,
+        # and the one-bin class with uniform weights passes variant ii's own
+        # preconditions with m_beta = n
+        proc = replace(INTERVAL_AR1, core=DependenceCore(kind="ar1", phi=0.99))
+        cfg = ExperimentConfig(process=proc, weights=WeightPolicy(),
+                               hypothesis=HypothesisClassSpec.step(1, 1.0), n_grid=(256,),
+                               replications=1, rate_variant=RateVariant.II)
+        message = r"no block length m <= n=256 has \(n/m\) beta\(m\) <= delta=0.05"
+        with pytest.raises(RatePreconditionError, match=f"^{message}$"):
+            build_rate(cfg, proc)
+        with pytest.raises(HarnessError, match=f"^uniform weights at n=256: {message}$"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("klass, a, slack", [("step", 64.0, 1.4488515296594362),
+                                                 ("relu", 64.0, 1.2593484145248197)])
+    def test_brown_norms_above_one_take_one_piece(self, klass, a, slack):
+        # on iid data Brown weights pass the preconditions at n = 256, and
+        # the condition grid runs up to c1 = 3
+        cfg, spec = rate_config(klass, "brown", 256)
+        iid = replace(spec, core=DependenceCore())
+        rate, report = build_rate(replace(cfg, process=iid), iid)
+        assert rate.domain == (1 / 16, 3.0)
+        assert rate.a == a
+        assert report.min_slack == pytest.approx(slack, rel=1e-12)
+
     def test_no_params_means_full_uniform_window(self):
         rate, report = build_rate(*rate_config("linear", "uniform", 256, params=None))
         assert rate.a == 16.0
@@ -535,7 +573,7 @@ class TestBuildRate:
         calls = {"log_n1_w": 0, "log_ninf_h": 0}
         search = harness.find_scale_constant
 
-        def counting_search(variant, params, **kwargs):
+        def counting_search(variant, params):
             def log_n1_w(eps):
                 calls["log_n1_w"] += 1
                 return params.log_n1_w(eps)
@@ -545,7 +583,7 @@ class TestBuildRate:
                 return params.log_ninf_h(eps, w_l2)
 
             counted = replace(params, log_n1_w=log_n1_w, log_ninf_h=log_ninf_h)
-            return search(variant, counted, **kwargs)
+            return search(variant, counted)
 
         monkeypatch.setattr(harness, "find_scale_constant", counting_search)
         workload = json.loads((WORKLOADS / "step_mc.json").read_text())
@@ -567,6 +605,13 @@ class TestConfigValidation:
         with pytest.raises(HarnessError) as exc:
             config_from_dict({**cfg, "base_seed": -1})
         assert str(exc.value) == "base_seed must be a non-negative integer, got -1"
+
+    @pytest.mark.parametrize("draws", [1, 0, -3])
+    def test_mc_draws_below_two_is_refused_at_load(self, draws):
+        cfg = config_to_dict(small_config())
+        with pytest.raises(HarnessError) as exc:
+            config_from_dict({**cfg, "mc_draws": draws})
+        assert str(exc.value) == f"mc_draws must be an integer >= 2, got {draws}"
 
     def test_slope_experiments_need_replications(self):
         with pytest.raises(HarnessError):

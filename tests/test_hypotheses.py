@@ -105,8 +105,21 @@ class TestClassSpec:
         ids=["linear-ball", "linear-interval", "step-q8", "step-sized", "relu"],
     )
     def test_c_inf_comes_from_the_kind_and_the_law(self, klass, law, p, c_inf):
-        _, value, _, _ = klass.rate_inputs(linear_spec(64, p=p, law=law))
-        assert value == c_inf
+        assert klass.rate_inputs(linear_spec(64, p=p, law=law))["c_inf"] == c_inf
+
+    # just below 1/8, where u^(-2/3) rounds to 4.000000000000001 and a bare
+    # ceiling would count 5 pieces; 3.0 is a Brown norm above 1
+    @pytest.mark.parametrize("u", [1e-3, math.nextafter(0.125, 0.0), 0.3, 1.0, 3.0])
+    def test_covering_is_size_times_log_of_scale(self, u):
+        # p, q or basis_size(u) pieces at scale 3B; ReLU at scale n
+        spec, eps, sized = linear_spec(64, p=1, law=CovariateLaw.INTERVAL), 1e-3, basis_size(min(u, 1.0))
+        for klass, size, scale in [
+            (HypothesisClassSpec.linear(2.0), 1, 6.0),
+            (HypothesisClassSpec.step(5, 2.0), 5, 6.0),
+            (HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=2.0), sized, 6.0),
+            (HypothesisClassSpec.relu(8, 2, 1.0), sized, 64),
+        ]:
+            assert klass.rate_inputs(spec)["log_ninf_h"](eps, u) == size * math.log(scale / eps)
 
 
 class TestBasisSize:
@@ -181,7 +194,7 @@ class TestLinearFits:
         z = path.z.copy()
         z.flags.writeable = True
         z[:4] = np.array([[0.1, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.05, 0.0]])
-        bad_path = type(path)(y=path.y, z=z, seed=path.seed, spec=path.spec)
+        bad_path = type(path)(y=path.y, z=z, spec=path.spec)
         with pytest.raises(RankDeficientGramError):
             fit_weighted_erm(bad_path, _from_entries(entries), HypothesisClassSpec.linear(1.0))
 
@@ -201,7 +214,7 @@ class TestStepFits:
         z = path.z.copy()
         z.flags.writeable = True
         z[:4, 0] = [0.05, 0.06, 0.07, 0.08]  # everything in the first of 4 bins
-        narrowed = type(path)(y=path.y, z=z, seed=path.seed, spec=path.spec)
+        narrowed = type(path)(y=path.y, z=z, spec=path.spec)
         fit = fit_weighted_erm(narrowed, uniform_w(4), HypothesisClassSpec.step(4, 1.0))
         assert np.all(fit.bins[1:] == 0.0)
 
@@ -478,7 +491,7 @@ class TestNonFiniteInput:
         path = simulate(spec, 4)
         z, y, entries = path.z.copy(), path.y.copy(), uniform_w(8).entries.copy()
         {"z": z[:, 0], "y": y, "w": entries}[array][3] = bad
-        bad_path = type(path)(y=y, z=z, seed=path.seed, spec=path.spec)
+        bad_path = type(path)(y=y, z=z, spec=path.spec)
         with pytest.raises(HypothesisError, match=f"^{array} has non-finite entries$"):
             fit_weighted_erm(bad_path, _from_entries(entries), NONFINITE_CLASSES[klass])
 
@@ -488,7 +501,7 @@ class TestNonFiniteInput:
         y = path.y.copy()
         y[8] = math.nan
         fit = fit_weighted_erm(
-            type(path)(y=y, z=path.z, seed=path.seed, spec=spec), uniform_w(8),
+            type(path)(y=y, z=path.z, spec=spec), uniform_w(8),
             NONFINITE_CLASSES["step"],
         )
         assert np.isfinite(fit.bins).all()
@@ -776,7 +789,7 @@ class TestSupNormLinkConstant:
     def test_linear_c_inf_on_the_ball_law(self, p, data):
         # sup <= sqrt(L2) / c_inf with sup_distance as the oracle
         spec = linear_spec(64, p=p, drift=DriftSpec.constant([0.1] * p))
-        _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
+        c_inf = HypothesisClassSpec.linear(1.0).rate_inputs(spec)["c_inf"]
         coef = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
         f, g = linear_fit(data.draw(coef)), linear_fit(data.draw(coef))
         l2, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=p)
@@ -786,7 +799,7 @@ class TestSupNormLinkConstant:
     @settings(max_examples=50, deadline=None)
     def test_linear_c_inf_is_tight_on_the_interval_law(self, a, b):
         spec = linear_spec(64, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
-        _, c_inf, _, _ = HypothesisClassSpec.linear(1.0).rate_inputs(spec)
+        c_inf = HypothesisClassSpec.linear(1.0).rate_inputs(spec)["c_inf"]
         f, g = linear_fit([a]), linear_fit([b])
         l2, _, _ = l2_distance(f, g, CovariateLaw.INTERVAL)
         assert sup_distance(f, g) == pytest.approx(math.sqrt(l2) / c_inf, rel=1e-12, abs=1e-15)
@@ -797,7 +810,7 @@ class TestSupNormLinkConstant:
         # the sized class's c_inf is 1/sqrt(q) at the smallest norm 1/sqrt(n),
         # so it must hold for every pair with at most that many bins
         spec = linear_spec(n, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
-        _, c_inf, _, _ = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS).rate_inputs(spec)
+        c_inf = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS).rate_inputs(spec)["c_inf"]
         q = data.draw(st.integers(1, basis_size(1.0 / math.sqrt(n))))
         values = st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q)
         f, g = step_fit(data.draw(values)), step_fit(data.draw(values))
@@ -808,7 +821,7 @@ class TestSupNormLinkConstant:
     def test_step_c_inf_is_tight_for_a_fixed_q(self, q):
         # a difference on one bin attains sup = sqrt(L2) / c_inf
         spec = linear_spec(256, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
-        _, c_inf, _, _ = HypothesisClassSpec.step(q, 1.0).rate_inputs(spec)
+        c_inf = HypothesisClassSpec.step(q, 1.0).rate_inputs(spec)["c_inf"]
         f = step_fit(np.full(q, 0.5))
         one_bin = step_fit(np.concatenate([[-0.25], np.full(q - 1, 0.5)]))
         l2, _, _ = l2_distance(f, one_bin, CovariateLaw.INTERVAL)
@@ -820,7 +833,7 @@ class TestSupNormLinkConstant:
         # the 1/q that the class claims for 1-Lipschitz targets
         spec = linear_spec(n, p=1, law=CovariateLaw.INTERVAL, drift=DriftSpec.constant([0.1]))
         for klass in (HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), HypothesisClassSpec.step(8, 1.0)):
-            _, _, _, approx_err = klass.rate_inputs(spec)
+            approx_err = klass.rate_inputs(spec)["approx_err"]
             for w_l2 in (1.0 / math.sqrt(n), 0.1, 0.5, 1.0):
                 q = klass.class_spec(spec, w_l2).q
                 gap = sup_distance(step_fit((np.arange(q) + 0.5) / q), linear_fit([1.0]))

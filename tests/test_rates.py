@@ -33,7 +33,7 @@ def class_covering(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000):
     law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
     spec = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, p, law, DependenceCore(),
                        drift=DriftSpec.constant([0.0] * p))
-    return klass.rate_inputs(spec)[2]
+    return klass.rate_inputs(spec)["log_ninf_h"]
 
 
 def make_params(**overrides):
@@ -65,7 +65,7 @@ class TestComplexityTerm:
         params = make_params(
             n=n,
             cw=1 / math.sqrt(n),
-            log_n1_w=class_rate_inputs(WeightFamily.UNIFORM_WINDOW, n)[3],
+            log_n1_w=class_rate_inputs(WeightFamily.UNIFORM_WINDOW, n)["log_n1_w"],
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=p),
         )
         expected = 4.0 + math.log(n * (n + 1) / 2) + 2 * p * math.log(3 * 32 * n)
@@ -138,7 +138,7 @@ class TestClosedFormRates:
 class TestConditionChecks:
     def test_found_scale_passes_everywhere(self):
         params = make_params(
-            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, 10_000)[3],
+            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, 10_000)["log_n1_w"],
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=2),
             c_inf=math.sqrt(1 / 6),
         )
@@ -164,10 +164,9 @@ class TestConditionChecks:
             alpha=2 / 3,
             c_inf=1.0,
             log_ninf_h=class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)),
+            approx_err=lambda u: 1.0 / basis_size(u),
         )
-        rate, report = find_scale_constant(
-            RateVariant.I, params, approx_err=lambda u: 1.0 / basis_size(u)
-        )
+        rate, report = find_scale_constant(RateVariant.I, params)
         assert report.all_pass
         assert all(p.approx_ok for p in report.points)
 
@@ -194,11 +193,11 @@ class TestConditionChecks:
             find_scale_constant(RateVariant.II, make_params(c_inf=0.0, log_ninf_h=forbidden))
 
 
-def reference_check(rate, approx_err=None):
+def reference_check(rate):
     """The growth conditions point by point: rate(u), complexity_term, min and **2."""
     params = rate.params
     grid = np.asarray(sorted(default_condition_grid(params)), dtype=float)
-    approx = approx_err if approx_err is not None else (lambda u: 0.0)
+    approx = params.approx_err if params.approx_err is not None else (lambda u: 0.0)
     values = np.array([rate(float(u)) for u in grid])
     points, slack = [], math.inf
     for u, r in zip(grid, values):
@@ -225,11 +224,11 @@ def reference_check(rate, approx_err=None):
     )
 
 
-def reference_scale_constant(variant, params, approx_err=None):
+def reference_scale_constant(variant, params):
     """Double a from 1, re-checking the whole grid point by point at each trial."""
     a = 1.0
     for _ in range(40):
-        report = reference_check(closed_form_rate(variant, params, a), approx_err)
+        report = reference_check(closed_form_rate(variant, params, a))
         if report.all_pass:
             return a, report
         a *= 2.0
@@ -237,7 +236,7 @@ def reference_scale_constant(variant, params, approx_err=None):
 
 
 def oracle_setups():
-    """(name, params, approx_err) with real weight and hypothesis coverings."""
+    """name -> params with real weight and hypothesis coverings."""
     from drifterm.hypotheses import basis_size
 
     n = 4096
@@ -247,18 +246,18 @@ def oracle_setups():
         bw=2.0,
         m_beta=3,
         k_rho=2.5,
-        log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
+        log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)["log_n1_w"],
     )
     linear = class_covering(HypothesisClassSpec.linear(1.0), p=2, n=n)
     step = class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), n=n)
     relu = class_covering(HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=8, ell=2,
                                               param_bound=1.0), n=n)
     return {
-        "linear_c_inf_0": (make_params(**base, log_ninf_h=linear), None),
-        "linear_c_inf_pos": (make_params(**base, c_inf=math.sqrt(1 / 6), log_ninf_h=linear), None),
-        "step_sized": (make_params(**base, alpha=2 / 3, c_inf=1 / math.sqrt(basis_size(1 / 64)),
-                                   log_ninf_h=step), lambda u: 1.0 / basis_size(u)),
-        "relu": (make_params(**base, alpha=2 / 3, log_ninf_h=relu), lambda u: u ** (2.0 / 3.0)),
+        "linear_c_inf_0": make_params(**base, log_ninf_h=linear),
+        "linear_c_inf_pos": make_params(**base, c_inf=math.sqrt(1 / 6), log_ninf_h=linear),
+        "step_sized": make_params(**base, alpha=2 / 3, c_inf=1 / math.sqrt(basis_size(1 / 64)),
+                                  log_ninf_h=step, approx_err=lambda u: 1.0 / basis_size(u)),
+        "relu": make_params(**base, alpha=2 / 3, log_ninf_h=relu, approx_err=lambda u: u ** (2.0 / 3.0)),
     }
 
 
@@ -267,14 +266,14 @@ class TestSharedEvaluatorOracle:
 
     @pytest.mark.parametrize(
         "name, variant",
-        [(name, variant) for name, (params, _) in sorted(oracle_setups().items())
+        [(name, variant) for name, params in sorted(oracle_setups().items())
          for variant in (RateVariant.I, RateVariant.II)
          if variant is RateVariant.I or params.c_inf > 0],  # II needs a sup-norm link
     )
     def test_scale_search_matches_reference(self, name, variant):
-        params, approx_err = oracle_setups()[name]
-        rate, report = find_scale_constant(variant, params, approx_err=approx_err)
-        a, expected = reference_scale_constant(variant, params, approx_err)
+        params = oracle_setups()[name]
+        rate, report = find_scale_constant(variant, params)
+        a, expected = reference_scale_constant(variant, params)
         assert rate.a == a
         assert report.points == expected.points
         assert report.min_slack == expected.min_slack
@@ -283,20 +282,20 @@ class TestSharedEvaluatorOracle:
 
     @pytest.mark.parametrize("name", sorted(oracle_setups()))
     def test_every_trial_matches_reference(self, name):
-        params, approx_err = oracle_setups()[name]
+        params = oracle_setups()[name]
         passed = []
         for a in (2.0**i for i in range(8)):
             rate = closed_form_rate(RateVariant.I, params, a)
-            report = check_rate_conditions(rate, approx_err=approx_err)
-            assert report == reference_check(rate, approx_err)
+            report = check_rate_conditions(rate)
+            assert report == reference_check(rate)
             passed.append(report.all_pass)
         assert not passed[0] and passed[-1]  # failing and passing trials both compared
 
     def test_custom_rate_matches_reference(self):
-        params, approx_err = oracle_setups()["step_sized"]
+        params = oracle_setups()["step_sized"]
         custom = RateFunction(params, 1.0, ((3.0, 0.8), (0.01, 0.0)))  # 3u^0.8 + 0.01
-        report = check_rate_conditions(custom, approx_err=approx_err)
-        assert report == reference_check(custom, approx_err)
+        report = check_rate_conditions(custom)
+        assert report == reference_check(custom)
 
 
 class TestCertificates:
@@ -343,7 +342,7 @@ class TestVariantDominance:
             bw=2.0,
             m_beta=mb.m,
             c_inf=1.0,
-            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)[3],
+            log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)["log_n1_w"],
             log_ninf_h=class_covering(HypothesisClassSpec.step(1, 1.0)),
         )
         rate_i, _ = find_scale_constant(RateVariant.I, params)

@@ -283,10 +283,10 @@ CLASS_RATE_PINS = {
 
 @pytest.mark.parametrize("family, n", CLASS_RATE_PINS, ids=lambda v: getattr(v, "value", v))
 def test_class_rate_inputs_pinned(family, n):
-    c1, cw, bw, log_n1 = class_rate_inputs(family, n)
+    inputs = class_rate_inputs(family, n)
     want_c1, want_cw, want_bw, want_logs = CLASS_RATE_PINS[family, n]
-    assert (c1, cw, bw) == (want_c1, want_cw, want_bw)
-    assert tuple(log_n1(eps) for eps in PIN_EPS) == want_logs
+    assert (inputs["c1"], inputs["cw"], inputs["bw"]) == (want_c1, want_cw, want_bw)
+    assert tuple(inputs["log_n1_w"](eps) for eps in PIN_EPS) == want_logs
 
 
 @pytest.mark.parametrize("target", [1.0, 1.00001])
