@@ -274,7 +274,7 @@ class TestSeedsDerivedWhereDrawn:
     a network's start; a row derives a stream only where it draws from it."""
 
     def streams(self, monkeypatch, cfg):
-        """(rows, derivations per stream, fits in row order) of one run."""
+        """(rows, derivations per stream, (path.y, fit) per fit) of one run."""
         counts = collections.Counter()
         fits = []
         real_seed, real_fit = harness._row_seed, harness.fit_weighted_erm
@@ -284,8 +284,8 @@ class TestSeedsDerivedWhereDrawn:
             return real_seed(base_seed, i_n, i_param, rep, stream)
 
         def fit(path, w, class_spec, *, seed=0):
-            fits.append(real_fit(path, w, class_spec, seed=seed))
-            return fits[-1]
+            fits.append((path.y, real_fit(path, w, class_spec, seed=seed)))
+            return fits[-1][1]
 
         monkeypatch.setattr(harness, "_row_seed", row_seed)
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
@@ -319,7 +319,10 @@ class TestSeedsDerivedWhereDrawn:
         assert rows == 2
         assert counts == {0: 2, 2: 2}
         assert len(fits) == cfg.replications
-        for rep, fit in enumerate(fits):
+        for rep in range(cfg.replications):
+            path_seed = harness._row_seed(cfg.base_seed, 0, 0, rep, 0)
+            y = simulate(replace(cfg.process, n=32), path_seed).y
+            (fit,) = [f for path_y, f in fits if np.array_equal(path_y, y)]
             assert fit.fit_meta["seed"] == harness._row_seed(cfg.base_seed, 0, 0, rep, 2)
 
     def test_relu_ball_grid_derives_both(self, monkeypatch):
