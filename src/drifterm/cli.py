@@ -215,6 +215,8 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise HarnessError(f"--jobs: expected an integer >= 1, got {args.jobs}")
     cfg = config_from_dict(_read_json(args.config))
     env_seed = os.environ.get("DRIFTERM_SEED")
     if env_seed is not None:

@@ -9,8 +9,15 @@ deterministic given (config, base_seed): the path seed is derived from the
 base seed, the n index and the replication, so the rows of one replication
 share their path (common random numbers across the weights); the fit and
 Monte Carlo seeds also take the weight index, and a row derives them only
-if its fit or its distances draw from them.  Results do not depend on
-worker count or completion order.
+if its fit or its distances draw from them.
+
+The task unit is a block of replications of one grid n: its paths are
+simulated as stacked arrays, and linear fits and their distances are
+stacked products, each row bit for bit what its path alone gives.  A block
+holds at most BLOCK_PATH_ELEMENTS path rows (replications x (n + 1)), so
+its memory stays near a megabyte: 254 replications at n = 128, 3 at
+n = 8192.  Results do not depend on the block size, the worker count or
+the completion order.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .hypotheses import HypothesisClassSpec, HypothesisError
 from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
-from .processes import ProcessSpec, mixing_profile, read_csv, simulate
+from .processes import ProcessSpec, SamplePath, mixing_profile, read_csv, simulate
 from .rates import (
     RateParameters,
     RatePreconditionError,
@@ -55,6 +62,10 @@ from .weights import (
 )
 
 MAX_ROW_FAILURE_FRACTION = 0.01
+
+# Most path rows, replications x (n + 1), in one task's block of replications:
+# a block's stacked arrays stay near a megabyte whatever n is.
+BLOCK_PATH_ELEMENTS = 2**15
 
 # Fewest distinct x values for a log-log slope against each x field.
 SLOPE_MIN_POINTS = {"n": 5, "n_eff": 3, "param": 3}
@@ -214,39 +225,69 @@ def _row_seed(base_seed: int, i_n: int, i_param: int, rep: int, stream: int) -> 
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _path_task(payload: tuple) -> list:
-    """One replication: simulate its path once, then fit and measure it under
-    each weight of its cell.  One outcome per weight, in order:
-    ``(learning, excess)`` or a failure message; a failed simulation fails
-    every weight.  Pure function of the payload."""
-    spec, path_seed, weights, class_spec, draws, base_seed, i_n, rep = payload
+def _block_size(n: int) -> int:
+    """Replications per task at grid n: at most BLOCK_PATH_ELEMENTS path rows, at least one."""
+    return max(1, BLOCK_PATH_ELEMENTS // (n + 1))
+
+
+def _block_task(payload: tuple) -> list:
+    """One block of replications of one grid n: simulate its paths at once,
+    then fit and measure them under each weight of the cell.  Outcomes run
+    (replication, weight): ``(learning, excess)`` or a failure message.  A
+    block that fails is run again path by path, so a failed simulation fails
+    the rows of its own path only.  Pure function of the payload."""
+    spec, path_seeds, rep0, weights, class_spec, draws, base_seed, i_n = payload
     try:
-        path = simulate(spec, path_seed)
+        paths = simulate(spec, path_seeds)
     except Exception as err:  # row-level isolation; harness applies the 1% budget
-        return [f"{type(err).__name__}: {err}"] * len(weights)
-    return [
-        _fit_outcome(path, spec, draws, w, class_spec, (base_seed, i_n, i_param, rep))
+        if len(path_seeds) == 1:
+            return [f"{type(err).__name__}: {err}"] * len(weights)
+        return [outcome for r in range(len(path_seeds)) for outcome in _block_task(_paths(payload, r, r + 1))]
+    per_weight = [
+        _fit_outcomes(paths, spec, draws, w, class_spec, (base_seed, i_n, i_param), rep0)
         for i_param, w in enumerate(weights)
     ]
+    return [outcome for rep in zip(*per_weight) for outcome in rep]
 
 
-def _fit_outcome(path, spec, draws, w, class_spec, key):
-    """Fit one weight on the path and measure it; a failure becomes its message.
+def _paths(payload: tuple, start: int, stop: int | None = None) -> tuple:
+    """The payload of paths start..stop-1 of a block, as a block of their own."""
+    spec, path_seeds, rep0, *rest = payload
+    return (spec, path_seeds[start:stop], rep0 + start, *rest)
 
-    ``key`` is the row's (base_seed, i_n, i_param, rep).  Its seeds go in as
-    callables that derive them from it, stream 2 for a network's start and
-    stream 1 (plus one for the excess risk) for Monte Carlo covariates, so a
-    row derives only the seeds that its fit and its distances draw with.
+
+def _fit_outcomes(paths, spec, draws, w, class_spec, key, rep0) -> list:
+    """Fit one weight on a block of paths and measure each fit; one outcome
+    per path, a failure becoming its message.  A block that fails is fitted
+    again path by path, so a failure stays with its row.
+
+    ``key`` is the cell's (base_seed, i_n, i_param) and rep0 the block's
+    first replication.  The seeds go in as callables that derive them from
+    the row, stream 2 for a network's start and stream 1 (plus one for the
+    excess risk) for Monte Carlo covariates, so a row derives only the seeds
+    that its fit and its distances draw with.
     """
+    reps = range(rep0, rep0 + len(paths.y))
     try:
-        fit = fit_weighted_erm(path, w, class_spec, seed=lambda: _row_seed(*key, 2))
-        learn, _, _ = learning_error(fit, spec, w, draws=draws, seed=lambda: _row_seed(*key, 1))
-        exc, _, _ = excess_risk(fit, spec, spec.n, draws=draws, seed=lambda: _row_seed(*key, 1) + 1)
+        fits = fit_weighted_erm(paths, w, class_spec, seed=[lambda r=r: _row_seed(*key, r, 2) for r in reps])
+        learn, _, _ = learning_error(fits, spec, w, draws=draws,
+                                     seed=[lambda r=r: _row_seed(*key, r, 1) for r in reps])
+        exc, _, _ = excess_risk(fits, spec, spec.n, draws=draws,
+                                seed=[lambda r=r: _row_seed(*key, r, 1) + 1 for r in reps])
+        outcomes = list(zip(learn.tolist(), exc.tolist()))
     except Exception as err:  # row-level isolation; harness applies the 1% budget
-        return f"{type(err).__name__}: {err}"
-    if not (math.isfinite(learn) and math.isfinite(exc)):
-        return f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
-    return learn, exc
+        if len(reps) == 1:
+            return [f"{type(err).__name__}: {err}"]
+        return [
+            outcome for r in range(len(reps))
+            for outcome in _fit_outcomes(SamplePath(paths.y[r : r + 1], paths.z[r : r + 1], spec),
+                                         spec, draws, w, class_spec, key, rep0 + r)
+        ]
+    return [
+        (learn, exc) if math.isfinite(learn) and math.isfinite(exc)
+        else f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
+        for learn, exc in outcomes
+    ]
 
 
 def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
@@ -274,15 +315,20 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute the full grid; deterministic given (config, base_seed).
 
-    The task unit is one path: simulated once per (n, replication) and
-    fitted under every weight of the sweep.  With ``jobs > 1`` the first
-    path runs in this process and the rest in ``jobs`` workers forked after
-    it, so the workers start with what that path imported or memoised; the
-    rows do not depend on ``jobs``.  Rows come in (n, weight, replication)
-    order.  Row-level failures (an exception, or a non-finite learning or
-    excess value) are recorded in the manifest and tolerated up to 1% of the
-    rows; beyond that the run aborts.
+    The task unit is a block of replications of one grid n, at most
+    ``_block_size(n)`` of them, so that a block holds at most
+    BLOCK_PATH_ELEMENTS path rows.  A block's paths are simulated at once and
+    fitted under every weight of the sweep, each row bit for bit what its
+    path alone gives.  With ``jobs > 1`` the first replication runs in this
+    process and the rest in ``jobs`` workers forked after it, so the workers
+    start with what that path imported or memoised; a pool chunk holds about
+    8 paths.  The rows do not depend on ``jobs`` or on the block size.  Rows
+    come in (n, weight, replication) order.  Row-level failures (an
+    exception, or a non-finite learning or excess value) are recorded in the
+    manifest and tolerated up to 1% of the rows; beyond that the run aborts.
     """
+    if jobs < 1:
+        raise HarnessError(f"jobs must be an integer >= 1, got {jobs}")
     rows: list[Row] = []
     failures: list[dict] = []
     rate_constants: dict[int, float] = {}
@@ -303,20 +349,25 @@ def run_experiment(
             drift = drift_error(spec, w, n)
             meta.append((float(wspec.param), w.l2, drift,
                          bound_certificate(rate, w.l2, cfg.delta, drift_term=drift)))
-        path_seeds = [_row_seed(cfg.base_seed, i_n, 0, rep, 0) for rep in range(cfg.replications)]
+        path_seeds = tuple(_row_seed(cfg.base_seed, i_n, 0, rep, 0) for rep in range(cfg.replications))
+        size = _block_size(n)
         payloads.extend(
-            (spec, path_seed, weights, cfg.hypothesis, cfg.mc_draws, cfg.base_seed, i_n, rep)
-            for rep, path_seed in enumerate(path_seeds)
+            (spec, path_seeds[rep0 : rep0 + size], rep0, weights, cfg.hypothesis, cfg.mc_draws, cfg.base_seed, i_n)
+            for rep0 in range(0, cfg.replications, size)
         )
         cells.append((n, path_seeds, meta))
 
-    if jobs > 1 and payloads:
-        # forked after path 0, so no worker imports scipy.signal again
-        outcomes = _path_task(payloads[0])
+    if jobs > 1:
+        # forked after one path, so no worker imports scipy.signal again
+        outcomes = _block_task(_paths(payloads[0], 0, 1))
+        tail = _paths(payloads[0], 1)
+        rest = ([tail] if tail[1] else []) + payloads[1:]
+        paths = sum(len(p[1]) for p in rest)
+        chunk = max(1, round(8 * len(rest) / max(1, paths)))  # about 8 paths per chunk
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes += chain.from_iterable(pool.map(_path_task, payloads[1:], chunksize=8))
+            outcomes += chain.from_iterable(pool.map(_block_task, rest, chunksize=chunk))
     else:
-        outcomes = [outcome for p in payloads for outcome in _path_task(p)]
+        outcomes = [outcome for p in payloads for outcome in _block_task(p)]
 
     # outcomes run (n, replication, weight); rows run (n, weight, replication)
     outcomes = iter(outcomes)

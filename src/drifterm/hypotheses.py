@@ -240,54 +240,70 @@ def _drawn(seed) -> int:
     return seed() if callable(seed) else seed
 
 
-def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
-    p = z.shape[1]
-    gram = (z * w[:, None]).T @ z
-    rhs = z.T @ (w * y)
+def _per_row(seed, size: int) -> list:
+    """A block's seeds: one per row as given in a list or tuple, else the one seed for every row."""
+    return list(seed) if isinstance(seed, (list, tuple)) else [seed] * size
+
+
+def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> "FitBlock":
+    """Exact ball-constrained weighted least squares on a block: z (R, n, p), y (R, n).
+
+    The Grams, right-hand sides, eigendecompositions and rotations are
+    stacked products, each row the product its path alone would give; only
+    the rows whose unconstrained solution leaves the ball solve for their
+    multiplier.  A deficient Gram under signed weights fails the block."""
+    R, n, p = z.shape
+    zw = (z.reshape(R, n * p) * np.repeat(w, p)).reshape(R, n, p)  # z_t w_t in one long loop
+    gram = np.matmul(zw.transpose(0, 2, 1), z)
+    rhs = np.matmul(z.transpose(0, 2, 1), (w * y)[:, :, None])[:, :, 0]
     eigvals, eigvecs = np.linalg.eigh(gram)
-    floor = GRAM_EIG_FLOOR * np.trace(gram) / p
-    signed = bool(np.any(w < 0))
-    if eigvals[0] < floor and signed:
+    floor = GRAM_EIG_FLOOR * np.trace(gram, axis1=1, axis2=2) / p
+    deficient = np.flatnonzero(eigvals[:, 0] < floor) if np.any(w < 0) else ()
+    if len(deficient):
+        r = deficient[0]
         raise RankDeficientGramError(
-            f"weighted Gram matrix has eigenvalue {eigvals[0]:.3e} below floor {floor:.3e} "
+            f"weighted Gram matrix has eigenvalue {eigvals[r, 0]:.3e} below floor {floor[r]:.3e} "
             "with signed weights; the objective may be indefinite"
         )
-    c_rot = eigvecs.T @ rhs
-    safe = eigvals > max(floor, 0.0)
+    c_rot = np.matmul(eigvecs.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
+    safe = eigvals > np.maximum(floor, 0.0)[:, None]
     beta_unc_rot = np.where(safe, c_rot / np.where(safe, eigvals, 1.0), 0.0)
-    beta = eigvecs @ beta_unc_rot
-    multiplier = 0.0
+    beta = np.matmul(eigvecs, beta_unc_rot[:, :, None])[:, :, 0]
+    multiplier = np.zeros(len(beta))
     B = spec.b_bound
-    if np.linalg.norm(beta) > B:
+    norm = np.sqrt(np.matmul(beta[:, None, :], beta[:, :, None])[:, 0, 0])  # np.linalg.norm's dot, row by row
+    for r in np.flatnonzero(norm > B):
         # Exact ball-constrained minimizer: (G + lam I) beta = rhs with the
         # unique lam > 0 putting beta on the boundary.
         from scipy.optimize import brentq
 
-        eig_pos = np.maximum(eigvals, 0.0)
+        eig_pos, c = np.maximum(eigvals[r], 0.0), c_rot[r]
 
         def radius_gap(lam: float) -> float:
-            return float(np.sum((c_rot / (eig_pos + lam)) ** 2)) - B**2
+            return float(np.sum((c / (eig_pos + lam)) ** 2)) - B**2
 
         # a singular Gram needs a strictly positive lower bracket
-        lo = 0.0 if eig_pos[0] > 0 else 1e-30 * max(1.0, float(np.trace(gram)))
-        hi = max(1.0, np.linalg.norm(rhs) / B - eig_pos[0]) + 1.0
+        lo = 0.0 if eig_pos[0] > 0 else 1e-30 * max(1.0, float(np.trace(gram[r])))
+        hi = max(1.0, np.linalg.norm(rhs[r]) / B - eig_pos[0]) + 1.0
         while radius_gap(hi) > 0:
             hi *= 2.0
-        multiplier = float(brentq(radius_gap, lo, hi, xtol=1e-14, rtol=1e-15))
-        beta = eigvecs @ (c_rot / (eig_pos + multiplier))
-    residuals = y - z @ beta
-    beta = np.asarray(beta, dtype=float)
+        multiplier[r] = brentq(radius_gap, lo, hi, xtol=1e-14, rtol=1e-15)
+        beta[r] = eigvecs[r] @ (c / (eig_pos + multiplier[r]))
     beta.flags.writeable = False
-    return FittedHypothesis(
-        class_spec=spec,
-        coef=beta,
-        fit_meta={
-            "solver": "constrained" if multiplier > 0 else "normal_equations",
-            "multiplier": multiplier,
-            "empirical_risk": _weighted_risk(w, residuals),
-            "min_gram_eig": float(eigvals[0]),
-        },
-    )
+
+    def row(r: int) -> FittedHypothesis:
+        return FittedHypothesis(
+            class_spec=spec,
+            coef=beta[r],
+            fit_meta={
+                "solver": "constrained" if multiplier[r] > 0 else "normal_equations",
+                "multiplier": float(multiplier[r]),
+                "empirical_risk": _weighted_risk(w, y[r] - z[r] @ beta[r]),
+                "min_gram_eig": float(eigvals[r, 0]),
+            },
+        )
+
+    return FitBlock(len(beta), row, coef=beta)
 
 
 def _fit_step(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
@@ -426,13 +442,35 @@ def _fit_net(
     )
 
 
+class FitBlock:
+    """One weight's fits on a block of paths: ``block[r]`` is path r's fit.
+
+    ``row(r)`` returns that fit.  A linear block stacks its coefficients in
+    ``coef`` (R, p), which the distances read as they are, and builds a
+    row's fit, with its fit_meta, only when it is asked for.  Step and
+    network fits are made row by row.
+    """
+
+    def __init__(self, size: int, row, coef: np.ndarray | None = None) -> None:
+        self.size, self.row, self.coef = size, row, coef
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, r: int) -> FittedHypothesis:
+        return self.row(r)
+
+    def __iter__(self):
+        return map(self.row, range(self.size))
+
+
 def fit_weighted_erm(
     path: SamplePath,
     w: WeightVector,
     class_spec: HypothesisClassSpec,
     *,
     seed=0,
-) -> FittedHypothesis:
+) -> "FittedHypothesis | FitBlock":
     """Minimize the weighted empirical square loss over the class.
 
     The class is sized for the weight first (``class_spec.class_spec``): a
@@ -441,23 +479,35 @@ def fit_weighted_erm(
     the fit; the held-out final row never does.  Linear and step fits are
     exact minimizers; the network fit is approximate (projected gradient
     descent) and records its achieved empirical risk.  A NaN or infinity
-    in the first n covariates, responses or weights is rejected.  ``seed``
-    seeds the network's start: an int, or a zero-argument callable that
-    returns it, called only by a network fit.
+    in the weights is rejected (``SamplePath`` refuses one in the path).
+    ``seed`` seeds the network's start: an int, or a zero-argument callable
+    that returns it, called only by a network fit.
+
+    A block of paths gives a ``FitBlock``, row r fitted on path r as that
+    path alone would be; ``seed`` is then a list with one seed per path.
+    Linear blocks are solved as stacked arrays; step and network fits run
+    row by row.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
         raise HypothesisError(f"weight length {w.entries.shape[0]} != n={n}")
-    z, y, wv = path.z[:n], path.y[:n], w.entries
-    for name, values in (("z", z), ("y", y), ("w", wv)):
-        if not np.isfinite(values).all():
-            raise HypothesisError(f"{name} has non-finite entries")
+    wv = w.entries
+    if not np.isfinite(wv).all():
+        raise HypothesisError("w has non-finite entries")
     class_spec = class_spec.class_spec(path.spec, w.l2)
+    block = path.y.ndim == 2
+    z, y = (path.z, path.y) if block else (path.z[None], path.y[None])
+    z, y = z[:, :n], y[:, :n]
     if class_spec.kind is HypothesisKind.LINEAR_BALL:
-        return _fit_linear(z, y, wv, class_spec)
-    if class_spec.kind is HypothesisKind.STEP_BASIS:
-        return _fit_step(z, y, wv, class_spec)
-    return _fit_net(z, y, wv, class_spec, seed)
+        fits = _fit_linear(z, y, wv, class_spec)
+    else:
+        fits = tuple(
+            _fit_step(zr, yr, wv, class_spec) if class_spec.kind is HypothesisKind.STEP_BASIS
+            else _fit_net(zr, yr, wv, class_spec, s)
+            for zr, yr, s in zip(z, y, _per_row(seed, len(z)))
+        )
+        fits = FitBlock(len(fits), fits.__getitem__)
+    return fits if block else fits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +582,14 @@ def _difference_pieces(f: FittedHypothesis, g: FittedHypothesis):
     return edges, sf[i] - sg[j], cf[i] - cg[j]
 
 
+def _quadratic_form(d: np.ndarray, m: np.ndarray):
+    """d^T m d of each row of d, (..., p): d m as a vector-matrix product,
+    then its dot with d, the products ``d @ m @ d`` makes for one row."""
+    return np.matmul(np.matmul(d[..., None, :], m), d[..., :, None])[..., 0, 0]
+
+
 def l2_distance(
-    f: FittedHypothesis,
+    f: "FittedHypothesis | FitBlock",
     g,
     law: CovariateLaw,
     *,
@@ -549,14 +605,25 @@ def l2_distance(
     step, constant and ReLU hypotheses is exact: f - g is affine,
     d(z) = s z + c, on each piece of the merged breakpoints, and a piece of
     width w and midpoint m adds w (d(m)^2 + (s w)^2 / 12), a form that
-    does not cancel when f is close to g.  Off the interval law (the ball law) every other pairing is Monte
-    Carlo over ``draws`` fresh covariate draws, with its stderr.  ``seed``
-    seeds those draws: an int, or a zero-argument callable that returns
-    it, called only on the Monte Carlo branch.
+    does not cancel when f is close to g.  Off the interval law (the ball
+    law) every other pairing is Monte Carlo over ``draws`` fresh covariate
+    draws, with its stderr.  ``seed`` seeds those draws: an int, or a
+    zero-argument callable that returns it, called only on the Monte Carlo
+    branch.
+
+    For a ``FitBlock`` the value and stderr are arrays, one entry per row,
+    and ``seed`` a list with one seed per row: a linear block's quadratic
+    forms are one stacked product, each row's as its fit alone gives it.
     """
+    if isinstance(f, FitBlock):
+        if f.coef is not None and (coef := _linear_coef(g)) is not None:
+            return _quadratic_form(f.coef - coef, law_second_moment(law, p)), np.zeros(f.size), "exact"
+        values, stderrs, modes = zip(*(
+            l2_distance(fit, g, law, p=p, draws=draws, seed=s) for fit, s in zip(f, _per_row(seed, f.size))
+        ))
+        return np.array(values), np.array(stderrs), modes[0]
     if f.kind is HypothesisKind.LINEAR_BALL and (coef := _linear_coef(g)) is not None:
-        d = f.coef - coef
-        return float(d @ law_second_moment(law, p) @ d), 0.0, "exact"
+        return float(_quadratic_form(f.coef - coef, law_second_moment(law, p))), 0.0, "exact"
     g = _as_hypothesis(g)
     if law is CovariateLaw.INTERVAL:
         edges, s, c = _difference_pieces(f, g)

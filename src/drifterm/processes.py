@@ -202,12 +202,19 @@ class SamplePath:
     """A realized trajectory of length n+1; row i holds time t = i+1.
 
     The final row is the held-out target time.  ``simulate(spec, seed)``
-    regenerates it bit for bit.
+    regenerates it bit for bit.  A block of R paths stacks them, y (R, n+1)
+    and z (R, n+1, p), path r in y[r] and z[r]; ``simulate(spec, seeds)``
+    makes one.  A NaN or infinity in y or z is refused, naming the field.
     """
 
     y: np.ndarray
     z: np.ndarray
     spec: ProcessSpec
+
+    def __post_init__(self) -> None:
+        for name in ("y", "z"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ProcessSpecError(f"{name} has non-finite entries")
 
 
 @functools.lru_cache(maxsize=16)
@@ -251,66 +258,97 @@ def mixing_profile(spec: ProcessSpec) -> MixingProfile:
     return MixingProfile.iid()
 
 
-def _truncated_std_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal conditioned on |x| <= 4 (rejection), unit-sd rescaled."""
-    x = rng.standard_normal(size)
+def _draw(rngs, method: str, shape: tuple) -> np.ndarray:
+    """(R, *shape) draws, block r filled by ``rngs[r].<method>``."""
+    out = np.empty((len(rngs), *shape))
+    for rng, block in zip(rngs, out):
+        getattr(rng, method)(out=block)
+    return out
+
+
+def _truncated_std_normal(rngs, rows: int) -> np.ndarray:
+    """(R, rows) standard normals conditioned on |x| <= 4, unit-sd rescaled.
+
+    Row r is drawn from rngs[r], redrawing its rejected entries from the
+    same generator until none is left."""
+    x = _draw(rngs, "standard_normal", (rows,))
     bad = np.abs(x) > TRUNC_LIMIT
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(x) > TRUNC_LIMIT
+    for r in np.flatnonzero(bad.any(axis=1)):
+        row, row_bad = x[r], bad[r]
+        while row_bad.any():
+            row[row_bad] = rngs[r].standard_normal(int(row_bad.sum()))
+            row_bad = np.abs(row) > TRUNC_LIMIT
     x /= TRUNC_SD
     return x
 
 
-def _ar1_latent(rng: np.random.Generator, phi: float, shape: tuple[int, int]) -> np.ndarray:
-    """Stationary N(0,1)-marginal AR(1) columns: x_t = phi x_{t-1} + sqrt(1-phi^2) e_t."""
-    rows, cols = shape
-    x0 = rng.standard_normal(cols)
-    e = rng.standard_normal((rows, cols)) * math.sqrt(1.0 - phi**2)
-    from scipy.signal import lfilter  # on first use: the slowest import drifterm has
+def _uniform_core(rngs, spec: ProcessSpec) -> np.ndarray:
+    """(R, n+1, p) uniforms on [0,1) carrying the configured serial dependence.
 
-    out, _ = lfilter([1.0], [1.0, -phi], e, axis=0, zi=(phi * x0)[None, :])
-    return out
-
-
-def _uniform_core(rng: np.random.Generator, spec: ProcessSpec) -> np.ndarray:
-    """(n+1, p) uniforms on [0,1) carrying the configured serial dependence."""
-    rows = spec.n + 1
-    core = spec.core
+    Each path draws from its own generator; the transforms after the draws
+    run once on the whole block."""
+    rows, core = spec.n + 1, spec.core
     if core.kind == "iid":
-        return rng.random((rows, spec.p))
+        return _draw(rngs, "random", (rows, spec.p))
     if core.kind == "ar1":
+        # Stationary N(0,1)-marginal AR(1) columns: x_t = phi x_{t-1} + sqrt(1-phi^2) e_t.
+        x0 = _draw(rngs, "standard_normal", (spec.p,))
+        e = _draw(rngs, "standard_normal", (rows, spec.p))
+        e *= math.sqrt(1.0 - core.phi**2)
+        from scipy.signal import lfilter  # on first use: the slowest import drifterm has
         from scipy.special import ndtr
 
-        latent = _ar1_latent(rng, core.phi, (rows, spec.p))
+        latent, _ = lfilter([1.0], [1.0, -core.phi], e, axis=1, zi=(core.phi * x0)[:, None, :])
         return ndtr(latent)
     # symmetric 2-state chain drives the first coordinate's half-interval
-    s0 = rng.random() < 0.5
-    flips = rng.random(rows - 1) < core.flip
-    parity = np.concatenate([[0], np.cumsum(flips) % 2])
-    states = (int(s0) + parity) % 2
-    u = rng.random((rows, spec.p))
-    u[:, 0] = (states + u[:, 0]) / 2.0
+    s0 = np.array([rng.random() < 0.5 for rng in rngs])
+    flips = _draw(rngs, "random", (rows - 1,)) < core.flip
+    u = _draw(rngs, "random", (rows, spec.p))
+    parity = np.concatenate([np.zeros((len(rngs), 1), dtype=int), np.cumsum(flips, axis=1) % 2], axis=1)
+    states = (s0[:, None].astype(int) + parity) % 2
+    u[:, :, 0] = (states + u[:, :, 0]) / 2.0
     return u
 
 
-def simulate(spec: ProcessSpec, seed: int) -> SamplePath:
-    """Generate a trajectory of length n+1; pure function of (spec, seed)."""
-    rng = np.random.default_rng(seed)
-    z = _uniform_core(rng, spec)
+def _signal(betas: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """beta*_t . z_t for every row of every path of a block, (R, n+1).
+
+    Up to p = 2 the sum has at most two terms, so it is one product per
+    coordinate and one add, the same bits as einsum in a third of the time;
+    from p = 3 einsum, whose summation order fixes the bits."""
+    if betas.shape[1] > 2:
+        return np.einsum("tp,rtp->rt", betas, z)
+    y = z[..., 0] * betas[:, 0]
+    if betas.shape[1] == 2:
+        y += z[..., 1] * betas[:, 1]
+    return y
+
+
+def simulate(spec: ProcessSpec, seed) -> SamplePath:
+    """Generate a trajectory of length n+1; pure function of (spec, seed).
+
+    ``seed`` is an int, or a sequence of ints for a block of paths (path r
+    from seed r, bit for bit the path that seed alone gives).  Each path
+    makes its own draws from its own generator: the covariate core, then the
+    noise, then the noise's rejection redraws.  Every transform after the
+    draws runs once on the whole block, and a single path is a block of one.
+    """
+    single = np.ndim(seed) == 0
+    rngs = [np.random.default_rng(s) for s in ((seed,) if single else seed)]
+    z = _uniform_core(rngs, spec)
     if spec.law is CovariateLaw.BALL:  # (2u - 1) / sqrt(p), in place
         z *= 2.0
         z -= 1.0
         z /= math.sqrt(spec.p)
-    rows = spec.n + 1
+    noise = _truncated_std_normal(rngs, spec.n + 1)
     if spec.kind is ProcessKind.DRIFTING_VARIANCE:
-        noise = _truncated_std_normal(rng, rows)
         y = spec.mean + np.sqrt(sigma2_path(spec)) * noise
     else:
-        eta = _truncated_std_normal(rng, rows)
-        eta *= spec.noise_sd
-        y = np.einsum("tp,tp->t", beta_path(spec), z)
-        y += eta
+        noise *= spec.noise_sd
+        y = _signal(beta_path(spec), z)
+        y += noise
+    if single:
+        y, z = y[0], z[0]
     y.flags.writeable = False
     z.flags.writeable = False
     return SamplePath(y=y, z=z, spec=spec)

@@ -88,7 +88,9 @@ def learning_error(
     target is linear, or a constant for the variance-drift generator).
     Step and network fits on the ball law are Monte Carlo with reported
     standard error; ``seed`` seeds their draws, as an int or as a
-    zero-argument callable that ``l2_distance`` calls only then.
+    zero-argument callable that ``l2_distance`` calls only then.  A
+    ``FitBlock`` gives one value and stderr per row, as arrays, against a
+    target computed once for the block.
     """
     target = _population_target(spec, population_optimum_weighted(spec, w))
     return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)

@@ -293,6 +293,13 @@ class TestRunPipeline:
             main(["run", "--config", cfg_file])
         assert exc.value.code == "base_seed must be a non-negative integer, got -3"
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused(self, cfg_file, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_file, "--jobs", str(jobs), "--out", str(tmp_path / "out")])
+        assert exc.value.code == f"--jobs: expected an integer >= 1, got {jobs}"
+        assert not (tmp_path / "out").exists()
+
 
 def test_slopes_on_an_n_eff_sweep_reproduce_the_run(capsys, tmp_path):
     """``slopes --x n_eff`` needs 3 params by default, as the run's own slope does."""

@@ -146,10 +146,10 @@ class TestRowPool:
         first_seed = harness._row_seed(cfg.base_seed, 0, 0, 0, 0)
         real_simulate = harness.simulate
 
-        def simulate(spec, seed):
-            if seed == first_seed:
+        def simulate(spec, seeds):
+            if first_seed in seeds:
                 raise RuntimeError("row 0 fails")
-            return real_simulate(spec, seed)
+            return real_simulate(spec, seeds)
 
         monkeypatch.setattr(harness, "simulate", simulate)
         a = run_experiment(cfg, jobs=1)
@@ -172,15 +172,20 @@ class TestSharedPath:
     """One path per (n, replication), fitted under every weight of the sweep."""
 
     def test_one_simulation_per_path_and_one_fit_per_row(self, monkeypatch):
+        """Each call takes a block of paths: count the paths simulated and the rows fitted."""
         calls = {"simulate": 0, "fit": 0}
-        for name, key in (("simulate", "simulate"), ("fit_weighted_erm", "fit")):
-            real = getattr(harness, name)
+        real_simulate, real_fit = harness.simulate, harness.fit_weighted_erm
 
-            def counted(*args, _real=real, _key=key, **kwargs):
-                calls[_key] += 1
-                return _real(*args, **kwargs)
+        def simulate(spec, seeds):
+            calls["simulate"] += len(seeds)
+            return real_simulate(spec, seeds)
 
-            monkeypatch.setattr(harness, name, counted)
+        def fit(paths, w, class_spec, *, seed=0):
+            calls["fit"] += len(paths.y)
+            return real_fit(paths, w, class_spec, seed=seed)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        monkeypatch.setattr(harness, "fit_weighted_erm", fit)
         cfg = three_param_config()
         res = run_experiment(cfg)
         assert len(res.rows) == 2 * 3 * 3
@@ -231,10 +236,10 @@ class TestSharedPathFailures:
         bad = self.seed(0, 7, 0)
         real = harness.simulate
 
-        def simulate(spec, seed):
-            if seed == bad:
+        def simulate(spec, seeds):
+            if bad in seeds:
                 raise RuntimeError("path fails")
-            return real(spec, seed)
+            return real(spec, seeds)
 
         monkeypatch.setattr(harness, "simulate", simulate)
         res = run_experiment(self.cfg, jobs=jobs)
@@ -252,10 +257,10 @@ class TestSharedPathFailures:
         bad_y = simulate(replace(self.cfg.process, n=64), path_seed).y
         real = harness.fit_weighted_erm
 
-        def fit(path, w, class_spec, *, seed=0):
-            if np.array_equal(path.y, bad_y) and np.array_equal(w.entries, bad_w.entries):
+        def fit(paths, w, class_spec, *, seed=0):
+            if any(np.array_equal(y, bad_y) for y in paths.y) and np.array_equal(w.entries, bad_w.entries):
                 raise RuntimeError("fit fails")
-            return real(path, w, class_spec, seed=seed)
+            return real(paths, w, class_spec, seed=seed)
 
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
         res = run_experiment(self.cfg, jobs=jobs)
@@ -267,6 +272,32 @@ class TestSharedPathFailures:
         assert sorted(r.param for r in res.rows if r.seed == path_seed) == sorted(
             [THREE_EXP.params[0], THREE_EXP.params[2]]
         )
+
+
+    def test_rank_deficient_row_inside_a_block_fails_only_that_row(self, monkeypatch):
+        """Signed weights and a path whose second covariate is 0: that row's Gram is
+        singular, and the other rows of its block still give their rows."""
+        cfg = small_config(weights=WeightPolicy(family=WeightFamily.BROWN_DES, params=(0.1,)),
+                           n_grid=(256,), replications=100)
+        assert harness._block_size(256) >= cfg.replications
+        bad = harness._row_seed(cfg.base_seed, 0, 0, 7, 0)
+        real = harness.simulate
+
+        def simulate(spec, seeds):
+            paths = real(spec, seeds)
+            if bad not in seeds:
+                return paths
+            z = paths.z.copy()
+            z[list(seeds).index(bad), :, 1] = 0.0
+            return type(paths)(y=paths.y, z=z, spec=spec)
+
+        clean = run_experiment(cfg)
+        monkeypatch.setattr(harness, "simulate", simulate)
+        res = run_experiment(cfg)
+        (failure,) = res.manifest["failures"]
+        assert failure["seed"] == bad
+        assert failure["error"].startswith("RankDeficientGramError: weighted Gram matrix has eigenvalue")
+        assert res.rows == tuple(r for r in clean.rows if r.seed != bad)
 
 
 class TestSeedsDerivedWhereDrawn:
@@ -283,9 +314,10 @@ class TestSeedsDerivedWhereDrawn:
             counts[stream] += 1
             return real_seed(base_seed, i_n, i_param, rep, stream)
 
-        def fit(path, w, class_spec, *, seed=0):
-            fits.append((path.y, real_fit(path, w, class_spec, seed=seed)))
-            return fits[-1][1]
+        def fit(paths, w, class_spec, *, seed=0):
+            block = real_fit(paths, w, class_spec, seed=seed)
+            fits.extend(zip(paths.y, block))
+            return block
 
         monkeypatch.setattr(harness, "_row_seed", row_seed)
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
@@ -337,14 +369,13 @@ class TestNonFiniteOutcome:
     def test_counts_as_a_row_failure(self, monkeypatch, measure):
         cfg = small_config(n_grid=(64,), replications=100)
         real = getattr(harness, measure)
-        calls = []
 
-        def nan_on_fifth_call(*args, **kwargs):
-            calls.append(None)
-            value, se, mode = real(*args, **kwargs)
-            return (math.nan if len(calls) == 5 else value), se, mode
+        def nan_in_the_fifth_row(*args, **kwargs):
+            values, se, mode = real(*args, **kwargs)
+            assert len(values) == 100  # one block holds every replication
+            return np.where(np.arange(100) == 4, math.nan, values), se, mode
 
-        monkeypatch.setattr(harness, measure, nan_on_fifth_call)
+        monkeypatch.setattr(harness, measure, nan_in_the_fifth_row)
         res = run_experiment(cfg, jobs=1)
         (failure,) = res.manifest["failures"]
         assert failure["error"].startswith("non-finite outcome: ")
@@ -353,7 +384,8 @@ class TestNonFiniteOutcome:
         assert "nan" not in rows_to_csv(res.rows)
 
     def test_beyond_the_budget_the_run_aborts(self, monkeypatch):
-        monkeypatch.setattr(harness, "learning_error", lambda *a, **k: (math.inf, 0.0, "exact"))
+        monkeypatch.setattr(harness, "learning_error",
+                            lambda fits, *a, **k: (np.full(len(fits), math.inf), np.zeros(len(fits)), "exact"))
         with pytest.raises(HarnessError, match="6/6 rows failed"):
             run_experiment(small_config(), jobs=1)
 
@@ -460,6 +492,87 @@ def test_rows_csv_pinned_per_hypothesis_class(key):
     res = run_experiment(config_from_dict(config))
     assert res.manifest["failures"] == []
     assert hashlib.sha256(rows_to_csv(res.rows).encode()).hexdigest() == digest
+
+
+class TestBlocks:
+    """Replications run as blocks of one grid n; no row depends on the block size or on jobs."""
+
+    CONFIGS = {
+        **{key: ROWS_PINS[key][0] for key in ("linear", "linear_exp3", "step", "step_q8", "relu_ball_mc")},
+        "relu_cell": relu_cell_smoke(),
+        "linear_markov": {"process": {**BALL, "core": {"kind": "markov", "flip": 0.2}},
+                          "hypothesis": {"kind": "linear", "b_bound": 1.0}, "n_grid": [64, 128]},
+        "linear_ar1": {"process": {**BALL, "core": {"kind": "ar1", "phi": 0.6}},
+                       "weights": {"family": "exp", "params": [0.2, 0.05]},
+                       "hypothesis": {"kind": "linear", "b_bound": 1.0}, "n_grid": [64, 128]},
+        "drifting_variance": {"process": {"kind": "drifting_variance", "p": 1, "law": "interval",
+                                          "core": {"kind": "iid"}, "mean": 0.2, "var_start": 0.5,
+                                          "var_end": 1.5, "y_bound": 6.0},
+                              "hypothesis": {"kind": "step", "b_bound": 1.0}, "n_grid": [64, 128]},
+        "drifting_variance_linear": {"process": {"kind": "drifting_variance", "p": 1, "law": "interval",
+                                                 "core": {"kind": "iid"}, "mean": 0.2, "var_start": 0.5,
+                                                 "var_end": 1.5, "y_bound": 6.0},
+                                     "hypothesis": {"kind": "linear", "b_bound": 1.0}, "n_grid": [64, 128]},
+    }
+
+    @pytest.mark.parametrize("key", sorted(CONFIGS))
+    def test_rows_do_not_depend_on_the_block_limit_or_jobs(self, monkeypatch, tmp_path, key):
+        replications = 4 if key.startswith("relu") else 7  # the last block is short at a limit of 3
+        cfg = config_from_dict({**self.CONFIGS[key], "replications": replications, "base_seed": 11})
+        outputs = set()
+        for limit in (None, 1, 3):  # None: the default, 254 and 504 replications at n = 128 and 64
+            if limit is not None:
+                monkeypatch.setattr(harness, "_block_size", lambda n, limit=limit: limit)
+            for jobs in (1, 2):
+                out = tmp_path / f"{limit}-{jobs}"
+                res = run_experiment(cfg, jobs=jobs, out_dir=str(out))
+                assert res.manifest["failures"] == []
+                outputs.add(tuple((out / name).read_bytes() for name in ("rows.csv", "manifest.json")))
+        assert len(outputs) == 1
+
+    def test_block_holds_at_most_the_budget_of_path_rows(self):
+        assert [harness._block_size(n) for n in (1, 127, 128, 8191, 8192, 40_000)] == [
+            16384, 256, 254, 4, 3, 1]
+
+    def test_pool_takes_one_warm_up_path_then_chunks_of_about_8_paths(self, monkeypatch):
+        """At n = 8192 a block holds 3 paths; the warm-up before the fork runs one
+        replication and each pool chunk holds 3 blocks, 9 paths."""
+        workload = json.loads((WORKLOADS / "neff_ar1_pool.json").read_text())
+        cfg = config_from_dict(workload["config"])
+        events = []
+        real_task = harness._block_task
+
+        def task(payload):
+            events.append(("task", len(payload[1])))
+            return real_task(payload)
+
+        class Pool:
+            def __init__(self, max_workers):
+                events.append(("pool", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                events.append(("map", chunksize, [len(p[1]) for p in payloads]))
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness, "_block_task", task)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        res = run_experiment(cfg, jobs=2)
+        assert len(res.rows) == 4 * 200
+        assert events[:2] == [("task", 1), ("pool", 2)]
+        _, chunk, sizes = events[2]
+        assert sizes == [2] + [3] * 65 + [2]
+        assert chunk == 3
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused(self, jobs):
+        with pytest.raises(HarnessError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
+            run_experiment(small_config(), jobs=jobs)
 
 
 class TestMonteCarloOnlyWithoutClosedForm:

@@ -26,6 +26,7 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
+    ProcessSpecError,
     sample_covariates,
     simulate,
 )
@@ -166,6 +167,25 @@ class TestLinearFits:
         fit = fit_weighted_erm(path, uniform_w(128), HypothesisClassSpec.linear(0.3))
         assert fit.fit_meta["solver"] == "constrained"
         assert np.linalg.norm(fit.coef) == pytest.approx(0.3, abs=1e-10)
+
+    @pytest.mark.parametrize("family, param", [("uniform", 64), ("exp", 0.05), ("brown", 0.1)])
+    def test_block_rows_are_the_fits_of_their_paths_alone(self, family, param):
+        """Stacked Grams, eigendecompositions and rotations, and the multiplier of each
+        constrained row, give every row of a block bit for bit its path's own fit."""
+        spec = linear_spec(64, drift=DriftSpec.constant([0.6, -0.5]))
+        seeds = list(range(20))
+        w = make_weights(WeightSpec(WeightFamily(family), t=64, n=64, param=param))
+        klass = HypothesisClassSpec.linear(0.78)
+        block = fit_weighted_erm(simulate(spec, seeds), w, klass)
+        assert len(block) == len(seeds)
+        solvers = set()
+        for seed, fit in zip(seeds, block):
+            alone = fit_weighted_erm(simulate(spec, seed), w, klass)
+            assert fit.coef.tobytes() == alone.coef.tobytes()
+            assert fit.fit_meta == alone.fit_meta
+            solvers.add(alone.fit_meta["solver"])
+        assert block.coef.tobytes() == np.stack([fit.coef for fit in block]).tobytes()
+        assert solvers == {"constrained", "normal_equations"}
 
     def test_constrained_matches_brute_force(self):
         # small instance, p = 1, binding constraint: exhaustive search over
@@ -487,24 +507,35 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("array", ["z", "y", "w"])
     @pytest.mark.parametrize("klass", sorted(NONFINITE_CLASSES))
     def test_rejected_naming_the_array(self, klass, array, bad):
+        """A path refuses a non-finite z or y when it is made; the fitter refuses a non-finite weight."""
         spec = linear_spec(8, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
         path = simulate(spec, 4)
         z, y, entries = path.z.copy(), path.y.copy(), uniform_w(8).entries.copy()
         {"z": z[:, 0], "y": y, "w": entries}[array][3] = bad
-        bad_path = type(path)(y=y, z=z, spec=path.spec)
-        with pytest.raises(HypothesisError, match=f"^{array} has non-finite entries$"):
-            fit_weighted_erm(bad_path, _from_entries(entries), NONFINITE_CLASSES[klass])
+        if array == "w":
+            with pytest.raises(HypothesisError, match="^w has non-finite entries$"):
+                fit_weighted_erm(path, _from_entries(entries), NONFINITE_CLASSES[klass])
+        else:
+            with pytest.raises(ProcessSpecError, match=f"^{array} has non-finite entries$"):
+                type(path)(y=y, z=z, spec=path.spec)
+
+    @pytest.mark.parametrize("array", ["z", "y"])
+    def test_block_with_one_bad_row_is_refused(self, array):
+        spec = linear_spec(8, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
+        block = simulate(spec, [4, 5, 6])
+        z, y = block.z.copy(), block.y.copy()
+        {"z": z[1, :, 0], "y": y[1]}[array][3] = math.nan
+        with pytest.raises(ProcessSpecError, match=f"^{array} has non-finite entries$"):
+            type(block)(y=y, z=z, spec=spec)
 
     def test_held_out_row_is_not_read(self):
         spec = linear_spec(8, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
         path = simulate(spec, 4)
         y = path.y.copy()
-        y[8] = math.nan
-        fit = fit_weighted_erm(
-            type(path)(y=y, z=path.z, spec=spec), uniform_w(8),
-            NONFINITE_CLASSES["step"],
-        )
-        assert np.isfinite(fit.bins).all()
+        y[8] = 1e300
+        far = fit_weighted_erm(type(path)(y=y, z=path.z, spec=spec), uniform_w(8), NONFINITE_CLASSES["step"])
+        near = fit_weighted_erm(path, uniform_w(8), NONFINITE_CLASSES["step"])
+        assert far.bins.tobytes() == near.bins.tobytes()
 
 
 def linear_fit(coef):

@@ -6,6 +6,7 @@ import pytest
 
 from drifterm.mixing import m_beta
 from drifterm.processes import (
+    TRUNC_LIMIT,
     TRUNC_SD,
     TRUNC_SUPPORT,
     CovariateLaw,
@@ -160,6 +161,69 @@ class TestSimulate:
         rng = np.random.default_rng(5)
         rng.standard_normal(1)  # the stationary start, which phi = 0 forgets
         np.testing.assert_array_equal(simulate(spec, 5).z, ndtr(rng.standard_normal((21, 1))))
+
+
+def reference_path(spec, seed):
+    """One path drawn on its own, as the generator made it before blocks:
+    (y, z, the number of noise entries redrawn)."""
+    from scipy.signal import lfilter
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(seed)
+    rows, p, core = spec.n + 1, spec.p, spec.core
+    if core.kind == "iid":
+        u = rng.random((rows, p))
+    elif core.kind == "ar1":
+        x0 = rng.standard_normal(p)
+        e = rng.standard_normal((rows, p)) * math.sqrt(1.0 - core.phi**2)
+        u = ndtr(lfilter([1.0], [1.0, -core.phi], e, axis=0, zi=(core.phi * x0)[None, :])[0])
+    else:
+        s0 = rng.random() < 0.5
+        flips = rng.random(rows - 1) < core.flip
+        states = (int(s0) + np.concatenate([[0], np.cumsum(flips) % 2])) % 2
+        u = rng.random((rows, p))
+        u[:, 0] = (states + u[:, 0]) / 2.0
+    z = (2.0 * u - 1.0) / math.sqrt(p) if spec.law is CovariateLaw.BALL else u
+    noise, redrawn = rng.standard_normal(rows), 0
+    bad = np.abs(noise) > TRUNC_LIMIT
+    while bad.any():
+        redrawn += int(bad.sum())
+        noise[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(noise) > TRUNC_LIMIT
+    noise /= TRUNC_SD
+    if spec.kind is ProcessKind.DRIFTING_VARIANCE:
+        return spec.mean + np.sqrt(sigma2_path(spec)) * noise, z, redrawn
+    return np.einsum("tp,tp->t", beta_path(spec), z) + noise * spec.noise_sd, z, redrawn
+
+
+BLOCK_CORES = {"iid": DependenceCore(), "ar1": DependenceCore(kind="ar1", phi=0.6),
+               "markov": DependenceCore(kind="markov", flip=0.2)}
+BLOCK_CASES = [(core, "ball", "drifting_linear", p) for core in BLOCK_CORES for p in (1, 2, 3)] + [
+    (core, "interval", kind, 1) for core in BLOCK_CORES for kind in ("drifting_linear", "drifting_variance")
+]
+
+
+@pytest.mark.parametrize("core, law, kind, p", BLOCK_CASES, ids=lambda v: str(v))
+def test_block_rows_are_the_paths_of_their_seeds(core, law, kind, p):
+    """A block of seeds gives, row by row and bit for bit, the path each seed
+    gives alone, a path whose noise needs a rejection redraw included."""
+    if kind == "drifting_variance":
+        spec = ProcessSpec(kind=ProcessKind.DRIFTING_VARIANCE, n=300, p=1, law=CovariateLaw.INTERVAL,
+                           core=BLOCK_CORES[core], mean=0.2, var_start=0.5, var_end=1.5, y_bound=6.0)
+    else:
+        spec = linear_spec(n=300, p=p, core=BLOCK_CORES[core], law=CovariateLaw(law),
+                           drift=DriftSpec.linear([0.3, -0.2, 0.1][:p], [-0.3, 0.2, 0.0][:p]))
+    redraw_seed = next(s for s in range(10_000) if reference_path(spec, s)[2])
+    seeds = [7, redraw_seed, 8, 9]
+    block = simulate(spec, seeds)
+    assert block.y.shape == (4, 301) and block.z.shape == (4, 301, p)
+    for r, seed in enumerate(seeds):
+        y, z, _ = reference_path(spec, seed)
+        alone = simulate(spec, seed)
+        for values in (block.y[r], alone.y):
+            assert values.tobytes() == y.tobytes()
+        for values in (block.z[r], alone.z):
+            assert values.tobytes() == z.tobytes()
 
 
 class TestPopulationOptima:
