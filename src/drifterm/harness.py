@@ -12,12 +12,13 @@ Monte Carlo seeds also take the weight index, and a row derives them only
 if its fit or its distances draw from them.
 
 The task unit is a block of replications of one grid n: its paths are
-simulated as stacked arrays, and linear fits and their distances are
-stacked products, each row bit for bit what its path alone gives.  A block
-holds at most BLOCK_PATH_ELEMENTS path rows (replications x (n + 1)), so
-its memory stays near a megabyte: 254 replications at n = 128, 3 at
-n = 8192.  Results do not depend on the block size, the worker count or
-the completion order.
+simulated as stacked arrays, and linear and step fits and their distances
+are stacked array operations, each row bit for bit what its path alone
+gives; only network fits run row by row.  A block holds at most
+BLOCK_PATH_ELEMENTS path rows (replications x (n + 1)), so its memory
+stays near a megabyte: 254 replications at n = 128, 3 at n = 8192.
+Results do not depend on the block size, the worker count or the
+completion order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import operator
 import os
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, islice
@@ -358,6 +358,8 @@ def run_experiment(
         cells.append((n, path_seeds, meta))
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never pays for it
+
         # forked after one path, so no worker imports scipy.signal again
         outcomes = _block_task(_paths(payloads[0], 0, 1))
         tail = _paths(payloads[0], 1)

@@ -306,39 +306,41 @@ def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisCla
     return FitBlock(len(beta), row, coef=beta)
 
 
-def _fit_step(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> FittedHypothesis:
-    q, B = spec.q, spec.b_bound
-    if np.any(z[:, 0] < 0) or np.any(z[:, 0] >= 1):
+def _fit_step(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> "FitBlock":
+    """Per-bin box-constrained weighted means on a block: z (R, n, 1), y (R, n).
+
+    One bincount over the flattened block, bin j of row r at offset
+    j + q r, sums every bin in path order, as its path alone would; the
+    per-bin rules then run as arrays."""
+    R, q, B = len(y), spec.q, spec.b_bound
+    if np.any(z[:, :, 0] < 0) or np.any(z[:, :, 0] >= 1):
         raise HypothesisError("step basis expects covariates in [0, 1)")
-    idx = _bin_index(z[:, 0], q)
-    sw = np.bincount(idx, weights=w, minlength=q)
-    sy = np.bincount(idx, weights=w * y, minlength=q)
-    values = np.zeros(q)
-    degenerate = 0
-    for j in range(q):
-        if sw[j] > 0:
-            # Clipped weighted mean = box-constrained minimizer of the
-            # convex per-bin objective.
-            values[j] = min(max(sy[j] / sw[j], -B), B)
-        elif sw[j] < 0:
-            # Concave per-bin objective: the box minimizer is an endpoint.
-            lo = sw[j] * B**2 + 2.0 * sy[j] * B
-            hi = sw[j] * B**2 - 2.0 * sy[j] * B
-            values[j] = -B if lo < hi else B
-            degenerate += 1
-        else:
-            values[j] = 0.0  # empty bin (or exactly cancelling weights)
-    fitted = values[idx]
-    values.flags.writeable = False
-    return FittedHypothesis(
-        class_spec=spec,
-        bins=values,
-        fit_meta={
-            "solver": "bin_means",
-            "empirical_risk": _weighted_risk(w, y - fitted),
-            "nonconvex_bins": degenerate,
-        },
-    )
+    idx = _bin_index(z[:, :, 0], q)
+    flat = (idx + q * np.arange(R)[:, None]).ravel()
+    sw = np.bincount(flat, weights=np.tile(w, R), minlength=R * q).reshape(R, q)
+    sy = np.bincount(flat, weights=(w * y).ravel(), minlength=R * q).reshape(R, q)
+    # Clipped weighted mean = box-constrained minimizer of a convex bin's
+    # objective; an empty bin (or exactly cancelling weights) gets 0.
+    means = np.divide(sy, sw, out=np.zeros((R, q)), where=sw > 0)
+    bins = np.minimum(np.maximum(means, -B), B)
+    # Concave bin objective: the box minimizer is an endpoint.
+    concave = sw < 0
+    lo, hi = sw * B**2 + 2.0 * sy * B, sw * B**2 - 2.0 * sy * B
+    bins[concave] = np.where(lo < hi, -B, B)[concave]
+    bins.flags.writeable = False
+
+    def row(r: int) -> FittedHypothesis:
+        return FittedHypothesis(
+            class_spec=spec,
+            bins=bins[r],
+            fit_meta={
+                "solver": "bin_means",
+                "empirical_risk": _weighted_risk(w, y[r] - bins[r][idx[r]]),
+                "nonconvex_bins": int(np.count_nonzero(concave[r])),
+            },
+        )
+
+    return FitBlock(R, row, bins=bins)
 
 
 def _net_forward(layers, z: np.ndarray) -> np.ndarray:
@@ -446,13 +448,14 @@ class FitBlock:
     """One weight's fits on a block of paths: ``block[r]`` is path r's fit.
 
     ``row(r)`` returns that fit.  A linear block stacks its coefficients in
-    ``coef`` (R, p), which the distances read as they are, and builds a
-    row's fit, with its fit_meta, only when it is asked for.  Step and
-    network fits are made row by row.
+    ``coef`` (R, p) and a step block its bin values in ``bins`` (R, q),
+    which the distances read as they are; either builds a row's fit, with
+    its fit_meta, only when it is asked for.  Only network fits are made
+    row by row.
     """
 
-    def __init__(self, size: int, row, coef: np.ndarray | None = None) -> None:
-        self.size, self.row, self.coef = size, row, coef
+    def __init__(self, size: int, row, coef: np.ndarray | None = None, bins: np.ndarray | None = None) -> None:
+        self.size, self.row, self.coef, self.bins = size, row, coef, bins
 
     def __len__(self) -> int:
         return self.size
@@ -485,8 +488,8 @@ def fit_weighted_erm(
 
     A block of paths gives a ``FitBlock``, row r fitted on path r as that
     path alone would be; ``seed`` is then a list with one seed per path.
-    Linear blocks are solved as stacked arrays; step and network fits run
-    row by row.
+    Linear and step blocks are solved as stacked arrays; only network fits
+    run row by row.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
@@ -500,12 +503,10 @@ def fit_weighted_erm(
     z, y = z[:, :n], y[:, :n]
     if class_spec.kind is HypothesisKind.LINEAR_BALL:
         fits = _fit_linear(z, y, wv, class_spec)
+    elif class_spec.kind is HypothesisKind.STEP_BASIS:
+        fits = _fit_step(z, y, wv, class_spec)
     else:
-        fits = tuple(
-            _fit_step(zr, yr, wv, class_spec) if class_spec.kind is HypothesisKind.STEP_BASIS
-            else _fit_net(zr, yr, wv, class_spec, s)
-            for zr, yr, s in zip(z, y, _per_row(seed, len(z)))
-        )
+        fits = tuple(_fit_net(zr, yr, wv, class_spec, s) for zr, yr, s in zip(z, y, _per_row(seed, len(z))))
         fits = FitBlock(len(fits), fits.__getitem__)
     return fits if block else fits[0]
 
@@ -543,8 +544,7 @@ def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if f.p != 1:
         raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={f.p}")
     if f.kind is HypothesisKind.STEP_BASIS:
-        q = f.class_spec.q
-        return np.arange(q + 1, dtype=float) / q, np.zeros(q), f.bins
+        return _step_pieces(f.bins)
     if f.kind is HypothesisKind.LINEAR_BALL:
         return np.array([0.0, 1.0]), f.coef, np.zeros(1)
     edges = np.array([0.0, 1.0])
@@ -564,14 +564,22 @@ def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return edges, (slope @ W)[:, 0], (intercept @ W + b)[:, 0]
 
 
-def _difference_pieces(f: FittedHypothesis, g: FittedHypothesis):
-    """f - g as (edges, slope, intercept) on the union of both edge sets.
+def _step_pieces(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, slope, intercept) of q-bin step functions, bins (..., q): q equal pieces of slope 0."""
+    q = bins.shape[-1]
+    return np.arange(q + 1, dtype=float) / q, np.zeros(q), bins
+
+
+def _difference_pieces(f_pieces, g_pieces):
+    """f - g as (edges, slope, intercept) on the union of both edge sets,
+    from the ``_piecewise`` pieces of each.
 
     An operand of one piece (a line or a constant, as every population
-    target is) needs no merge: the other operand's edges are the union.
+    target is) needs no merge: the other operand's edges are the union, and
+    its intercepts may be a block's, one row per fit.
     """
-    ef, sf, cf = _piecewise(f)
-    eg, sg, cg = _piecewise(g)
+    ef, sf, cf = f_pieces
+    eg, sg, cg = g_pieces
     if eg.size == 2:
         return ef, sf - sg[0], cf - cg[0]
     if ef.size == 2:
@@ -580,6 +588,14 @@ def _difference_pieces(f: FittedHypothesis, g: FittedHypothesis):
     i = np.searchsorted(ef, edges[:-1], side="right") - 1
     j = np.searchsorted(eg, edges[:-1], side="right") - 1
     return edges, sf[i] - sg[j], cf[i] - cg[j]
+
+
+def _piece_sum(edges: np.ndarray, s: np.ndarray, c: np.ndarray):
+    """The integral over [0, 1) of (s z + c)^2, piece by piece: a piece of width
+    w and midpoint m adds w (d(m)^2 + (s w)^2 / 12).  Summed along the last
+    axis, so a block's (R, pieces) intercepts give one value per row."""
+    mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+    return np.sum(widths * ((s * mids + c) ** 2 + (s * widths) ** 2 / 12.0), axis=-1)
 
 
 def _quadratic_form(d: np.ndarray, m: np.ndarray):
@@ -613,11 +629,18 @@ def l2_distance(
 
     For a ``FitBlock`` the value and stderr are arrays, one entry per row,
     and ``seed`` a list with one seed per row: a linear block's quadratic
-    forms are one stacked product, each row's as its fit alone gives it.
+    forms are one stacked product, and a step block's piece sums against a
+    one-piece operand (a line or a constant) on the interval law are one
+    sum along the bins, each row's as its fit alone gives it.
     """
     if isinstance(f, FitBlock):
         if f.coef is not None and (coef := _linear_coef(g)) is not None:
             return _quadratic_form(f.coef - coef, law_second_moment(law, p)), np.zeros(f.size), "exact"
+        if f.bins is not None and law is CovariateLaw.INTERVAL:
+            g_pieces = _piecewise(_as_hypothesis(g))
+            if g_pieces[0].size == 2:
+                pieces = _difference_pieces(_step_pieces(f.bins), g_pieces)
+                return _piece_sum(*pieces), np.zeros(f.size), "exact"
         values, stderrs, modes = zip(*(
             l2_distance(fit, g, law, p=p, draws=draws, seed=s) for fit, s in zip(f, _per_row(seed, f.size))
         ))
@@ -626,10 +649,7 @@ def l2_distance(
         return float(_quadratic_form(f.coef - coef, law_second_moment(law, p))), 0.0, "exact"
     g = _as_hypothesis(g)
     if law is CovariateLaw.INTERVAL:
-        edges, s, c = _difference_pieces(f, g)
-        mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
-        value = float(np.sum(widths * ((s * mids + c) ** 2 + (s * widths) ** 2 / 12.0)))
-        return value, 0.0, "exact"
+        return float(_piece_sum(*_difference_pieces(_piecewise(f), _piecewise(g)))), 0.0, "exact"
     rng = np.random.default_rng(_drawn(seed))
     z = sample_covariates(law, p, draws, rng)
     sq = (f.predict(z) - g.predict(z)) ** 2
@@ -652,5 +672,5 @@ def sup_distance(f: FittedHypothesis, g) -> float:
     if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
         d = f.coef - g.coef
         return float(np.abs(d).sum() / math.sqrt(d.size))
-    edges, s, c = _difference_pieces(f, g)
+    edges, s, c = _difference_pieces(_piecewise(f), _piecewise(g))
     return float(max(np.abs(s * edges[:-1] + c).max(), np.abs(s * edges[1:] + c).max()))

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -37,6 +38,7 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
+    SamplePath,
     simulate,
 )
 from drifterm.rates import RateParameters, RatePreconditionError, RateVariant
@@ -111,17 +113,17 @@ class TestRunExperiment:
 
 
 POOL_OPENS_AFTER_ROW_0 = """
-import json, sys
+import concurrent.futures, json, sys
 from drifterm import harness
 
 opened = []
 
-class Pool(harness.ProcessPoolExecutor):
+class Pool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         opened.append("scipy.signal" in sys.modules)
         super().__init__(*args, **kwargs)
 
-harness.ProcessPoolExecutor = Pool
+concurrent.futures.ProcessPoolExecutor = Pool
 before = "scipy.signal" in sys.modules
 harness.run_experiment(harness.config_from_dict(json.load(sys.stdin)), jobs=2)
 print(json.dumps([before, opened]))
@@ -166,6 +168,27 @@ THREE_EXP = WeightPolicy(family=WeightFamily.EXPONENTIAL, params=(0.2, 0.05, 0.0
 
 def three_param_config(**overrides):
     return small_config(weights=THREE_EXP, n_grid=(128, 256), **overrides)
+
+
+IMPORTS_OF_SETUP = """
+import json, sys
+import drifterm.cli
+from drifterm.harness import config_from_dict
+config_from_dict(json.load(sys.stdin)["config"])
+print(json.dumps([name for name in ("concurrent.futures", "multiprocessing", "scipy") if name in sys.modules]))
+"""
+
+
+def test_setup_imports_no_pool_and_no_scipy():
+    """Importing the CLI and building a workload config, the set-up that every
+    command pays, loads neither the process pool nor scipy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORTS_OF_SETUP],
+        input=(WORKLOADS / "step_mc.json").read_text(),
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == []
 
 
 class TestSharedPath:
@@ -530,6 +553,23 @@ class TestBlocks:
                 outputs.add(tuple((out / name).read_bytes() for name in ("rows.csv", "manifest.json")))
         assert len(outputs) == 1
 
+    def test_step_covariate_outside_the_interval_fails_only_its_row(self):
+        """A step block that fails is fitted again path by path: the row whose
+        covariate is 1.0 fails, and the others keep their clean values."""
+        spec = replace(INTERVAL_AR1, core=DependenceCore(), n=64)
+        paths = simulate(spec, [3, 4, 5])
+        z = paths.z.copy()
+        z[1, 10, 0] = 1.0
+        w = make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=64, n=64, param=64))
+        klass = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)
+        key = (11, 0, 0)
+        outcomes = harness._fit_outcomes(SamplePath(paths.y, z, spec), spec, 1000, w, klass, key, 0)
+        assert outcomes[1] == "HypothesisError: step basis expects covariates in [0, 1)"
+        for r in (0, 2):
+            alone = SamplePath(paths.y[r : r + 1], paths.z[r : r + 1], spec)
+            assert outcomes[r] == harness._fit_outcomes(alone, spec, 1000, w, klass, key, r)[0]
+            assert isinstance(outcomes[r], tuple)
+
     def test_block_holds_at_most_the_budget_of_path_rows(self):
         assert [harness._block_size(n) for n in (1, 127, 128, 8191, 8192, 40_000)] == [
             16384, 256, 254, 4, 3, 1]
@@ -561,7 +601,7 @@ class TestBlocks:
                 return map(fn, payloads)
 
         monkeypatch.setattr(harness, "_block_task", task)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         res = run_experiment(cfg, jobs=2)
         assert len(res.rows) == 4 * 200
         assert events[:2] == [("task", 1), ("pool", 2)]

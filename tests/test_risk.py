@@ -101,6 +101,63 @@ class TestLearningError:
         assert abs(exact - mc) <= 3 * se
 
 
+def reference_fit_step(z, y, w, q, B):
+    """The step fitter one path at a time, bin by bin: (bins, empirical risk, concave bins)."""
+    idx = np.clip(np.floor(z * q).astype(int), 0, q - 1)
+    sw = np.bincount(idx, weights=w, minlength=q)
+    sy = np.bincount(idx, weights=w * y, minlength=q)
+    values, concave = np.zeros(q), 0
+    for j in range(q):
+        if sw[j] > 0:
+            values[j] = min(max(sy[j] / sw[j], -B), B)
+        elif sw[j] < 0:
+            lo, hi = sw[j] * B**2 + 2.0 * sy[j] * B, sw[j] * B**2 - 2.0 * sy[j] * B
+            values[j] = -B if lo < hi else B
+            concave += 1
+    return values, float(np.dot(w, (y - values[idx]) ** 2)), concave
+
+
+class TestStepBlocks:
+    """A step block's fits and interval-law distances are, row by row, bit for
+    bit those of its paths fitted one at a time."""
+
+    N = 64
+    SPECS = {
+        "linear": linear_spec(n=N, p=1, drift=DriftSpec.constant([0.8]), law=CovariateLaw.INTERVAL),
+        "constant": variance_spec(n=N, mean=0.2, var_start=0.5, var_end=1.5),
+    }
+
+    @pytest.mark.parametrize("target", sorted(SPECS))
+    @pytest.mark.parametrize("family, param", [("uniform", 48), ("exp", 0.05), ("brown", 0.3)])
+    @pytest.mark.parametrize("q", [None, 5, 200], ids=["sized", "q5", "q200"])
+    def test_block_rows_are_the_fits_of_their_paths_alone(self, target, family, param, q):
+        spec, seeds = self.SPECS[target], list(range(12))
+        w = make_weights(WeightSpec(WeightFamily(family), t=self.N, n=self.N, param=param))
+        klass = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=0.6, q=q)
+        block = fit_weighted_erm(simulate(spec, seeds), w, klass)
+        learn, learn_se, _ = learning_error(block, spec, w)
+        exc, exc_se, _ = excess_risk(block, spec, self.N)
+        assert len(block) == len(seeds) and not learn_se.any() and not exc_se.any()
+        alone_learn, alone_exc, concave, empty = [], [], 0, 0
+        for seed, fit in zip(seeds, block):
+            path = simulate(spec, seed)
+            alone = fit_weighted_erm(path, w, klass)
+            assert repr(fit.bins.tolist()) == repr(alone.bins.tolist())
+            assert repr(fit.fit_meta) == repr(alone.fit_meta)
+            bins, risk, nonconvex = reference_fit_step(path.z[: self.N, 0], path.y[: self.N], w.entries,
+                                                       fit.class_spec.q, 0.6)
+            assert repr(fit.bins.tolist()) == repr(bins.tolist())
+            assert repr((fit.fit_meta["empirical_risk"], fit.fit_meta["nonconvex_bins"])) == repr((risk, nonconvex))
+            alone_learn.append(learning_error(alone, spec, w)[0])
+            alone_exc.append(excess_risk(alone, spec, self.N)[0])
+            concave += nonconvex
+            empty += int(np.count_nonzero(bins == 0.0))
+        np.testing.assert_array_equal(learn, alone_learn)
+        np.testing.assert_array_equal(exc, alone_exc)
+        assert (concave > 0) == (family == "brown")
+        assert (empty > 0) == (q == 200)
+
+
 class TestDriftError:
     def test_stationary_zero(self):
         spec = linear_spec()
