@@ -35,7 +35,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
 from .processes import ProcessSpec, SamplePath, mixing_profile, read_csv, simulate
+from .processes import pcg64_words, seed_states, word_seeds
 from .rates import (
     RateParameters,
     RatePreconditionError,
@@ -220,9 +221,31 @@ class ExperimentResult:
         return lo <= self.slope.slope <= hi
 
 
+def _words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: its uint32 words, low word first, at least one."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _row_seeds(base_seed: int, i_n: int, i_param: int, reps, stream: int) -> np.ndarray:
+    """The uint64 seeds of one stream for the replications ``reps`` of a cell,
+    ``SeedSequence(base_seed, spawn_key=(i_n, i_param, rep, stream)).generate_state(1, uint64)``
+    for each rep, hashed together.
+
+    The entropy is the base seed's words, padded with zeros to the pool of
+    4, then the spawn key's words.  Reps with as many words hash as one
+    array; a rep of 2^32 or more has a word more.
+    """
+    base = _words(base_seed)
+    head = base + [0] * (4 - len(base)) + _words(i_n) + _words(i_param)
+    entropy = [head + _words(rep) + _words(stream) for rep in reps]
+    return np.concatenate([
+        seed_states(np.array(list(rows), dtype=np.uint32), 1, np.uint64)[:, 0]
+        for _, rows in groupby(entropy, len)
+    ])
+
+
 def _row_seed(base_seed: int, i_n: int, i_param: int, rep: int, stream: int) -> int:
-    ss = np.random.SeedSequence(base_seed, spawn_key=(i_n, i_param, rep, stream))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_row_seeds(base_seed, i_n, i_param, (rep,), stream)[0])
 
 
 def _block_size(n: int) -> int:
@@ -236,9 +259,9 @@ def _block_task(payload: tuple) -> list:
     (replication, weight): ``(learning, excess)`` or a failure message.  A
     block that fails is run again path by path, so a failed simulation fails
     the rows of its own path only.  Pure function of the payload."""
-    spec, path_seeds, rep0, weights, class_spec, draws, base_seed, i_n = payload
+    spec, path_seeds, words, rep0, weights, class_spec, draws, base_seed, i_n = payload
     try:
-        paths = simulate(spec, path_seeds)
+        paths = simulate(spec, word_seeds(path_seeds, words))
     except Exception as err:  # row-level isolation; harness applies the 1% budget
         if len(path_seeds) == 1:
             return [f"{type(err).__name__}: {err}"] * len(weights)
@@ -252,8 +275,8 @@ def _block_task(payload: tuple) -> list:
 
 def _paths(payload: tuple, start: int, stop: int | None = None) -> tuple:
     """The payload of paths start..stop-1 of a block, as a block of their own."""
-    spec, path_seeds, rep0, *rest = payload
-    return (spec, path_seeds[start:stop], rep0 + start, *rest)
+    spec, path_seeds, words, rep0, *rest = payload
+    return (spec, path_seeds[start:stop], words[start:stop], rep0 + start, *rest)
 
 
 def _fit_outcomes(paths, spec, draws, w, class_spec, key, rep0) -> list:
@@ -322,8 +345,10 @@ def run_experiment(
     path alone gives.  With ``jobs > 1`` the first replication runs in this
     process and the rest in ``jobs`` workers forked after it, so the workers
     start with what that path imported or memoised; a pool chunk holds about
-    8 paths.  The rows do not depend on ``jobs`` or on the block size.  Rows
-    come in (n, weight, replication) order.  Row-level failures (an
+    8 paths.  A cell's path seeds, and the PCG64 seed words that each path's
+    generator starts from, are hashed once for all its replications.  The
+    rows do not depend on ``jobs`` or on the block size.  Rows come in
+    (n, weight, replication) order.  Row-level failures (an
     exception, or a non-finite learning or excess value) are recorded in the
     manifest and tolerated up to 1% of the rows; beyond that the run aborts.
     """
@@ -349,10 +374,12 @@ def run_experiment(
             drift = drift_error(spec, w, n)
             meta.append((float(wspec.param), w.l2, drift,
                          bound_certificate(rate, w.l2, cfg.delta, drift_term=drift)))
-        path_seeds = tuple(_row_seed(cfg.base_seed, i_n, 0, rep, 0) for rep in range(cfg.replications))
+        seeds = _row_seeds(cfg.base_seed, i_n, 0, range(cfg.replications), 0)
+        path_seeds, words = tuple(seeds.tolist()), pcg64_words(seeds)
         size = _block_size(n)
         payloads.extend(
-            (spec, path_seeds[rep0 : rep0 + size], rep0, weights, cfg.hypothesis, cfg.mc_draws, cfg.base_seed, i_n)
+            (spec, path_seeds[rep0 : rep0 + size], words[rep0 : rep0 + size], rep0,
+             weights, cfg.hypothesis, cfg.mc_draws, cfg.base_seed, i_n)
             for rep0 in range(0, cfg.replications, size)
         )
         cells.append((n, path_seeds, meta))

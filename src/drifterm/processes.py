@@ -324,11 +324,119 @@ def _signal(betas: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the entropy
+# mixes into a pool of 4 uint32 words through a hash whose constant runs
+# INIT_A * MULT_A^i, and the output words hash the pool through INIT_B * MULT_B^i.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """start * mult^i mod 2^32 for i = 0..count, as uint32, memoised and read-only."""
+    constants = [start]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    constants = np.array(constants, dtype=np.uint32)
+    constants.flags.writeable = False
+    return constants
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` under each constant pair along the
+    last axis: xor constants[i], multiply by constants[i + 1], fold the top half."""
+    value = value ^ constants[:-1]
+    value *= constants[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    result ^= result >> 16
+    return result
+
+
+def seed_states(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """For each row of the (R, k) uint32 ``entropy``, what
+    ``np.random.SeedSequence(row).generate_state(n_words, dtype)`` returns, (R, n_words).
+
+    The hash constants do not depend on the data, so each step of the hash
+    is one uint32 array operation over all R rows.  A row shorter than the
+    pool hashes as if padded with zeros, as SeedSequence does; words past
+    the pool mix into every pool word.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    rows, k = entropy.shape
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, k - _POOL))
+    pool = np.zeros((rows, _POOL), dtype=np.uint32)
+    pool[:, : min(k, _POOL)] = entropy[:, :_POOL]
+    pool = _hashmix(pool, constants[: _POOL + 1])
+    at = _POOL
+    for src in range(_POOL):  # mix every pool word into every other one
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], constants[at : at + _POOL]))
+        at += _POOL - 1
+    for src in range(_POOL, k):  # then each remaining entropy word into every pool word
+        pool = _mix(pool, _hashmix(entropy[:, src, None], constants[at : at + _POOL + 1]))
+        at += _POOL
+    wide = np.dtype(dtype) == np.uint64
+    n32 = 2 * n_words if wide else n_words
+    state = _hashmix(pool[:, np.arange(n32) % _POOL], _hash_constants(_INIT_B, _MULT_B, n32))
+    if wide:  # pairs of words, low word first, whatever the byte order
+        return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return state
+
+
+def pcg64_words(seeds) -> np.ndarray:
+    """(R, 4) uint64: the words PCG64 seeds itself with from each uint64 seed,
+    ``np.random.SeedSequence(seed).generate_state(4, np.uint64)``.
+
+    A seed below 2^32 is one entropy word, which hashes as the two words
+    (seed, 0) do."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.stack([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)], axis=1)
+    return seed_states(entropy, 4, np.uint64)
+
+
+class _WordSeed(int):
+    """An int seed that carries its PCG64 seed words, a numpy ISeedSequence:
+    the generator built from it reads the words instead of hashing the int."""
+
+    def __new__(cls, seed: int, words: np.ndarray):
+        self = super().__new__(cls, seed)
+        self.words = words
+        return self
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:  # what PCG64 asks for
+            return self.words
+        return np.random.SeedSequence(int(self)).generate_state(n_words, dtype)
+
+
+@functools.cache
+def _register_word_seed() -> None:
+    from numpy.random.bit_generator import ISeedSequence  # on first use: set-up never loads numpy.random
+
+    ISeedSequence.register(_WordSeed)
+
+
+def word_seeds(seeds, words: np.ndarray) -> list:
+    """The int ``seeds`` of a block, each carrying its row of ``words``, the
+    (R, 4) ``pcg64_words`` of the seeds: ``np.random.default_rng`` builds
+    from each the generator the int gives, without hashing it again."""
+    _register_word_seed()
+    return [_WordSeed(seed, row) for seed, row in zip(seeds, words)]
+
+
 def simulate(spec: ProcessSpec, seed) -> SamplePath:
     """Generate a trajectory of length n+1; pure function of (spec, seed).
 
     ``seed`` is an int, or a sequence of ints for a block of paths (path r
-    from seed r, bit for bit the path that seed alone gives).  Each path
+    from seed r, bit for bit the path that seed alone gives); an int from
+    ``word_seeds`` builds its generator from the words it carries.  Each path
     makes its own draws from its own generator: the covariate core, then the
     noise, then the noise's rejection redraws.  Every transform after the
     draws runs once on the whole block, and a single path is a block of one.

@@ -175,13 +175,14 @@ import json, sys
 import drifterm.cli
 from drifterm.harness import config_from_dict
 config_from_dict(json.load(sys.stdin)["config"])
-print(json.dumps([name for name in ("concurrent.futures", "multiprocessing", "scipy") if name in sys.modules]))
+print(json.dumps([name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random")
+                  if name in sys.modules]))
 """
 
 
 def test_setup_imports_no_pool_and_no_scipy():
     """Importing the CLI and building a workload config, the set-up that every
-    command pays, loads neither the process pool nor scipy."""
+    command pays, loads neither the process pool nor scipy nor numpy.random."""
     env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", IMPORTS_OF_SETUP],
@@ -328,21 +329,21 @@ class TestSeedsDerivedWhereDrawn:
     a network's start; a row derives a stream only where it draws from it."""
 
     def streams(self, monkeypatch, cfg):
-        """(rows, derivations per stream, (path.y, fit) per fit) of one run."""
+        """(rows, seeds derived per stream, (path.y, fit) per fit) of one run."""
         counts = collections.Counter()
         fits = []
-        real_seed, real_fit = harness._row_seed, harness.fit_weighted_erm
+        real_seeds, real_fit = harness._row_seeds, harness.fit_weighted_erm
 
-        def row_seed(base_seed, i_n, i_param, rep, stream):
-            counts[stream] += 1
-            return real_seed(base_seed, i_n, i_param, rep, stream)
+        def row_seeds(base_seed, i_n, i_param, reps, stream):
+            counts[stream] += len(reps)
+            return real_seeds(base_seed, i_n, i_param, reps, stream)
 
         def fit(paths, w, class_spec, *, seed=0):
             block = real_fit(paths, w, class_spec, seed=seed)
             fits.extend(zip(paths.y, block))
             return block
 
-        monkeypatch.setattr(harness, "_row_seed", row_seed)
+        monkeypatch.setattr(harness, "_row_seeds", row_seeds)
         monkeypatch.setattr(harness, "fit_weighted_erm", fit)
         res = run_experiment(cfg)
         assert res.manifest["failures"] == []
@@ -385,6 +386,58 @@ class TestSeedsDerivedWhereDrawn:
         assert rows == 4
         # stream 1 once for each of the row's two Monte Carlo distances
         assert counts == {0: 4, 1: 2 * 4, 2: 4}
+
+
+def seed_sequence_seed(base_seed, i_n, i_param, rep, stream) -> int:
+    """The row seed as numpy's SeedSequence derives it, the oracle of _row_seeds."""
+    ss = np.random.SeedSequence(base_seed, spawn_key=(i_n, i_param, rep, stream))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# Both sides of the one-word boundary, 2^64 - 1, and 3^90 > 2^128, whose 5 words leave no room to pad.
+BASE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 3**90]
+
+
+class TestRowSeeds:
+    """A cell's seeds, hashed together, are the SeedSequence seeds of its rows."""
+
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    @pytest.mark.parametrize("i_n, i_param, stream", [(0, 0, 0), (3, 2, 1), (2**32, 1, 2), (1, 2**40 + 3, 0)])
+    def test_every_rep_is_its_seed_sequence_seed(self, base_seed, i_n, i_param, stream):
+        """Reps of one and of two words, out of order, hash as runs of equal length."""
+        reps = [0, 1, 2, 199, 2**32 - 1, 2**32, 2**33 + 7, 5]
+        expected = [seed_sequence_seed(base_seed, i_n, i_param, rep, stream) for rep in reps]
+        seeds = harness._row_seeds(base_seed, i_n, i_param, reps, stream)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+        assert [harness._row_seed(base_seed, i_n, i_param, rep, stream) for rep in reps] == expected
+
+    def test_a_cell_of_200_reps(self):
+        seeds = harness._row_seeds(12345, 2, 0, range(200), 0)
+        assert seeds.tolist() == [seed_sequence_seed(12345, 2, 0, rep, 0) for rep in range(200)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_row_and_failure_seeds_are_plain_ints(self, monkeypatch, jobs):
+        """Rows, failures and outliers carry the int seed, whatever the path was built from."""
+        cfg = small_config(n_grid=(64,), replications=100, base_seed=3**90)
+        bad = seed_sequence_seed(cfg.base_seed, 0, 0, 7, 0)
+        real = harness.simulate
+
+        def simulate(spec, seeds):
+            if bad in seeds:
+                raise RuntimeError("path fails")
+            return real(spec, seeds)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        res = run_experiment(cfg, jobs=jobs)
+        assert [r.seed for r in res.rows] == [seed_sequence_seed(cfg.base_seed, 0, 0, rep, 0)
+                                               for rep in range(100) if rep != 7]
+        assert {type(r.seed) for r in res.rows} == {int}
+        assert [(type(f["seed"]), f["seed"]) for f in res.manifest["failures"]] == [(int, bad)]
+        assert {type(o["seed"]) for o in res.manifest["outliers"]} <= {int}
+        spec, w = replace(cfg.process, n=64), make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=64, n=64, param=64))
+        for row in res.rows[:3]:  # a row rebuilds from its int seed
+            fit = fit_weighted_erm(real(spec, row.seed), w, cfg.hypothesis)
+            assert learning_error(fit, spec, w)[0] == row.learning_error
 
 
 class TestNonFiniteOutcome:

@@ -17,12 +17,15 @@ from drifterm.processes import (
     ProcessSpecError,
     beta_path,
     mixing_profile,
+    pcg64_words,
     population_optimum_next,
     population_optimum_weighted,
     law_second_moment,
     read_path_csv,
+    seed_states,
     sigma2_path,
     simulate,
+    word_seeds,
     write_path_csv,
 )
 from drifterm.weights import WeightFamily, WeightSpec, _from_entries, make_weights
@@ -399,3 +402,61 @@ class TestSecondMomentMemo:
         assert law_second_moment(law, p) is M
         expected = np.eye(p) / (3.0 * p) if law is CovariateLaw.BALL else np.array([[1.0 / 3.0]])
         np.testing.assert_array_equal(M, expected)
+
+
+def uint32_words(value):
+    """A non-negative int's uint32 words, low word first, at least one."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+# Both sides of the one-word boundary, 2^64 - 1, and 3^90 > 2^128: more words than the pool of 4.
+SEED_ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 3**90]
+
+
+class TestSeedStates:
+    """seed_states and pcg64_words against np.random.SeedSequence, the oracle."""
+
+    @pytest.mark.parametrize("n_words", range(1, 9))
+    @pytest.mark.parametrize("value", SEED_ENTROPIES)
+    def test_matches_seed_sequence_of_an_int(self, value, n_words):
+        entropy = np.array([uint32_words(value)], dtype=np.uint32)
+        oracle = np.random.SeedSequence(value)
+        np.testing.assert_array_equal(seed_states(entropy, n_words)[0], oracle.generate_state(n_words))
+        np.testing.assert_array_equal(seed_states(entropy, n_words, np.uint64)[0],
+                                      oracle.generate_state(n_words, np.uint64))
+
+    @pytest.mark.parametrize("k", range(0, 11))
+    def test_rows_of_every_length_hash_as_one_array(self, k):
+        """Random rows of k words, shorter than the pool, as long, and longer."""
+        entropy = np.random.default_rng(k).integers(0, 2**32, size=(7, k), dtype=np.uint32)
+        states = seed_states(entropy, 5)
+        assert states.shape == (7, 5) and states.dtype == np.uint32
+        for row, state in zip(entropy, states):
+            np.testing.assert_array_equal(state, np.random.SeedSequence(row.tolist()).generate_state(5))
+
+    def test_pcg64_words_are_the_words_pcg64_reads(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12_345_678_901_234_567_890]
+        words = pcg64_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            np.testing.assert_array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    def test_a_word_seed_builds_the_generator_of_its_int(self):
+        seeds = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1]
+        for seed, word_seed in zip(seeds, word_seeds(seeds, pcg64_words(np.array(seeds, dtype=np.uint64)))):
+            assert word_seed == seed
+            a, b = np.random.default_rng(word_seed), np.random.default_rng(seed)
+            assert a.bit_generator.state == b.bit_generator.state
+            np.testing.assert_array_equal(a.random(5), b.random(5))
+            np.testing.assert_array_equal(a.standard_normal(5), b.standard_normal(5))
+            assert a.bit_generator.state == b.bit_generator.state
+            # any other request is the int's own SeedSequence
+            np.testing.assert_array_equal(word_seed.generate_state(3), np.random.SeedSequence(seed).generate_state(3))
+
+    @pytest.mark.parametrize("core", ["iid", "ar1", "markov"])
+    def test_word_seeds_simulate_the_paths_of_their_ints(self, core):
+        spec = linear_spec(n=100, core=BLOCK_CORES[core])
+        seeds = [3, 2**40 + 1, 9]
+        block = simulate(spec, word_seeds(seeds, pcg64_words(np.array(seeds, dtype=np.uint64))))
+        plain = simulate(spec, seeds)
+        assert block.y.tobytes() == plain.y.tobytes() and block.z.tobytes() == plain.z.tobytes()
