@@ -35,7 +35,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
 from .processes import ProcessSpec, SamplePath, mixing_profile, read_csv, simulate
-from .processes import pcg64_words, seed_states, word_seeds
+from .processes import pcg64_words, spawn_seeds, word_seeds
 from .rates import (
     RateParameters,
     RatePreconditionError,
@@ -221,27 +221,11 @@ class ExperimentResult:
         return lo <= self.slope.slope <= hi
 
 
-def _words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: its uint32 words, low word first, at least one."""
-    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 def _row_seeds(base_seed: int, i_n: int, i_param: int, reps, stream: int) -> np.ndarray:
     """The uint64 seeds of one stream for the replications ``reps`` of a cell,
     ``SeedSequence(base_seed, spawn_key=(i_n, i_param, rep, stream)).generate_state(1, uint64)``
-    for each rep, hashed together.
-
-    The entropy is the base seed's words, padded with zeros to the pool of
-    4, then the spawn key's words.  Reps with as many words hash as one
-    array; a rep of 2^32 or more has a word more.
-    """
-    base = _words(base_seed)
-    head = base + [0] * (4 - len(base)) + _words(i_n) + _words(i_param)
-    entropy = [head + _words(rep) + _words(stream) for rep in reps]
-    return np.concatenate([
-        seed_states(np.array(list(rows), dtype=np.uint32), 1, np.uint64)[:, 0]
-        for _, rows in groupby(entropy, len)
-    ])
+    for each rep, hashed together."""
+    return spawn_seeds(base_seed, [(i_n, i_param, rep, stream) for rep in reps])
 
 
 def _row_seed(base_seed: int, i_n: int, i_param: int, rep: int, stream: int) -> int:

@@ -12,6 +12,7 @@ independent over time and truncated in both.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -359,9 +360,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def seed_states(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
+def seed_states(entropy, n_words: int) -> np.ndarray:
     """For each row of the (R, k) uint32 ``entropy``, what
-    ``np.random.SeedSequence(row).generate_state(n_words, dtype)`` returns, (R, n_words).
+    ``np.random.SeedSequence(row).generate_state(n_words, np.uint64)``
+    returns, (R, n_words) uint64.
 
     The hash constants do not depend on the data, so each step of the hash
     is one uint32 array operation over all R rows.  A row shorter than the
@@ -382,12 +384,35 @@ def seed_states(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
     for src in range(_POOL, k):  # then each remaining entropy word into every pool word
         pool = _mix(pool, _hashmix(entropy[:, src, None], constants[at : at + _POOL + 1]))
         at += _POOL
-    wide = np.dtype(dtype) == np.uint64
-    n32 = 2 * n_words if wide else n_words
-    state = _hashmix(pool[:, np.arange(n32) % _POOL], _hash_constants(_INIT_B, _MULT_B, n32))
-    if wide:  # pairs of words, low word first, whatever the byte order
-        return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    return state
+    state = _hashmix(pool[:, np.arange(2 * n_words) % _POOL], _hash_constants(_INIT_B, _MULT_B, 2 * n_words))
+    # each uint64 is a pair of words, low word first, whatever the byte order
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: its uint32 words, low word first, at least one."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def spawn_seeds(base_seed: int, spawn_keys) -> np.ndarray:
+    """uint64: for each non-empty spawn key,
+    ``np.random.SeedSequence(base_seed, spawn_key=key).generate_state(1, np.uint64)[0]``,
+    hashed together.
+
+    The entropy is the base seed's words, padded with zeros to the pool,
+    then the key's words.  Consecutive keys with as many words hash as one
+    array; an entry of 2^32 or more has a word more.
+    """
+    base = _words(base_seed)
+    base += [0] * (_POOL - len(base))
+    entropy = [  # a key whose entries are all below 2^32 is its own words
+        base + (list(key) if max(key) >> 32 == 0 else [word for entry in key for word in _words(entry)])
+        for key in spawn_keys
+    ]
+    return np.concatenate([
+        seed_states(np.array(list(rows), dtype=np.uint32), 1)[:, 0]
+        for _, rows in itertools.groupby(entropy, len)
+    ])
 
 
 def pcg64_words(seeds) -> np.ndarray:
@@ -398,7 +423,7 @@ def pcg64_words(seeds) -> np.ndarray:
     (seed, 0) do."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = np.stack([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)], axis=1)
-    return seed_states(entropy, 4, np.uint64)
+    return seed_states(entropy, 4)
 
 
 class _WordSeed(int):

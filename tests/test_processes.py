@@ -25,6 +25,7 @@ from drifterm.processes import (
     seed_states,
     sigma2_path,
     simulate,
+    spawn_seeds,
     word_seeds,
     write_path_csv,
 )
@@ -420,19 +421,27 @@ class TestSeedStates:
     @pytest.mark.parametrize("value", SEED_ENTROPIES)
     def test_matches_seed_sequence_of_an_int(self, value, n_words):
         entropy = np.array([uint32_words(value)], dtype=np.uint32)
-        oracle = np.random.SeedSequence(value)
-        np.testing.assert_array_equal(seed_states(entropy, n_words)[0], oracle.generate_state(n_words))
-        np.testing.assert_array_equal(seed_states(entropy, n_words, np.uint64)[0],
-                                      oracle.generate_state(n_words, np.uint64))
+        state = seed_states(entropy, n_words)
+        assert state.shape == (1, n_words) and state.dtype == np.uint64
+        np.testing.assert_array_equal(state[0], np.random.SeedSequence(value).generate_state(n_words, np.uint64))
 
     @pytest.mark.parametrize("k", range(0, 11))
     def test_rows_of_every_length_hash_as_one_array(self, k):
         """Random rows of k words, shorter than the pool, as long, and longer."""
         entropy = np.random.default_rng(k).integers(0, 2**32, size=(7, k), dtype=np.uint32)
         states = seed_states(entropy, 5)
-        assert states.shape == (7, 5) and states.dtype == np.uint32
+        assert states.shape == (7, 5) and states.dtype == np.uint64
         for row, state in zip(entropy, states):
-            np.testing.assert_array_equal(state, np.random.SeedSequence(row.tolist()).generate_state(5))
+            np.testing.assert_array_equal(state, np.random.SeedSequence(row.tolist()).generate_state(5, np.uint64))
+
+    @pytest.mark.parametrize("base_seed", SEED_ENTROPIES)
+    def test_spawn_seeds_are_the_seed_sequence_seeds_of_their_keys(self, base_seed):
+        """Keys of one to four entries with entries of one and of two words, in no order."""
+        keys = [(0,), (5, 2**32), (1, 2, 3, 4), (2**40 + 3, 0, 7, 1), (1, 2, 3, 5), (2**64 - 1,), (0, 0, 0, 0)]
+        seeds = spawn_seeds(base_seed, keys)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [int(np.random.SeedSequence(base_seed, spawn_key=key).generate_state(1, np.uint64)[0])
+                                  for key in keys]
 
     def test_pcg64_words_are_the_words_pcg64_reads(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12_345_678_901_234_567_890]
