@@ -298,8 +298,9 @@ def _fit_outcomes(paths, spec, draws, w, class_spec, key, rep0) -> list:
 
 
 def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
-    """Rate function for one grid n, with the scale constant found by doubling;
-    a block length that fails its condition is refused after the variant's own preconditions."""
+    """Rate function for one grid n, with the scale constant found by doubling, and
+    its ConditionReport, whose points are built only when read; a block length that
+    fails its condition is refused after the variant's own preconditions."""
     n = spec.n
     profile = mixing_profile(spec)
     block = m_beta(profile, n, cfg.delta)
@@ -341,6 +342,7 @@ def run_experiment(
     rows: list[Row] = []
     failures: list[dict] = []
     rate_constants: dict[int, float] = {}
+    rate_min_slack: dict[int, float] = {}
     payloads = []
     cells = []  # per n: (n, path seeds, per weight (param, w_l2, drift, certificate))
 
@@ -348,10 +350,11 @@ def run_experiment(
         spec = replace(cfg.process, n=n)
         wspecs = cfg.weights.specs(n)
         try:
-            rate, _ = build_rate(cfg, spec)
+            rate, report = build_rate(cfg, spec)
         except RatePreconditionError as exc:
             raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
         rate_constants[n] = rate.a
+        rate_min_slack[n] = report.min_slack
         weights = [make_weights(wspec) for wspec in wspecs]
         meta = []
         for wspec, w in zip(wspecs, weights):
@@ -407,7 +410,7 @@ def run_experiment(
     if axis is not None:
         slope = fit_slope(rows, axis, "learning_error")
 
-    manifest = build_manifest(cfg, rate_constants, failures, len(rows))
+    manifest = build_manifest(cfg, rate_constants, rate_min_slack, failures, len(rows))
     manifest["outliers"] = outliers
     result = ExperimentResult(config=cfg, rows=tuple(rows), slope=slope, manifest=manifest)
     if out_dir is not None:
@@ -621,7 +624,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_manifest(cfg, rate_constants, failures, n_rows) -> dict:
+def build_manifest(cfg, rate_constants, rate_min_slack, failures, n_rows) -> dict:
     from . import __version__
 
     return {
@@ -630,6 +633,7 @@ def build_manifest(cfg, rate_constants, failures, n_rows) -> dict:
         "base_seed": cfg.base_seed,
         "code_version": __version__,
         "rate_constants": {str(k): v for k, v in rate_constants.items()},
+        "rate_min_slack": {str(k): v for k, v in rate_min_slack.items()},
         "failures": failures,
         "n_rows": n_rows,
     }

@@ -56,19 +56,29 @@ class HypothesisError(ValueError):
     """Invalid hypothesis-class configuration or incompatible operands."""
 
 
-def basis_size(w_l2: float) -> int:
-    """Piece count matched to a weight norm: ceil(w_l2^(-SIZE_EXPONENT)).
+def _each(fn, x):
+    """fn applied to each element of x as a Python float, so a pow or log is
+    libm's, bit for bit (numpy's SIMD pow and log differ in the last ulp);
+    a float for a scalar x, an array of x's shape otherwise."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)[()]
+
+
+def basis_size(w_l2):
+    """Piece count matched to a weight norm: ceil(w_l2^(-SIZE_EXPONENT)),
+    elementwise on an array of norms (an int for a scalar norm).
 
     Snaps values within 1e-9 of an integer before the ceiling so exact
     powers are not bumped up by float rounding.
     """
-    if not 0 < w_l2 <= 1:
-        raise HypothesisError(f"weight norm must be in (0, 1], got {w_l2}")
-    v = w_l2 ** -SIZE_EXPONENT
-    nearest = round(v)
-    if abs(v - nearest) < 1e-9 * max(1.0, v):
-        return int(nearest)
-    return int(math.ceil(v))
+    u = np.asarray(w_l2, dtype=float)
+    outside = ~((0 < u) & (u <= 1))
+    if outside.any():
+        raise HypothesisError(f"weight norm must be in (0, 1], got {u[outside][0]}")
+    v = np.array([x**-SIZE_EXPONENT for x in u.ravel().tolist()]).reshape(u.shape)  # libm's pow
+    nearest = np.rint(v)  # half to even, as round() does
+    q = np.where(np.abs(v - nearest) < 1e-9 * np.maximum(1.0, v), nearest, np.ceil(v))
+    return int(q) if q.ndim == 0 else q
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,9 @@ class HypothesisClassSpec:
 
     def rate_inputs(self, spec: ProcessSpec) -> dict:
         """The ``RateParameters`` fields that the class owns at horizon spec.n, by
-        name: alpha, c_inf, log_ninf_h ((eps, w_l2) -> log Ninf) and approx_err.
+        name: alpha, c_inf, log_ninf_h ((eps, w_l2) -> log Ninf) and approx_err
+        (w_l2 -> the sup-norm approximation error, None for none), both
+        elementwise on arrays of norms with libm's log and pow per element.
 
         alpha is SIZE_EXPONENT for classes sized from ||w||, 0 for fixed ones.
         c_inf links the class's L2 and sup-norm distances under the law, sup
@@ -142,7 +154,7 @@ class HypothesisClassSpec:
         scale n for ReLU; a norm above 1 (Brown's c1 = 3) is one piece.  The
         approximation errors assume 1-Lipschitz targets.
         """
-        sized = lambda u: basis_size(min(u, 1.0))
+        sized = lambda u: basis_size(np.minimum(u, 1.0))
 
         if self.kind is HypothesisKind.LINEAR_BALL:
             p = spec.p
@@ -154,10 +166,10 @@ class HypothesisClassSpec:
             approx_err = lambda u: 1.0 / size(u)
         else:
             alpha, size, scale, c_inf = SIZE_EXPONENT, sized, spec.n, 0.0
-            approx_err = lambda u: u**SIZE_EXPONENT
+            approx_err = lambda u: _each(lambda x: x**SIZE_EXPONENT, u)
 
-        def log_ninf(eps: float, w_l2: float) -> float:
-            return max(0.0, size(w_l2) * math.log(scale / eps))
+        def log_ninf(eps, w_l2):
+            return np.maximum(0.0, size(w_l2) * _each(math.log, scale / eps))
 
         return dict(alpha=alpha, c_inf=c_inf, log_ninf_h=log_ninf, approx_err=approx_err)
 

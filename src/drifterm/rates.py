@@ -34,7 +34,11 @@ class RateParameters:
     the covering growth exponent, the two log-covering callables: eps ->
     log N1 for the weight class and (eps, w_l2) -> log Ninf for the
     hypothesis class, and approx_err: w_l2 -> the class's sup-norm
-    approximation error (None: zero).  The loss is the square loss, whose
+    approximation error (None: zero).  log_ninf_h and approx_err work
+    elementwise on arrays of norms (a constant result is broadcast): the
+    condition grid calls each once on all its norms, and they should call
+    libm's log and pow once per element, as a point-by-point evaluation
+    would.  The loss is the square loss, whose
     curvature constant is 1.  The scale constant ``a`` belongs to the rate
     (:func:`closed_form_rate`), and the confidence level delta to the
     certificate (:func:`bound_certificate`) and to ``mixing.m_beta``.
@@ -74,22 +78,24 @@ class RateParameters:
         return self.m_beta * self.bw * self.c_p / self.c_inf
 
 
-def _finite_covering(value: float) -> float:
+def _log_n1(params: RateParameters, a: float) -> float:
+    """log N1(eps_W) at the weight-class scale eps_W = cw^3 / (64 (1 + c1 k)),
+    with the Lipschitz budget k = a^2 n^2 of the scale constant a."""
+    k = a**2 * params.n**2
+    value = params.log_n1_w(params.cw**3 / (64.0 * (1.0 + params.c1 * k)))
     if not np.isfinite(value):
         raise RateError("covering function undefined at the required scale")
     return value
 
 
-def _log_n1(params: RateParameters, a: float) -> float:
-    """log N1(eps_W) at the weight-class scale eps_W = cw^3 / (64 (1 + c1 k)),
-    with the Lipschitz budget k = a^2 n^2 of the scale constant a."""
-    k = a**2 * params.n**2
-    return _finite_covering(params.log_n1_w(params.cw**3 / (64.0 * (1.0 + params.c1 * k))))
-
-
-def _log_ninf(params: RateParameters, w_l2: float) -> float:
-    """log Ninf(eps_w) at the hypothesis-class scale eps_w = w_l2^2 / (32 c1)."""
-    return _finite_covering(params.log_ninf_h(w_l2**2 / (32.0 * params.c1), w_l2))
+def _log_ninf(params: RateParameters, w_l2, w_sq):
+    """log Ninf(eps_w) at the hypothesis-class scale eps_w = w_l2^2 / (32 c1),
+    elementwise over the norms w_l2, whose squares are w_sq."""
+    u, value = np.broadcast_arrays(w_l2, params.log_ninf_h(w_sq / (32.0 * params.c1), w_l2))
+    undefined = ~np.isfinite(value)
+    if undefined.any():
+        raise RateError(f"covering function undefined at the required scale, u={u[undefined][0]}")
+    return value
 
 
 def _complexity(log_n1, log_ninf):
@@ -102,7 +108,7 @@ def complexity_term(params: RateParameters, a: float, w_l2: float) -> float:
     The discretization scales are eps_W = cw^3 / (64 (1 + c1 k)), k = a^2 n^2,
     for the weight class and eps_w = w_l2^2 / (32 c1) for the hypothesis class.
     """
-    return _complexity(_log_n1(params, a), _log_ninf(params, w_l2))
+    return _complexity(_log_n1(params, a), _log_ninf(params, w_l2, w_l2**2))
 
 
 class RateVariant(Enum):
@@ -189,9 +195,29 @@ class ConditionPoint:
     approx_ok: bool
 
 
+class _BuiltOnRead:
+    """A ConditionReport's ``points``: the tuple, or a zero-argument callable
+    that builds it when it is first read, so that a caller that reads only
+    the verdict and the slack (``run_experiment``) builds no ConditionPoint."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError("points")  # read by @dataclass as the default: none
+        points = report.__dict__["points"]
+        if callable(points):
+            points = report.__dict__["points"] = points()
+        return points
+
+    def __set__(self, report, points):
+        report.__dict__["points"] = points
+
+
 @dataclass(frozen=True)
 class ConditionReport:
-    points: tuple[ConditionPoint, ...]
+    """The growth conditions of one rate on its norm grid, point by point,
+    with the verdict, the numerical Lipschitz constant and the least slack."""
+
+    points: tuple[ConditionPoint, ...] = _BuiltOnRead()
     all_pass: bool
     lipschitz_estimate: float
     min_slack: float
@@ -212,8 +238,10 @@ class _ConditionGrid:
     """The growth conditions on one norm grid, with every term that does not
     depend on the scale constant computed once: the points u, u^2, the
     hypothesis log-covering, the approximation requirement and the powers
-    u^e of the rate terms.  Each pow, log and square is a scalar Python
-    call, so the arrays hold the doubles of a point-by-point evaluation;
+    u^e of the rate terms.  The covering and the approximation error each
+    take the whole grid in one call.  Each pow, log and square is a scalar
+    Python call per point (libm's: numpy's SIMD ones differ in the last
+    ulp), so the arrays hold the doubles of a point-by-point evaluation;
     numpy only adds, multiplies, divides and compares them.
     """
 
@@ -221,10 +249,10 @@ class _ConditionGrid:
         u = np.unique(default_condition_grid(params))  # sorted, duplicates dropped
         self.u = u
         self.points = u.tolist()
-        self.u_sq = np.array([x**2 for x in self.points])
-        self.log_ninf = np.array([_log_ninf(params, x) for x in self.points])
-        approx_err = params.approx_err or (lambda u: 0.0)
-        self.required_approx = np.array([4.0 * approx_err(x) ** 2 for x in self.points])
+        self.u_sq = _squares(u)
+        self.log_ninf = _log_ninf(params, u, self.u_sq)
+        approx_err = 0.0 if params.approx_err is None else params.approx_err(u)
+        self.required_approx = 4.0 * _squares(np.broadcast_to(approx_err, u.shape))
         self._powers: dict[float, np.ndarray] = {}
 
     def _power(self, exponent: float) -> np.ndarray:
@@ -242,28 +270,36 @@ class _ConditionGrid:
         required_growth = kw * self.u_sq * (
             params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
         )
-        rate_sq = np.array([r**2 for r in values.tolist()])
-        all_pass = bool(np.all((rate_sq >= required_growth) & (rate_sq >= self.required_approx)))
-        return _GridCheck(values, rate_sq, required_growth, all_pass)
+        required = np.maximum(required_growth, self.required_approx)
+        # values * values lies within an ulp of libm's values**2: a point short
+        # by more than 1e-12 fails either way, and the trial needs no squares
+        if np.any(values * values < (1.0 - 1e-12) * required):
+            return _GridCheck(values, None, required_growth, False)
+        rate_sq = _squares(values)
+        return _GridCheck(values, rate_sq, required_growth, bool(np.all(rate_sq >= required)))
 
     def report(self, check: _GridCheck) -> ConditionReport:
+        rate_sq = _squares(check.values) if check.rate_sq is None else check.rate_sq
         required = np.maximum(check.required_growth, self.required_approx)
         binding = required > 0
         slack = math.inf
         if binding.any():
-            slack = float(np.min(check.rate_sq[binding] / required[binding]))
+            slack = float(np.min(rate_sq[binding] / required[binding]))
         lipschitz = 0.0
         if len(self.points) > 1:
             lipschitz = float(np.max(np.abs(np.diff(check.values)) / np.diff(self.u)))
-        points = tuple(
-            ConditionPoint(u, r_sq, growth, approx, r_sq >= growth, r_sq >= approx)
-            for u, r_sq, growth, approx in zip(
-                self.points,
-                check.rate_sq.tolist(),
-                check.required_growth.tolist(),
-                self.required_approx.tolist(),
+
+        def points():
+            return tuple(
+                ConditionPoint(u, r_sq, growth, approx, r_sq >= growth, r_sq >= approx)
+                for u, r_sq, growth, approx in zip(
+                    self.points,
+                    rate_sq.tolist(),
+                    check.required_growth.tolist(),
+                    self.required_approx.tolist(),
+                )
             )
-        )
+
         return ConditionReport(
             points=points,
             all_pass=check.all_pass,
@@ -273,12 +309,18 @@ class _ConditionGrid:
 
 
 class _GridCheck(NamedTuple):
-    """One rate on a _ConditionGrid: r(u), r(u)^2, the growth requirement."""
+    """One rate on a _ConditionGrid: r(u), r(u)^2 (None for a trial failed
+    without it), the growth requirement, the verdict."""
 
     values: np.ndarray
-    rate_sq: np.ndarray
+    rate_sq: np.ndarray | None
     required_growth: np.ndarray
     all_pass: bool
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 by libm's pow per element, which numpy's square does not match in the last ulp."""
+    return np.array([v**2 for v in x.tolist()])
 
 
 def check_rate_conditions(rate: RateFunction) -> ConditionReport:

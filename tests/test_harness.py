@@ -30,7 +30,7 @@ from drifterm.harness import (
     run_experiment,
 )
 import drifterm
-from drifterm import harness, hypotheses
+from drifterm import harness, hypotheses, rates
 from drifterm.hypotheses import HypothesisClassSpec, HypothesisKind, fit_weighted_erm
 from drifterm.processes import (
     CovariateLaw,
@@ -41,7 +41,7 @@ from drifterm.processes import (
     SamplePath,
     simulate,
 )
-from drifterm.rates import RateParameters, RatePreconditionError, RateVariant
+from drifterm.rates import RateParameters, RatePreconditionError, RateVariant, check_rate_conditions
 from drifterm.risk import excess_risk, learning_error
 from drifterm.weights import WeightFamily, WeightSpec, class_rate_inputs, make_weights
 
@@ -528,8 +528,8 @@ BALL = {"kind": "drifting_linear", "p": 2, "law": "ball", "core": {"kind": "iid"
         "drift": {"kind": "constant", "a": [0.3, -0.2]}, "noise_sd": 0.3, "y_bound": 2.0}
 
 
-def relu_cell_smoke() -> dict:
-    workload = json.loads((WORKLOADS / "relu_cell.json").read_text())
+def workload_smoke(name: str) -> dict:
+    workload = json.loads((WORKLOADS / f"{name}.json").read_text())
     return {**workload["config"], **workload["smoke"]}
 
 
@@ -552,7 +552,7 @@ ROWS_PINS = {
                      "hypothesis": {"kind": "linear", "b_bound": 1.0},
                      "n_grid": [64, 128], "replications": 2, "base_seed": 11},
                     "5c7fa88e0f851eaf63c0acd914c2f6276e7e9c0a033a19295b39c82987260181"),
-    "relu_cell": (relu_cell_smoke(),
+    "relu_cell": (workload_smoke("relu_cell"),
                   "ff69d4fd88ec652b4f81119ef1b40a7c9bdeeb4702d10bbacb80f79e417fa479"),
     # the one pinned grid whose distances draw covariates (Monte Carlo on the ball law)
     "relu_ball_mc": ({"process": BALL,
@@ -575,7 +575,7 @@ class TestBlocks:
 
     CONFIGS = {
         **{key: ROWS_PINS[key][0] for key in ("linear", "linear_exp3", "step", "step_q8", "relu_ball_mc")},
-        "relu_cell": relu_cell_smoke(),
+        "relu_cell": workload_smoke("relu_cell"),
         "linear_markov": {"process": {**BALL, "core": {"kind": "markov", "flip": 0.2}},
                           "hypothesis": {"kind": "linear", "b_bound": 1.0}, "n_grid": [64, 128]},
         "linear_ar1": {"process": {**BALL, "core": {"kind": "ar1", "phi": 0.6}},
@@ -801,7 +801,26 @@ class TestBuildRate:
         trials = int(math.log2(rate.a)) + 1
         assert trials > 1
         assert calls["log_n1_w"] == trials
-        assert calls["log_ninf_h"] <= len(report.points)
+        assert calls["log_ninf_h"] == 1  # on the whole grid at once
+
+    def test_run_builds_no_condition_point_and_records_the_slack_per_n(self, monkeypatch):
+        built = []
+        point = rates.ConditionPoint
+
+        def counted_point(*args, **kwargs):
+            built.append(args)
+            return point(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "ConditionPoint", counted_point)
+        cfg = config_from_dict(workload_smoke("step_mc"))
+        res = run_experiment(cfg)
+        assert built == []
+        assert sorted(res.manifest["rate_min_slack"]) == sorted(res.manifest["rate_constants"])
+        for n in cfg.n_grid:
+            rate, _ = build_rate(cfg, replace(cfg.process, n=n))
+            report = check_rate_conditions(rate)
+            assert res.manifest["rate_min_slack"][str(n)] == report.min_slack
+        assert len(report.points) == len(built) > 0  # the points are built when read
 
 
 class TestConfigValidation:

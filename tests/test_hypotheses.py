@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from drifterm.hypotheses import (
     NET_ITERATIONS,
     NET_STEP_SIZE,
+    SIZE_EXPONENT,
     FittedHypothesis,
     HypothesisClassSpec,
     HypothesisError,
@@ -30,7 +35,9 @@ from drifterm.processes import (
     sample_covariates,
     simulate,
 )
-from drifterm.weights import WeightFamily, WeightSpec, make_weights, _from_entries
+from drifterm.harness import config_from_dict
+from drifterm.rates import default_condition_grid
+from drifterm.weights import WeightFamily, WeightSpec, class_rate_inputs, make_weights, _from_entries
 
 
 def linear_spec(n, p=2, noise_sd=0.3, law=CovariateLaw.BALL, drift=None):
@@ -142,6 +149,131 @@ class TestBasisSize:
         assert q >= 1
         # never more than one off the raw ceiling (float-snap guard)
         assert abs(q - math.ceil(u ** (-2 / 3))) <= 1
+
+
+def reference_basis_size(w_l2: float) -> int:
+    """The piece count of one Python float: libm pow, round, abs, compare, ceil."""
+    v = w_l2**-SIZE_EXPONENT
+    nearest = round(v)
+    if abs(v - nearest) < 1e-9 * max(1.0, v):
+        return int(nearest)
+    return int(math.ceil(v))
+
+
+def reference_rate_closures(klass: HypothesisClassSpec, spec: ProcessSpec):
+    """The class's covering and approximation error, one scalar Python call per norm."""
+    sized = lambda u: reference_basis_size(min(u, 1.0))
+    if klass.kind is HypothesisKind.LINEAR_BALL:
+        size, scale, approx_err = (lambda u: spec.p), 3.0 * klass.b_bound, None
+    elif klass.kind is HypothesisKind.STEP_BASIS:
+        size = sized if klass.q is None else (lambda u: klass.q)
+        scale, approx_err = 3.0 * klass.b_bound, (lambda u: 1.0 / size(u))
+    else:
+        size, scale, approx_err = sized, spec.n, (lambda u: u**SIZE_EXPONENT)
+    return (lambda eps, u: max(0.0, size(u) * math.log(scale / eps))), approx_err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE_CLASSES = (
+    HypothesisClassSpec.linear(1.0),
+    HypothesisClassSpec.step(8, 1.0),
+    HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS),
+    HypothesisClassSpec.relu(8, 2, 1.0),
+)
+
+
+def shipped_grids():
+    """(name, config, n, sorted condition-grid norms, c1) for every grid n of the
+    shipped configs and the benchmark workloads."""
+    for path in sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json")):
+        raw = json.loads(path.read_text())
+        cfg = config_from_dict(raw["config"] if "call" in raw else raw)
+        for n in cfg.n_grid:
+            constants = SimpleNamespace(**class_rate_inputs(cfg.weights.family, n))
+            yield path.name, cfg, n, np.unique(default_condition_grid(constants)), constants.c1
+
+
+def same_bits(array_form, reference) -> bool:
+    return np.asarray(array_form, dtype=float).tobytes() == np.array(reference, dtype=float).tobytes()
+
+
+class TestArrayRateInputsOracle:
+    """basis_size, the coverings and approx_err on an array of norms equal the
+    scalar point-by-point forms bit for bit."""
+
+    def assert_closures_match(self, klass, spec, u, c1=1.0):
+        inputs, (log_ninf, approx_err) = klass.rate_inputs(spec), reference_rate_closures(klass, spec)
+        norms = u.tolist()
+        eps = np.array([x**2 for x in norms]) / (32.0 * c1)
+        assert same_bits(inputs["log_ninf_h"](eps, u),
+                         [log_ninf(e, x) for e, x in zip(eps.tolist(), norms)])
+        if approx_err is None:
+            assert inputs["approx_err"] is None
+        else:
+            got = np.broadcast_to(inputs["approx_err"](u), u.shape)
+            assert same_bits(got, [approx_err(x) for x in norms])
+
+    def test_every_grid_point_of_the_shipped_configs(self):
+        seen = set()
+        for name, cfg, n, u, c1 in shipped_grids():
+            spec = replace(cfg.process, n=n)
+            for klass in {cfg.hypothesis, *ORACLE_CLASSES}:
+                self.assert_closures_match(klass, spec, u, c1)
+            assert same_bits(basis_size(np.minimum(u, 1.0)),
+                             [reference_basis_size(min(x, 1.0)) for x in u.tolist()])
+            seen.add(name)
+        assert len(seen) == 8  # three configs and five workloads
+
+    def test_snap_at_exact_powers_and_their_neighbours(self):
+        # u = k^(-3/2) has u^(-2/3) within an ulp or two of k: the 1e-9 snap decides
+        exact = [k**-1.5 for k in range(1, 65)]
+        u = np.array([x for v in exact for x in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)) if x <= 1])
+        q = basis_size(u)
+        assert q.tolist() == [reference_basis_size(x) for x in u.tolist()]
+        assert basis_size(np.array(exact)).tolist() == list(range(1, 65))
+        spec = linear_spec(4096, p=1, law=CovariateLaw.INTERVAL)
+        for klass in ORACLE_CLASSES:
+            self.assert_closures_match(klass, spec, u)
+
+    def test_dense_random_norms_and_scales(self):
+        # numpy's SIMD log and pow differ from libm's on ~0.02-5% of inputs:
+        # enough points that an array log or pow would show; eps above the
+        # scale makes the log negative, where the covering is floored at 0
+        rng = np.random.default_rng(20261020)
+        u = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 1 << 14))
+        eps = np.exp(rng.uniform(math.log(1e-8), math.log(1e5), u.size))
+        spec = linear_spec(8192, p=1, law=CovariateLaw.INTERVAL)
+        for klass in ORACLE_CLASSES:
+            (log_ninf, approx_err), inputs = reference_rate_closures(klass, spec), klass.rate_inputs(spec)
+            assert same_bits(inputs["log_ninf_h"](eps, u),
+                             [log_ninf(e, x) for e, x in zip(eps.tolist(), u.tolist())])
+            if approx_err is not None:
+                got = np.broadcast_to(inputs["approx_err"](u), u.shape)
+                assert same_bits(got, [approx_err(x) for x in u.tolist()])
+
+    def test_norms_above_one_take_one_piece(self):
+        # Brown weights reach c1 = 3
+        u = np.array([0.5, 1.0, math.nextafter(1.0, 2.0), 1.5, 3.0])
+        spec = linear_spec(256, p=1, law=CovariateLaw.INTERVAL)
+        for klass in ORACLE_CLASSES:
+            self.assert_closures_match(klass, spec, u, c1=3.0)
+        sized = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS).rate_inputs(spec)
+        eps = np.full(u.shape, 1e-3)
+        assert sized["log_ninf_h"](eps, u)[1:].tolist() == [math.log(3.0 / 1e-3)] * 4
+        assert sized["approx_err"](u)[1:].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("bad, shown", [(0.0, "0.0"), (-0.25, "-0.25"), (math.nan, "nan")])
+    def test_norm_outside_the_domain_is_named(self, bad, shown):
+        u = np.array([0.5, bad, 0.1])
+        message = rf"^weight norm must be in \(0, 1\], got {shown}$"
+        with pytest.raises(HypothesisError, match=message):
+            basis_size(u)
+        with pytest.raises(HypothesisError, match=message):
+            basis_size(bad)
+        spec = linear_spec(256, p=1, law=CovariateLaw.INTERVAL)
+        for klass in (HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), HypothesisClassSpec.relu(8, 2, 1.0)):
+            with pytest.raises(HypothesisError, match=message):
+                klass.rate_inputs(spec)["log_ninf_h"](np.full(3, 1e-3), u)
 
 
 class TestLinearFits:

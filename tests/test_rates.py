@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -28,12 +29,17 @@ from drifterm.processes import CovariateLaw, DependenceCore, DriftSpec, ProcessK
 from drifterm.weights import WeightFamily, class_rate_inputs
 
 
-def class_covering(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000):
-    """The class's (eps, w_l2) -> log Ninf on a p-dimensional covariate law at horizon n."""
+def class_inputs(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000) -> dict:
+    """The class's rate inputs on a p-dimensional covariate law at horizon n."""
     law = CovariateLaw.INTERVAL if p == 1 else CovariateLaw.BALL
     spec = ProcessSpec(ProcessKind.DRIFTING_LINEAR, n, p, law, DependenceCore(),
                        drift=DriftSpec.constant([0.0] * p))
-    return klass.rate_inputs(spec)["log_ninf_h"]
+    return klass.rate_inputs(spec)
+
+
+def class_covering(klass: HypothesisClassSpec, p: int = 1, n: int = 10_000):
+    """The class's (eps, w_l2) -> log Ninf on a p-dimensional covariate law at horizon n."""
+    return class_inputs(klass, p, n)["log_ninf_h"]
 
 
 def make_params(**overrides):
@@ -157,14 +163,13 @@ class TestConditionChecks:
     def test_step_sizing_approximation_condition(self):
         # with q(u) = ceil(u^{-2/3}) and a 1-Lipschitz target, the sup-norm
         # approximation error is below 1/q <= u^{2/3}, so the approximation
-        # condition holds once the growth condition does
-        from drifterm.hypotheses import basis_size
-
+        # condition holds once the growth condition does; approx_err is 1/q(u)
+        step = class_inputs(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS))
         params = make_params(
             alpha=2 / 3,
             c_inf=1.0,
-            log_ninf_h=class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)),
-            approx_err=lambda u: 1.0 / basis_size(u),
+            log_ninf_h=step["log_ninf_h"],
+            approx_err=step["approx_err"],
         )
         rate, report = find_scale_constant(RateVariant.I, params)
         assert report.all_pass
@@ -184,6 +189,18 @@ class TestConditionChecks:
             report = check_rate_conditions(rate)
         assert [p.u for p in report.points] == [0.5]
         assert report.lipschitz_estimate == 0.0
+
+    def test_covering_that_is_not_finite_names_the_norm(self):
+        # an unbounded linear class covers with log(inf / eps) = inf pieces from
+        # the first grid norm cw = 0.01 on
+        unbounded = make_params(log_ninf_h=class_covering(HypothesisClassSpec.linear(math.inf)))
+        message = "^covering function undefined at the required scale, u="
+        with pytest.raises(RateError, match=message + r"0\.01$"):
+            find_scale_constant(RateVariant.I, unbounded)
+        first = next(u for u in default_condition_grid(unbounded) if u > 0.5)
+        blows_up = make_params(log_ninf_h=lambda eps, u: np.where(u > 0.5, math.inf, 0.0))
+        with pytest.raises(RateError, match=message + re.escape(str(first)) + "$"):
+            check_rate_conditions(closed_form_rate(RateVariant.I, blows_up))
 
     def test_preconditions_checked_before_any_covering(self):
         def forbidden(eps, w_l2):
@@ -249,15 +266,17 @@ def oracle_setups():
         log_n1_w=class_rate_inputs(WeightFamily.EXPONENTIAL, n)["log_n1_w"],
     )
     linear = class_covering(HypothesisClassSpec.linear(1.0), p=2, n=n)
-    step = class_covering(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), n=n)
-    relu = class_covering(HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=8, ell=2,
-                                              param_bound=1.0), n=n)
+    # the classes' own closures: approx_err is 1/basis_size(u) and u^(2/3)
+    step = class_inputs(HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS), n=n)
+    relu = class_inputs(HypothesisClassSpec(kind=HypothesisKind.RELU_NET, nu=8, ell=2,
+                                            param_bound=1.0), n=n)
     return {
         "linear_c_inf_0": make_params(**base, log_ninf_h=linear),
         "linear_c_inf_pos": make_params(**base, c_inf=math.sqrt(1 / 6), log_ninf_h=linear),
         "step_sized": make_params(**base, alpha=2 / 3, c_inf=1 / math.sqrt(basis_size(1 / 64)),
-                                  log_ninf_h=step, approx_err=lambda u: 1.0 / basis_size(u)),
-        "relu": make_params(**base, alpha=2 / 3, log_ninf_h=relu, approx_err=lambda u: u ** (2.0 / 3.0)),
+                                  log_ninf_h=step["log_ninf_h"], approx_err=step["approx_err"]),
+        "relu": make_params(**base, alpha=2 / 3, log_ninf_h=relu["log_ninf_h"],
+                            approx_err=relu["approx_err"]),
     }
 
 
