@@ -1,8 +1,12 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drifterm.harness import config_from_dict
 from drifterm.hypotheses import (
     FittedHypothesis,
     HypothesisClassSpec,
@@ -242,6 +246,21 @@ class TestDiscrepancy:
         assert discrepancy(spec, cls, 2, 1) is None
         assert discrepancy_sum(spec, cls) is None
 
+    def test_variance_kind_relu_class_gets_the_variance_gap(self):
+        # var(s) - var(t) is the gap for every hypothesis, networks included
+        spec = variance_spec(n=50, var_start=1.0, var_end=3.0)
+        cls = HypothesisClassSpec.relu(4, 1, 1.0)
+        assert discrepancy_sum(spec, cls) == pytest.approx(2.0, rel=1e-15)
+        assert discrepancy(spec, cls, 51, 1) == pytest.approx(2.0, rel=1e-15)
+
+    def test_step_class_off_the_interval_law_refused(self):
+        spec = linear_spec(n=12, drift=DriftSpec.linear([0.3, -0.2], [-0.4, 0.5]))
+        cls = HypothesisClassSpec.step(5, 1.0)
+        with pytest.raises(RiskError, match=r"^step class needs the interval law, got ball$"):
+            discrepancy_sum(spec, cls)
+        with pytest.raises(RiskError, match=r"^step class needs the interval law, got ball$"):
+            discrepancy(spec, cls, 3, 2)
+
 
 DRIFTS = {
     "constant": lambda a, b: DriftSpec.constant(a),
@@ -318,6 +337,50 @@ class TestDiscrepancySumBruteForce:
         brute = sum(discrepancy(spec, cls, t, t - 1) for t in range(2, 11))
         assert discrepancy_sum(spec, cls) == pytest.approx(brute, abs=1e-14)
         assert discrepancy_sum(spec, cls) == pytest.approx(0.5 - 2.0, abs=1e-14)
+
+
+ORACLE_CLASSES = {
+    "linear_ball": (2, CovariateLaw.BALL, HypothesisClassSpec.linear(0.8)),
+    "linear_interval": (1, CovariateLaw.INTERVAL, HypothesisClassSpec.linear(0.8)),
+    "step_q5": (1, CovariateLaw.INTERVAL, HypothesisClassSpec.step(5, 0.7)),
+    "step_unsized": (1, CovariateLaw.INTERVAL, HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS, b_bound=0.7)),
+}
+
+
+class TestDiscrepancySumOracle:
+    """The telescoped sum against the pairwise closed form, one call per step."""
+
+    @staticmethod
+    def pairwise_sum(spec, cls):
+        return sum(discrepancy(spec, cls, t, t - 1) for t in range(2, spec.n + 2))
+
+    @pytest.mark.parametrize("n", [1, 12, 4096])
+    @pytest.mark.parametrize("cls_name", sorted(ORACLE_CLASSES))
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_linear_kind(self, drift, cls_name, n):
+        p, law, cls = ORACLE_CLASSES[cls_name]
+        spec = linear_spec(n=n, p=p, law=law, drift=DRIFTS[drift]([0.3, -0.2][:p], [-0.4, 0.5][:p]))
+        assert discrepancy_sum(spec, cls) == pytest.approx(self.pairwise_sum(spec, cls), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 12, 4096])
+    def test_variance_kind(self, n):
+        spec = variance_spec(n=n, var_start=2.0, var_end=0.5)
+        cls = HypothesisClassSpec.step(5, 1.0)
+        assert discrepancy_sum(spec, cls) == pytest.approx(self.pairwise_sum(spec, cls), rel=1e-12, abs=1e-14)
+
+
+DRIFT_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "drift_report.json"
+
+
+@pytest.mark.parametrize("n", [4096, 256])
+def test_drift_report_workload_pinned_discrepancy_sum(n):
+    # the benchmark counts a drift_report call as failed when its sum leaves this pin
+    workload = json.loads(DRIFT_REPORT.read_text())
+    cfg = config_from_dict({**workload["config"], **(workload["smoke"] if n == 256 else {})})
+    assert cfg.n_grid == (n,)
+    pinned = workload["pinned_discrepancy_sum"][str(n)]
+    spec = dataclasses.replace(cfg.process, n=n)
+    assert discrepancy_sum(spec, cfg.hypothesis) == pytest.approx(pinned, rel=1e-9)
 
 
 class TestExcessRisk:
