@@ -173,23 +173,26 @@ def three_param_config(**overrides):
 IMPORTS_OF_SETUP = """
 import json, sys
 import drifterm.cli
+from drifterm import harness
 from drifterm.harness import config_from_dict
 config_from_dict(json.load(sys.stdin)["config"])
-print(json.dumps([name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random")
-                  if name in sys.modules]))
+print(json.dumps([[name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random")
+                   if name in sys.modules],
+                  harness._retain_freed_memory.cache_info().currsize]))
 """
 
 
 def test_setup_imports_no_pool_and_no_scipy():
     """Importing the CLI and building a workload config, the set-up that every
-    command pays, loads neither the process pool nor scipy nor numpy.random."""
+    command pays, loads neither the process pool nor scipy nor numpy.random,
+    and leaves the allocator as it was."""
     env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", IMPORTS_OF_SETUP],
         input=(WORKLOADS / "step_mc.json").read_text(),
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(out.stdout) == []
+    assert json.loads(out.stdout) == [[], 0]
 
 
 class TestSharedPath:
@@ -666,6 +669,108 @@ class TestBlocks:
     def test_jobs_below_one_is_refused(self, jobs):
         with pytest.raises(HarnessError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
             run_experiment(small_config(), jobs=jobs)
+
+
+def glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+WARM_CALL_PAGE_FAULTS = """
+import json, resource, sys
+from drifterm import harness
+cfg = harness.config_from_dict(json.load(sys.stdin))
+harness.run_experiment(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+harness.run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestFreedMemoryRetained:
+    """On glibc a block's freed arrays stay on the heap for the next block; no row depends on it."""
+
+    @pytest.fixture
+    def fresh(self):
+        harness._retain_freed_memory.cache_clear()
+        yield
+        harness._retain_freed_memory.cache_clear()
+
+    @staticmethod
+    def fake_mallopt(monkeypatch, returns: int) -> list:
+        import ctypes
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return returns
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None
+                self.mallopt = mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        return calls
+
+    def test_applied_once_per_process(self, fresh, monkeypatch):
+        calls = self.fake_mallopt(monkeypatch, 1)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        for _ in range(2):
+            run_experiment(small_config())  # two blocks each
+        assert calls == [(-1, 4 << 20), (-3, 1 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        info = harness._retain_freed_memory.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize("libc", [None, "", ValueError("unrecognized configuration name"),
+                                      OSError(22, "Invalid argument"), "no confstr"],
+                             ids=["none", "empty", "unknown-name", "oserror", "no-confstr"])
+    def test_elsewhere_than_glibc_nothing_is_set(self, fresh, monkeypatch, libc):
+        calls = self.fake_mallopt(monkeypatch, 1)
+        if libc == "no confstr":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            def confstr(name):
+                if isinstance(libc, Exception):
+                    raise libc
+                return libc
+
+            monkeypatch.setattr(os, "confstr", confstr)
+        assert harness._retain_freed_memory() is False
+        assert calls == []
+
+    def test_refused_mallopt_does_not_raise(self, fresh, monkeypatch):
+        calls = self.fake_mallopt(monkeypatch, 0)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        assert harness._retain_freed_memory() is False
+        assert calls == [(-1, 4 << 20)]
+
+    @pytest.mark.parametrize("key", ["linear", "linear_exp3", "step", "step_q8"])
+    def test_pinned_rows_on_a_heap_of_freed_nan_arrays(self, key):
+        """NaN arrays under the mmap threshold, about 3 MiB, stay on the heap
+        once freed, and np.empty hands their memory out again: a buffer read
+        before it is written shows as NaN or as changed bytes."""
+        retained = harness._retain_freed_memory()
+        sizes = [harness._MMAP_THRESHOLD_BYTES >> k for k in range(1, 8)] * 3  # 512 KiB down to 8 KiB
+        poison = [np.full(size // 8, np.nan) for size in sizes]
+        del poison
+        if retained:
+            assert np.isnan(np.empty(len(sizes) * 1024)).any()
+        test_rows_csv_pinned_per_hypothesis_class(key)
+
+    @pytest.mark.skipif(not glibc(), reason="the allocator thresholds are set on glibc only")
+    def test_a_warm_call_faults_in_few_pages(self):
+        """A second identical call of a 20-block grid reuses the first call's
+        heap: 59-60 minor page faults, against about 4500 with glibc's defaults."""
+        cfg = {"process": BALL, "hypothesis": {"kind": "linear", "b_bound": 1.0},
+               "n_grid": [4096, 8192], "replications": 40, "base_seed": 11}
+        env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", WARM_CALL_PAGE_FAULTS], input=json.dumps(cfg),
+                             env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 450
 
 
 class TestMonteCarloOnlyWithoutClosedForm:
