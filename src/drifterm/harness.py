@@ -8,13 +8,15 @@ rate certificate, and aggregates log-log slopes.  Everything is
 deterministic given (config, base_seed): the path seed is derived from the
 base seed, the n index and the replication, so the rows of one replication
 share their path (common random numbers across the weights); the fit and
-Monte Carlo seeds also take the weight index, and a row derives them only
-if its fit or its distances draw from them.
+Monte Carlo seeds also take the weight index, and a block derives each
+stream in one hash for all its rows, only if its fits or its distances
+draw from it.
 
 The task unit is a block of replications of one grid n: its paths are
 simulated as stacked arrays, and linear and step fits and their distances
 are stacked array operations, each row bit for bit what its path alone
-gives; only network fits run row by row.  A block holds at most
+gives; only network fits run row by row.  A block whose simulation or any
+fit fails is run again path by path.  A block holds at most
 BLOCK_PATH_ELEMENTS path rows (replications x (n + 1)), so its memory
 stays near a megabyte: 254 replications at n = 128, 3 at n = 8192.
 On glibc, freed block arrays stay on the heap for the next block (mmap
@@ -26,9 +28,7 @@ on the block size, the worker count or the completion order.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
-import hashlib
 import inspect
 import json
 import math
@@ -46,7 +46,7 @@ from .hypotheses import HypothesisClassSpec, HypothesisError
 from .hypotheses import MC_DRAWS_DEFAULT, fit_weighted_erm
 from .mixing import k_rho as k_rho_sum
 from .mixing import m_beta
-from .processes import ProcessSpec, SamplePath, mixing_profile, read_csv, simulate
+from .processes import ProcessSpec, mixing_profile, read_csv, simulate
 from .processes import pcg64_words, spawn_seeds, word_seeds
 from .rates import (
     RateParameters,
@@ -242,10 +242,6 @@ def _row_seeds(base_seed: int, i_n: int, i_param: int, reps, stream: int) -> np.
     return spawn_seeds(base_seed, [(i_n, i_param, rep, stream) for rep in reps])
 
 
-def _row_seed(base_seed: int, i_n: int, i_param: int, rep: int, stream: int) -> int:
-    return int(_row_seeds(base_seed, i_n, i_param, (rep,), stream)[0])
-
-
 def _block_size(n: int) -> int:
     """Replications per task at grid n: at most BLOCK_PATH_ELEMENTS path rows, at least one."""
     return max(1, BLOCK_PATH_ELEMENTS // (n + 1))
@@ -275,22 +271,23 @@ def _block_task(payload: tuple) -> list:
     """One block of replications of one grid n: simulate its paths at once,
     then fit and measure them under each weight of the cell.  Outcomes run
     (replication, weight): ``(learning, excess)`` or a failure message.  A
-    block that fails is run again path by path, so a failed simulation fails
-    the rows of its own path only.  Pure function of the payload; it first
-    makes the allocator keep freed block arrays (``_retain_freed_memory``),
-    process state that changes no value."""
+    block whose simulation or any fit fails is run again path by path, so a
+    failure stays with its own path's rows, or with its row.  Pure function
+    of the payload; it first makes the allocator keep freed block arrays
+    (``_retain_freed_memory``), process state that changes no value."""
     _retain_freed_memory()
     spec, path_seeds, words, rep0, weights, class_spec, draws, base_seed, i_n = payload
+    reps = range(rep0, rep0 + len(path_seeds))
     try:
         paths = simulate(spec, word_seeds(path_seeds, words))
+        per_weight = [
+            _fit_outcomes(paths, spec, draws, w, class_spec, (base_seed, i_n, i_param), reps)
+            for i_param, w in enumerate(weights)
+        ]
     except Exception as err:  # row-level isolation; harness applies the 1% budget
         if len(path_seeds) == 1:
             return [f"{type(err).__name__}: {err}"] * len(weights)
         return [outcome for r in range(len(path_seeds)) for outcome in _block_task(_paths(payload, r, r + 1))]
-    per_weight = [
-        _fit_outcomes(paths, spec, draws, w, class_spec, (base_seed, i_n, i_param), rep0)
-        for i_param, w in enumerate(weights)
-    ]
     return [outcome for rep in zip(*per_weight) for outcome in rep]
 
 
@@ -300,33 +297,28 @@ def _paths(payload: tuple, start: int, stop: int | None = None) -> tuple:
     return (spec, path_seeds[start:stop], words[start:stop], rep0 + start, *rest)
 
 
-def _fit_outcomes(paths, spec, draws, w, class_spec, key, rep0) -> list:
-    """Fit one weight on a block of paths and measure each fit; one outcome
-    per path, a failure becoming its message.  A block that fails is fitted
-    again path by path, so a failure stays with its row.
+def _fit_outcomes(paths, spec, draws, w, class_spec, key, reps) -> list:
+    """Fit one weight on a block of paths and measure each fit: one outcome
+    per path.  A lone path's failure becomes its message; a block's is
+    raised, and ``_block_task`` runs the block again path by path.
 
-    ``key`` is the cell's (base_seed, i_n, i_param) and rep0 the block's
-    first replication.  The seeds go in as callables that derive them from
-    the row, stream 2 for a network's start and stream 1 (plus one for the
-    excess risk) for Monte Carlo covariates, so a row derives only the seeds
-    that its fit and its distances draw with.
+    ``key`` is the cell's (base_seed, i_n, i_param).  Each stream's seeds go
+    in as one callable that hashes those of all ``reps`` at once: stream 2
+    for a network's start, stream 1 (plus one, as a Python int, for the
+    excess risk) for Monte Carlo covariates, derived only where drawn.
     """
-    reps = range(rep0, rep0 + len(paths.y))
+    def seeds(stream: int, plus: int = 0):
+        return lambda: [seed + plus for seed in _row_seeds(*key, reps, stream).tolist()]
+
     try:
-        fits = fit_weighted_erm(paths, w, class_spec, seed=[lambda r=r: _row_seed(*key, r, 2) for r in reps])
-        learn, _, _ = learning_error(fits, spec, w, draws=draws,
-                                     seed=[lambda r=r: _row_seed(*key, r, 1) for r in reps])
-        exc, _, _ = excess_risk(fits, spec, spec.n, draws=draws,
-                                seed=[lambda r=r: _row_seed(*key, r, 1) + 1 for r in reps])
+        fits = fit_weighted_erm(paths, w, class_spec, seed=seeds(2))
+        learn, _, _ = learning_error(fits, spec, w, draws=draws, seed=seeds(1))
+        exc, _, _ = excess_risk(fits, spec, spec.n, draws=draws, seed=seeds(1, 1))
         outcomes = list(zip(learn.tolist(), exc.tolist()))
     except Exception as err:  # row-level isolation; harness applies the 1% budget
-        if len(reps) == 1:
-            return [f"{type(err).__name__}: {err}"]
-        return [
-            outcome for r in range(len(reps))
-            for outcome in _fit_outcomes(SamplePath(paths.y[r : r + 1], paths.z[r : r + 1], spec),
-                                         spec, draws, w, class_spec, key, rep0 + r)
-        ]
+        if len(reps) > 1:
+            raise
+        return [f"{type(err).__name__}: {err}"]
     return [
         (learn, exc) if math.isfinite(learn) and math.isfinite(exc)
         else f"non-finite outcome: learning_error={learn!r}, excess_risk={exc!r}"
@@ -638,6 +630,8 @@ def decode_call(fn, value, path: str, defaults: dict | None = None, given: dict 
     hints = typing.get_type_hints(fn)
     for key in value:
         if key not in params:
+            import difflib  # only an unknown key pays for it
+
             close = difflib.get_close_matches(str(key), params, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise HarnessError(f"{prefix}{key}: unknown key{hint}")
@@ -657,6 +651,8 @@ def decode_call(fn, value, path: str, defaults: dict | None = None, given: dict 
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
+    import hashlib  # set-up, which decodes a config, never hashes one
+
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

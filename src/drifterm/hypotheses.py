@@ -19,6 +19,7 @@ achieved risk and 1e-7 in every parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -180,9 +181,14 @@ _CONSTANT_CLASS = HypothesisClassSpec.step(1, math.inf)
 _LINEAR_CLASS = HypothesisClassSpec.linear(math.inf)
 
 
+# The parameters that a fit of each kind does not read, and so must leave None.
+_UNREAD_FIT_FIELDS = {"linear": ("bins", "layers"), "step": ("coef", "layers"), "relu": ("coef", "bins")}
+
+
 @dataclass(frozen=True)
 class FittedHypothesis:
-    """A fitted model: coefficient vector, bin values, or network layers."""
+    """A fitted model: coefficient vector, bin values, or network layers,
+    whichever its kind reads; the parameter it holds is its kind."""
 
     class_spec: HypothesisClassSpec
     coef: np.ndarray | None = None
@@ -200,6 +206,9 @@ class FittedHypothesis:
             if not self.layers:
                 raise HypothesisError("network hypothesis needs layers")
             self._check_layer_shapes()
+        for name in _UNREAD_FIT_FIELDS[kind.value]:
+            if getattr(self, name) is not None:
+                raise HypothesisError(f"{kind.value} hypothesis does not read {name}")
 
     def _check_layer_shapes(self) -> None:
         """ell + 1 layers chained p -> nu -> ... -> nu -> 1, each b as wide as its W."""
@@ -216,23 +225,19 @@ class FittedHypothesis:
                 )
 
     @property
-    def kind(self) -> HypothesisKind:
-        return self.class_spec.kind
-
-    @property
     def p(self) -> int:
         """Input dimension: the coefficient count, 1 for step functions, or the first layer's rows."""
-        if self.kind is HypothesisKind.LINEAR_BALL:
+        if self.coef is not None:
             return self.coef.shape[0]
-        if self.kind is HypothesisKind.STEP_BASIS:
+        if self.bins is not None:
             return 1
         return self.layers[0][0].shape[0]
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        if self.kind is HypothesisKind.LINEAR_BALL:
+        if self.coef is not None:
             return z @ self.coef
-        if self.kind is HypothesisKind.STEP_BASIS:
+        if self.bins is not None:
             idx = _bin_index(z[:, 0], self.class_spec.q)
             return self.bins[idx]
         return _net_forward(self.layers, z)
@@ -247,13 +252,10 @@ def _weighted_risk(w: np.ndarray, residuals: np.ndarray) -> float:
     return float(np.dot(w, residuals**2))
 
 
-def _drawn(seed) -> int:
-    """A seed given as an int, or as a zero-argument callable called where the draw is made."""
-    return seed() if callable(seed) else seed
-
-
 def _per_row(seed, size: int) -> list:
-    """A block's seeds: one per row as given in a list or tuple, else the one seed for every row."""
+    """A block's seeds, one per row: a zero-argument callable is called now for
+    its int or list; a list or tuple gives one seed per row, an int every row's."""
+    seed = seed() if callable(seed) else seed
     return list(seed) if isinstance(seed, (list, tuple)) else [seed] * size
 
 
@@ -368,7 +370,7 @@ def _fit_net(
     y: np.ndarray,
     w: np.ndarray,
     spec: HypothesisClassSpec,
-    seed,
+    seed: int,
 ) -> FittedHypothesis:
     """Projected full-batch gradient descent, keeping the best iterate.
 
@@ -380,7 +382,6 @@ def _fit_net(
     one reshaped view.  The residual pass keeps w r undoubled and the step
     is doubled instead.  Every array the loop writes is allocated once.
     """
-    seed = _drawn(seed)
     rng = np.random.default_rng(seed)
     n, nu = z.shape[0], spec.nu
     sizes = [z.shape[1]] + [nu] * spec.ell + [1]
@@ -495,13 +496,12 @@ def fit_weighted_erm(
     exact minimizers; the network fit is approximate (projected gradient
     descent) and records its achieved empirical risk.  A NaN or infinity
     in the weights is rejected (``SamplePath`` refuses one in the path).
-    ``seed`` seeds the network's start: an int, or a zero-argument callable
-    that returns it, called only by a network fit.
 
     A block of paths gives a ``FitBlock``, row r fitted on path r as that
-    path alone would be; ``seed`` is then a list with one seed per path.
-    Linear and step blocks are solved as stacked arrays; only network fits
-    run row by row.
+    path alone would be.  Linear and step blocks are solved as stacked
+    arrays; only network fits run row by row.  ``seed`` seeds a network's
+    start: an int, for a block also a list of per-row ints, or a
+    zero-argument callable that returns one, called only by a network fit.
     """
     n = path.spec.n
     if w.entries.shape[0] != n:
@@ -530,7 +530,7 @@ def fit_weighted_erm(
 def _linear_coef(g) -> np.ndarray | None:
     """The coefficients of a linear operand (a linear fit or a coefficient vector), else None."""
     if isinstance(g, FittedHypothesis):
-        return g.coef if g.kind is HypothesisKind.LINEAR_BALL else None
+        return g.coef
     arr = np.asarray(g, dtype=float)
     return arr if arr.ndim else None
 
@@ -545,19 +545,23 @@ def _as_hypothesis(g) -> FittedHypothesis:
     return FittedHypothesis(class_spec=_LINEAR_CLASS, coef=arr)
 
 
-def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _piecewise(f: "FittedHypothesis | FitBlock") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edges, slope, intercept) of a univariate hypothesis on [0, 1).
 
     On the piece [edges[i], edges[i+1]) the hypothesis is
-    slope[i] z + intercept[i].  A network is split layer by layer at the
+    slope[..., i] z + intercept[..., i]; a linear or step block's slopes or
+    intercepts stack its rows on the leading axis.  A step function is q
+    equal pieces of slope 0.  A network is split layer by layer at the
     root of every unit's pre-activation inside a current piece; each
     piece's affine map is carried through the layers exactly.
     """
-    if f.p != 1:
-        raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={f.p}")
-    if f.kind is HypothesisKind.STEP_BASIS:
-        return _step_pieces(f.bins)
-    if f.kind is HypothesisKind.LINEAR_BALL:
+    if f.bins is not None:
+        q = f.bins.shape[-1]
+        return np.arange(q + 1, dtype=float) / q, np.zeros(q), f.bins
+    p = f.p if f.coef is None else f.coef.shape[-1]
+    if p != 1:
+        raise HypothesisError(f"distances on [0, 1) need univariate hypotheses, got p={p}")
+    if f.coef is not None:
         return np.array([0.0, 1.0]), f.coef, np.zeros(1)
     edges = np.array([0.0, 1.0])
     slope, intercept = np.ones((1, 1)), np.zeros((1, 1))
@@ -576,36 +580,30 @@ def _piecewise(f: FittedHypothesis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return edges, (slope @ W)[:, 0], (intercept @ W + b)[:, 0]
 
 
-def _step_pieces(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edges, slope, intercept) of q-bin step functions, bins (..., q): q equal pieces of slope 0."""
-    q = bins.shape[-1]
-    return np.arange(q + 1, dtype=float) / q, np.zeros(q), bins
-
-
 def _difference_pieces(f_pieces, g_pieces):
     """f - g as (edges, slope, intercept) on the union of both edge sets,
-    from the ``_piecewise`` pieces of each.
+    from the ``_piecewise`` pieces of each; slopes and intercepts are
+    indexed on their last axis, so either operand may be a block's.
 
     An operand of one piece (a line or a constant, as every population
-    target is) needs no merge: the other operand's edges are the union, and
-    its intercepts may be a block's, one row per fit.
+    target is) needs no merge: the other operand's edges are the union.
     """
     ef, sf, cf = f_pieces
     eg, sg, cg = g_pieces
     if eg.size == 2:
-        return ef, sf - sg[0], cf - cg[0]
+        return ef, sf - sg[..., :1], cf - cg[..., :1]
     if ef.size == 2:
-        return eg, sf[0] - sg, cf[0] - cg
+        return eg, sf[..., :1] - sg, cf[..., :1] - cg
     edges = np.union1d(ef, eg)
     i = np.searchsorted(ef, edges[:-1], side="right") - 1
     j = np.searchsorted(eg, edges[:-1], side="right") - 1
-    return edges, sf[i] - sg[j], cf[i] - cg[j]
+    return edges, sf[..., i] - sg[..., j], cf[..., i] - cg[..., j]
 
 
 def _piece_sum(edges: np.ndarray, s: np.ndarray, c: np.ndarray):
     """The integral over [0, 1) of (s z + c)^2, piece by piece: a piece of width
     w and midpoint m adds w (d(m)^2 + (s w)^2 / 12).  Summed along the last
-    axis, so a block's (R, pieces) intercepts give one value per row."""
+    axis, so a block's (R, pieces) slopes or intercepts give one value per row."""
     mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     return np.sum(widths * ((s * mids + c) ** 2 + (s * widths) ** 2 / 12.0), axis=-1)
 
@@ -635,39 +633,31 @@ def l2_distance(
     width w and midpoint m adds w (d(m)^2 + (s w)^2 / 12), a form that
     does not cancel when f is close to g.  Off the interval law (the ball
     law) every other pairing is Monte Carlo over ``draws`` fresh covariate
-    draws, with its stderr.  ``seed`` seeds those draws: an int, or a
-    zero-argument callable that returns it, called only on the Monte Carlo
-    branch.
+    draws, with its stderr.  ``seed`` seeds those draws: an int, for a
+    block also a list of per-row ints, or a zero-argument callable that
+    returns one, called only where a draw is made.
 
     For a ``FitBlock`` the value and stderr are arrays, one entry per row,
-    and ``seed`` a list with one seed per row: a linear block's quadratic
-    forms are one stacked product, and a step block's piece sums against a
-    one-piece operand (a line or a constant) on the interval law are one
-    sum along the bins, each row's as its fit alone gives it.
+    each as that row's fit alone gives it: a linear or step block takes the
+    same closed forms as one stacked product or piece sum, and only a block
+    with neither runs row by row, deriving its seeds at its first draw.
     """
-    if isinstance(f, FitBlock):
-        if f.coef is not None and (coef := _linear_coef(g)) is not None:
-            return _quadratic_form(f.coef - coef, law_second_moment(law, p)), np.zeros(f.size), "exact"
-        if f.bins is not None and law is CovariateLaw.INTERVAL:
-            g_pieces = _piecewise(_as_hypothesis(g))
-            if g_pieces[0].size == 2:
-                pieces = _difference_pieces(_step_pieces(f.bins), g_pieces)
-                return _piece_sum(*pieces), np.zeros(f.size), "exact"
+    block = isinstance(f, FitBlock)
+    if f.coef is not None and (coef := _linear_coef(g)) is not None:
+        value = _quadratic_form(f.coef - coef, law_second_moment(law, p))
+    elif law is CovariateLaw.INTERVAL and not (block and f.coef is None and f.bins is None):
+        value = _piece_sum(*_difference_pieces(_piecewise(f), _piecewise(_as_hypothesis(g))))
+    elif block:
+        seeds = functools.cache(lambda: _per_row(seed, f.size))
         values, stderrs, modes = zip(*(
-            l2_distance(fit, g, law, p=p, draws=draws, seed=s) for fit, s in zip(f, _per_row(seed, f.size))
+            l2_distance(fit, g, law, p=p, draws=draws, seed=lambda r=r: seeds()[r]) for r, fit in enumerate(f)
         ))
         return np.array(values), np.array(stderrs), modes[0]
-    if f.kind is HypothesisKind.LINEAR_BALL and (coef := _linear_coef(g)) is not None:
-        return float(_quadratic_form(f.coef - coef, law_second_moment(law, p))), 0.0, "exact"
-    g = _as_hypothesis(g)
-    if law is CovariateLaw.INTERVAL:
-        return float(_piece_sum(*_difference_pieces(_piecewise(f), _piecewise(g)))), 0.0, "exact"
-    rng = np.random.default_rng(_drawn(seed))
-    z = sample_covariates(law, p, draws, rng)
-    sq = (f.predict(z) - g.predict(z)) ** 2
-    value = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / math.sqrt(draws))
-    return value, stderr, "monte_carlo"
+    else:
+        z = sample_covariates(law, p, draws, np.random.default_rng(seed() if callable(seed) else seed))
+        sq = (f.predict(z) - _as_hypothesis(g).predict(z)) ** 2
+        return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(draws)), "monte_carlo"
+    return (value, np.zeros(f.size), "exact") if block else (float(value), 0.0, "exact")
 
 
 def sup_distance(f: FittedHypothesis, g) -> float:
@@ -681,7 +671,7 @@ def sup_distance(f: FittedHypothesis, g) -> float:
     a piece end (the one-sided limits at the jumps of a step function).
     """
     g = _as_hypothesis(g)
-    if f.kind is HypothesisKind.LINEAR_BALL and g.kind is HypothesisKind.LINEAR_BALL:
+    if f.coef is not None and g.coef is not None:
         d = f.coef - g.coef
         return float(np.abs(d).sum() / math.sqrt(d.size))
     edges, s, c = _difference_pieces(_piecewise(f), _piecewise(g))

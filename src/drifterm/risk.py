@@ -88,10 +88,10 @@ def learning_error(
     fits on every law, and step and network fits on the interval law (the
     target is linear, or a constant for the variance-drift generator).
     Step and network fits on the ball law are Monte Carlo with reported
-    standard error; ``seed`` seeds their draws, as an int or as a
-    zero-argument callable that ``l2_distance`` calls only then.  A
-    ``FitBlock`` gives one value and stderr per row, as arrays, against a
-    target computed once for the block.
+    standard error; ``seed`` seeds their draws: an int, for a block also a
+    list of per-row ints, or a zero-argument callable that returns one,
+    called only where a draw is made.  A ``FitBlock`` gives one value and
+    stderr per row, as arrays, against a target computed once for the block.
     """
     target = _population_target(spec, population_optimum_weighted(spec, w))
     return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)
@@ -121,7 +121,8 @@ def excess_risk(
     conditional mean, the excess risk is the squared L2 distance to the
     target-time regression function (the noise variance cancels), which
     avoids differencing two Monte Carlo risk estimates.  ``seed`` is as in
-    ``learning_error``.
+    ``learning_error``: an int, a list of per-row ints, or a zero-argument
+    callable that returns one, called only where a draw is made.
     """
     target = _population_target(spec, population_optimum_next(spec, t))
     return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)

@@ -464,9 +464,13 @@ class TestStrictInputs:
              "the fit takes p=1 covariates, the spec has p=2"),
             ({"class": {"kind": "linear", "b_bound": 1.0, "c_inf": 0.4}, "coef": [0.1, 0.2]},
              "fit.class.c_inf: unknown key"),
+            ({"class": {"kind": "step", "b_bound": 1.0, "q": 2}, "bins": [0.1, 0.4], "coef": [9.0]},
+             "fit: step hypothesis does not read coef"),
+            ({"class": {"kind": "linear", "b_bound": 1.0}, "coef": [0.1, 0.2], "bins": [0.1]},
+             "fit: linear hypothesis does not read bins"),
         ],
         ids=["linear-without-coef", "step-short-bins", "relu-without-layers", "relu-layer-shapes",
-             "linear-three-coefs", "relu-one-input", "class-with-c_inf"],
+             "linear-three-coefs", "relu-one-input", "class-with-c_inf", "step-with-coef", "linear-with-bins"],
     )
     def test_fit_json_without_its_parameters(self, inputs, fit, message):
         (inputs / "fit.json").write_text(json.dumps(fit))

@@ -38,7 +38,7 @@ from drifterm.processes import (
     DriftSpec,
     ProcessKind,
     ProcessSpec,
-    SamplePath,
+    pcg64_words,
     simulate,
 )
 from drifterm.rates import RateParameters, RatePreconditionError, RateVariant, check_rate_conditions
@@ -145,7 +145,7 @@ class TestRowPool:
 
     def test_failing_row_0_gives_the_same_result_for_every_jobs(self, monkeypatch):
         cfg = small_config(n_grid=(64,), replications=100)
-        first_seed = harness._row_seed(cfg.base_seed, 0, 0, 0, 0)
+        first_seed = seed_sequence_seed(cfg.base_seed, 0, 0, 0, 0)
         real_simulate = harness.simulate
 
         def simulate(spec, seeds):
@@ -176,7 +176,8 @@ import drifterm.cli
 from drifterm import harness
 from drifterm.harness import config_from_dict
 config_from_dict(json.load(sys.stdin)["config"])
-print(json.dumps([[name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random")
+print(json.dumps([[name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random",
+                                    "hashlib", "difflib")
                    if name in sys.modules],
                   harness._retain_freed_memory.cache_info().currsize]))
 """
@@ -185,7 +186,8 @@ print(json.dumps([[name for name in ("concurrent.futures", "multiprocessing", "s
 def test_setup_imports_no_pool_and_no_scipy():
     """Importing the CLI and building a workload config, the set-up that every
     command pays, loads neither the process pool nor scipy nor numpy.random,
-    and leaves the allocator as it was."""
+    nor hashlib (a config is hashed only when a run writes its manifest) nor
+    difflib (only an unknown key needs it), and leaves the allocator as it was."""
     env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", IMPORTS_OF_SETUP],
@@ -222,7 +224,7 @@ class TestSharedPath:
         cfg = three_param_config()
         res = run_experiment(cfg)
         expected = [
-            (n, param, harness._row_seed(cfg.base_seed, i_n, 0, rep, 0))
+            (n, param, seed_sequence_seed(cfg.base_seed, i_n, 0, rep, 0))
             for i_n, n in enumerate(cfg.n_grid)
             for param in THREE_EXP.params
             for rep in range(cfg.replications)
@@ -256,7 +258,7 @@ class TestSharedPathFailures:
     cfg = small_config(weights=THREE_EXP, n_grid=(64,), replications=100)
 
     def seed(self, i_param, rep, stream):
-        return harness._row_seed(self.cfg.base_seed, 0, i_param, rep, stream)
+        return seed_sequence_seed(self.cfg.base_seed, 0, i_param, rep, stream)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_simulation_fails_every_row_of_its_path(self, monkeypatch, jobs):
@@ -307,7 +309,7 @@ class TestSharedPathFailures:
         cfg = small_config(weights=WeightPolicy(family=WeightFamily.BROWN_DES, params=(0.1,)),
                            n_grid=(256,), replications=100)
         assert harness._block_size(256) >= cfg.replications
-        bad = harness._row_seed(cfg.base_seed, 0, 0, 7, 0)
+        bad = seed_sequence_seed(cfg.base_seed, 0, 0, 7, 0)
         real = harness.simulate
 
         def simulate(spec, seeds):
@@ -379,10 +381,10 @@ class TestSeedsDerivedWhereDrawn:
         assert counts == {0: 2, 2: 2}
         assert len(fits) == cfg.replications
         for rep in range(cfg.replications):
-            path_seed = harness._row_seed(cfg.base_seed, 0, 0, rep, 0)
+            path_seed = seed_sequence_seed(cfg.base_seed, 0, 0, rep, 0)
             y = simulate(replace(cfg.process, n=32), path_seed).y
             (fit,) = [f for path_y, f in fits if np.array_equal(path_y, y)]
-            assert fit.fit_meta["seed"] == harness._row_seed(cfg.base_seed, 0, 0, rep, 2)
+            assert fit.fit_meta["seed"] == seed_sequence_seed(cfg.base_seed, 0, 0, rep, 2)
 
     def test_relu_ball_grid_derives_both(self, monkeypatch):
         rows, counts, _ = self.streams(monkeypatch, config_from_dict(ROWS_PINS["relu_ball_mc"][0]))
@@ -412,7 +414,6 @@ class TestRowSeeds:
         expected = [seed_sequence_seed(base_seed, i_n, i_param, rep, stream) for rep in reps]
         seeds = harness._row_seeds(base_seed, i_n, i_param, reps, stream)
         assert seeds.dtype == np.uint64 and seeds.tolist() == expected
-        assert [harness._row_seed(base_seed, i_n, i_param, rep, stream) for rep in reps] == expected
 
     def test_a_cell_of_200_reps(self):
         seeds = harness._row_seeds(12345, 2, 0, range(200), 0)
@@ -609,21 +610,29 @@ class TestBlocks:
                 outputs.add(tuple((out / name).read_bytes() for name in ("rows.csv", "manifest.json")))
         assert len(outputs) == 1
 
-    def test_step_covariate_outside_the_interval_fails_only_its_row(self):
-        """A step block that fails is fitted again path by path: the row whose
+    def test_step_covariate_outside_the_interval_fails_only_its_row(self, monkeypatch):
+        """A step block that fails is run again path by path: the row whose
         covariate is 1.0 fails, and the others keep their clean values."""
         spec = replace(INTERVAL_AR1, core=DependenceCore(), n=64)
-        paths = simulate(spec, [3, 4, 5])
-        z = paths.z.copy()
-        z[1, 10, 0] = 1.0
+        seeds = (3, 4, 5)
         w = make_weights(WeightSpec(WeightFamily.UNIFORM_WINDOW, t=64, n=64, param=64))
         klass = HypothesisClassSpec(kind=HypothesisKind.STEP_BASIS)
-        key = (11, 0, 0)
-        outcomes = harness._fit_outcomes(SamplePath(paths.y, z, spec), spec, 1000, w, klass, key, 0)
+        payload = (spec, seeds, pcg64_words(seeds), 0, [w], klass, 1000, 11, 0)
+        real = harness.simulate
+
+        def simulate(spec, path_seeds):
+            paths = real(spec, path_seeds)
+            if 4 not in path_seeds:
+                return paths
+            z = paths.z.copy()
+            z[list(path_seeds).index(4), 10, 0] = 1.0
+            return type(paths)(y=paths.y, z=z, spec=spec)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        outcomes = harness._block_task(payload)
         assert outcomes[1] == "HypothesisError: step basis expects covariates in [0, 1)"
         for r in (0, 2):
-            alone = SamplePath(paths.y[r : r + 1], paths.z[r : r + 1], spec)
-            assert outcomes[r] == harness._fit_outcomes(alone, spec, 1000, w, klass, key, r)[0]
+            assert outcomes[r] == harness._block_task(harness._paths(payload, r, r + 1))[0]
             assert isinstance(outcomes[r], tuple)
 
     def test_block_holds_at_most_the_budget_of_path_rows(self):

@@ -826,6 +826,22 @@ class TestL2Distance:
         with pytest.raises(HypothesisError, match="univariate"):
             sup_distance(net, 0.0)
 
+    @pytest.mark.parametrize("operand", ["step_q3", "relu", "linear_block"])
+    def test_block_against_a_multi_piece_operand_is_each_rows_lone_distance(self, operand):
+        """A step block against a step fit of another q or a ReLU fit, and a linear
+        block against a step fit, are one stacked piece sum, bit for bit each row's."""
+        spec = linear_spec(64, p=1, drift=DriftSpec.constant([0.5]), law=CovariateLaw.INTERVAL)
+        rng = np.random.default_rng(5)
+        klass, g = {
+            "step_q3": (HypothesisClassSpec.step(5, 1.0), step_fit([0.2, -0.1, 0.5])),
+            "relu": (HypothesisClassSpec.step(5, 1.0), random_net(rng, 4, 2)),
+            "linear_block": (HypothesisClassSpec.linear(1.0), step_fit([0.2, -0.1, 0.5, 0.3])),
+        }[operand]
+        block = fit_weighted_erm(simulate(spec, list(range(6))), uniform_w(64), klass)
+        value, se, mode = l2_distance(block, g, CovariateLaw.INTERVAL)
+        assert mode == "exact" and se.tolist() == [0.0] * len(block)
+        assert repr(value.tolist()) == repr([l2_distance(fit, g, CovariateLaw.INTERVAL)[0] for fit in block])
+
     def test_step_vs_multivariate_linear_stays_monte_carlo(self):
         f, g = step_fit([0.2, 0.8]), linear_fit([0.5, 0.1])
         _, se, mode = l2_distance(f, g, CovariateLaw.BALL, p=2, draws=2000)
@@ -835,6 +851,15 @@ class TestL2Distance:
 def net_layers(*sizes):
     """Zero layers chaining ``sizes[i] -> sizes[i + 1]``."""
     return tuple((np.zeros((a, b)), np.zeros(b)) for a, b in zip(sizes[:-1], sizes[1:]))
+
+
+# One valid parameter of each name, and each kind's class with the one it reads:
+# a fit holds its own kind's parameter and no other.
+FIT_PARAMETERS = {"coef": np.array([9.0]), "bins": np.array([0.1, 0.4]), "layers": net_layers(1, 4, 1)}
+FIT_KINDS = {"linear": (HypothesisClassSpec.linear(1.0), "coef"), "step": (HypothesisClassSpec.step(2, 1.0), "bins"),
+             "relu": (HypothesisClassSpec.relu(4, 1, 1.0), "layers")}
+FOREIGN_PARAMETERS = [(kind, own, name) for kind, (_, own) in FIT_KINDS.items()
+                      for name in FIT_PARAMETERS if name != own]
 
 
 class TestFittedHypothesisParameters:
@@ -860,10 +885,14 @@ class TestFittedHypothesisParameters:
             (HypothesisClassSpec.relu(4, 1, 1.0),
              {"layers": ((np.zeros((1, 4)), np.zeros(3)), (np.zeros((4, 1)), np.zeros(1)))},
              r"layer 0 has W \(1, 4\) and b \(3,\); the class needs W \(1, 4\) and b \(4,\)"),
+        ] + [
+            (FIT_KINDS[kind][0], {own: FIT_PARAMETERS[own], name: FIT_PARAMETERS[name]},
+             f"{kind} hypothesis does not read {name}")
+            for kind, own, name in FOREIGN_PARAMETERS
         ],
         ids=["linear-none", "linear-bins-only", "step-none", "step-short", "relu-none",
              "relu-layer-count", "relu-first-width", "relu-chain-break", "relu-last-width",
-             "relu-bias-width"],
+             "relu-bias-width"] + [f"{kind}-with-{name}" for kind, _, name in FOREIGN_PARAMETERS],
     )
     def test_missing_parameters_rejected(self, spec, params, message):
         with pytest.raises(HypothesisError, match=f"^{message}$"):
