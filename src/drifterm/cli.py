@@ -37,7 +37,7 @@ from .hypotheses import FittedHypothesis, HypothesisClassSpec, HypothesisError, 
 from .mixing import MixingError, k_rho, m_beta
 from .processes import ProcessSpec, ProcessSpecError, mixing_profile
 from .processes import read_path_csv, simulate, write_path_csv
-from .rates import RateError, bound_certificate
+from .rates import RateError, bound_certificate, check_rate_conditions
 from .risk import RiskError, risk_report
 from .weights import (
     WeightDomainError,
@@ -191,7 +191,7 @@ def _cmd_rates(args) -> int:
     if args.grid < 1:
         raise HarnessError(f"--grid: expected an integer >= 1, got {args.grid}")
     cfg = config_from_dict(_read_json(args.config))
-    rate, report = build_rate(cfg, cfg.process)
+    rate, _ = build_rate(cfg, cfg.process)
     table = [{"u": float(u), "r": rate(float(u)),
               "certificate": bound_certificate(rate, float(u), cfg.delta)}
              for u in np.geomspace(*rate.domain, args.grid)]
@@ -200,7 +200,7 @@ def _cmd_rates(args) -> int:
         "n": cfg.process.n,
         "a": rate.a,
         "rate_table": table,
-        "condition_report": dataclasses.asdict(report),
+        "condition_report": dataclasses.asdict(check_rate_conditions(rate)),
     })
     return 0
 

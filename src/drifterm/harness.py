@@ -229,10 +229,8 @@ class ExperimentResult:
 
     @property
     def slope_pass(self) -> bool | None:
-        if self.slope is None or self.config.slope_band is None:
-            return None
-        lo, hi = self.config.slope_band
-        return lo <= self.slope.slope <= hi
+        """Whether the slope lies in the config's slope_band (None without either)."""
+        return self.manifest.get("slope_pass")
 
 
 def _row_seeds(base_seed: int, i_n: int, i_param: int, reps, stream: int) -> np.ndarray:
@@ -328,8 +326,8 @@ def _fit_outcomes(paths, spec, draws, w, class_spec, key, reps) -> list:
 
 def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
     """Rate function for one grid n, with the scale constant found by doubling, and
-    its ConditionReport, whose points are built only when read; a block length that
-    fails its condition is refused after the variant's own preconditions."""
+    its least condition slack; a block length that fails its condition is refused
+    after the variant's own preconditions."""
     n = spec.n
     profile = mixing_profile(spec)
     block = m_beta(profile, n, cfg.delta)
@@ -341,10 +339,10 @@ def build_rate(cfg: ExperimentConfig, spec: ProcessSpec):
         **class_rate_inputs(cfg.weights.family, n),
         **cfg.hypothesis.rate_inputs(spec),
     )
-    rate, report = find_scale_constant(cfg.rate_variant, params)
+    rate, slack = find_scale_constant(cfg.rate_variant, params)
     if not block.satisfied:
         raise RatePreconditionError(f"no block length m <= n={n} has (n/m) beta(m) <= delta={cfg.delta}")
-    return rate, report
+    return rate, slack
 
 
 def run_experiment(
@@ -379,11 +377,10 @@ def run_experiment(
         spec = replace(cfg.process, n=n)
         wspecs = cfg.weights.specs(n)
         try:
-            rate, report = build_rate(cfg, spec)
+            rate, rate_min_slack[n] = build_rate(cfg, spec)
         except RatePreconditionError as exc:
             raise HarnessError(f"{wspecs[0].family.value} weights at n={n}: {exc}") from exc
         rate_constants[n] = rate.a
-        rate_min_slack[n] = report.min_slack
         weights = [make_weights(wspec) for wspec in wspecs]
         meta = []
         for wspec, w in zip(wspecs, weights):
@@ -432,15 +429,12 @@ def run_experiment(
             f"{len(failures)}/{total} rows failed (> {MAX_ROW_FAILURE_FRACTION:.0%})"
         )
 
-    outliers = _flag_outliers(rows)
-
     axis = cfg._slope_axis()
     slope = None
     if axis is not None:
         slope = fit_slope(rows, axis, "learning_error")
 
-    manifest = build_manifest(cfg, rate_constants, rate_min_slack, failures, len(rows))
-    manifest["outliers"] = outliers
+    manifest = build_manifest(cfg, rows, slope, rate_constants, rate_min_slack, failures)
     result = ExperimentResult(config=cfg, rows=tuple(rows), slope=slope, manifest=manifest)
     if out_dir is not None:
         write_result(result, out_dir)
@@ -657,10 +651,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_manifest(cfg, rate_constants, rate_min_slack, failures, n_rows) -> dict:
+def build_manifest(cfg, rows, slope, rate_constants, rate_min_slack, failures) -> dict:
+    """A run's manifest, the whole of what ``manifest.json`` holds."""
     from . import __version__
 
-    return {
+    manifest = {
         "config": config_to_dict(cfg),
         "config_sha256": config_hash(cfg),
         "base_seed": cfg.base_seed,
@@ -668,8 +663,14 @@ def build_manifest(cfg, rate_constants, rate_min_slack, failures, n_rows) -> dic
         "rate_constants": {str(k): v for k, v in rate_constants.items()},
         "rate_min_slack": {str(k): v for k, v in rate_min_slack.items()},
         "failures": failures,
-        "n_rows": n_rows,
+        "n_rows": len(rows),
+        "outliers": _flag_outliers(rows),
     }
+    if slope is not None:
+        band = cfg.slope_band
+        manifest["slope"] = dataclasses.asdict(slope)
+        manifest["slope_pass"] = None if band is None else band[0] <= slope.slope <= band[1]
+    return manifest
 
 
 def rows_to_csv(rows) -> str:
@@ -688,10 +689,6 @@ def write_result(result: ExperimentResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "rows.csv"), "w", encoding="utf-8", newline="\n") as f:
         f.write(rows_to_csv(result.rows))
-    manifest = dict(result.manifest)
-    if result.slope is not None:
-        manifest["slope"] = dataclasses.asdict(result.slope)
-        manifest["slope_pass"] = result.slope_pass
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(result.manifest, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -254,9 +254,12 @@ def _weighted_risk(w: np.ndarray, residuals: np.ndarray) -> float:
 
 def _per_row(seed, size: int) -> list:
     """A block's seeds, one per row: a zero-argument callable is called now for
-    its int or list; a list or tuple gives one seed per row, an int every row's."""
+    its int or list; a list or tuple gives one seed per row, its size the block's."""
     seed = seed() if callable(seed) else seed
-    return list(seed) if isinstance(seed, (list, tuple)) else [seed] * size
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * size
+    if len(seeds) != size:
+        raise HypothesisError(f"seed: a list of {len(seeds)} seeds for a block of {size} rows")
+    return seeds
 
 
 def _fit_linear(z: np.ndarray, y: np.ndarray, w: np.ndarray, spec: HypothesisClassSpec) -> "FitBlock":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -195,29 +195,13 @@ class ConditionPoint:
     approx_ok: bool
 
 
-class _BuiltOnRead:
-    """A ConditionReport's ``points``: the tuple, or a zero-argument callable
-    that builds it when it is first read, so that a caller that reads only
-    the verdict and the slack (``run_experiment``) builds no ConditionPoint."""
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            raise AttributeError("points")  # read by @dataclass as the default: none
-        points = report.__dict__["points"]
-        if callable(points):
-            points = report.__dict__["points"] = points()
-        return points
-
-    def __set__(self, report, points):
-        report.__dict__["points"] = points
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """The growth conditions of one rate on its norm grid, point by point,
-    with the verdict, the numerical Lipschitz constant and the least slack."""
+    with the verdict, the numerical Lipschitz constant and the least slack;
+    built by :func:`check_rate_conditions`."""
 
-    points: tuple[ConditionPoint, ...] = _BuiltOnRead()
+    points: tuple[ConditionPoint, ...]
     all_pass: bool
     lipschitz_estimate: float
     min_slack: float
@@ -242,7 +226,8 @@ class _ConditionGrid:
     take the whole grid in one call.  Each pow, log and square is a scalar
     Python call per point (libm's: numpy's SIMD ones differ in the last
     ulp), so the arrays hold the doubles of a point-by-point evaluation;
-    numpy only adds, multiplies, divides and compares them.
+    numpy only adds, multiplies, divides and compares them.  ``slack`` is
+    the scale search's trial, ``report`` the full point-by-point report.
     """
 
     def __init__(self, params: RateParameters) -> None:
@@ -260,62 +245,51 @@ class _ConditionGrid:
             self._powers[exponent] = np.array([x**exponent for x in self.points])
         return self._powers[exponent]
 
-    def check(self, rate: RateFunction) -> _GridCheck:
-        """Growth: r(u)^2 >= K_w(u) u^2 (c_p^2 k_rho + m_beta bw min{2, c_p
-        r(u)/c_inf}); approximation: r(u)^2 >= 4 approx_err(u)^2."""
+    def _requirements(self, rate: RateFunction):
+        """r(u), the growth requirement K_w(u) u^2 (c_p^2 k_rho + m_beta bw
+        min{2, c_p r(u)/c_inf}), and the larger of it and the approximation
+        requirement 4 approx_err(u)^2."""
         params = rate.params
         values = _power_sum(rate.terms, self._power)
         kw = _complexity(_log_n1(params, rate.a), self.log_ninf)
         local = np.minimum(2.0, params.c_p * values / params.c_inf) if params.c_inf > 0 else 2.0
-        required_growth = kw * self.u_sq * (
-            params.c_p**2 * params.k_rho + params.m_beta * params.bw * local
-        )
-        required = np.maximum(required_growth, self.required_approx)
+        growth = kw * self.u_sq * (params.c_p**2 * params.k_rho + params.m_beta * params.bw * local)
+        return values, growth, np.maximum(growth, self.required_approx)
+
+    def slack(self, rate: RateFunction) -> float | None:
+        """The least slack of a rate that meets both conditions, else None."""
+        values, _, required = self._requirements(rate)
         # values * values lies within an ulp of libm's values**2: a point short
         # by more than 1e-12 fails either way, and the trial needs no squares
         if np.any(values * values < (1.0 - 1e-12) * required):
-            return _GridCheck(values, None, required_growth, False)
+            return None
         rate_sq = _squares(values)
-        return _GridCheck(values, rate_sq, required_growth, bool(np.all(rate_sq >= required)))
+        return _least_slack(rate_sq, required) if np.all(rate_sq >= required) else None
 
-    def report(self, check: _GridCheck) -> ConditionReport:
-        rate_sq = _squares(check.values) if check.rate_sq is None else check.rate_sq
-        required = np.maximum(check.required_growth, self.required_approx)
-        binding = required > 0
-        slack = math.inf
-        if binding.any():
-            slack = float(np.min(rate_sq[binding] / required[binding]))
+    def report(self, rate: RateFunction) -> ConditionReport:
+        values, growth, required = self._requirements(rate)
+        rate_sq = _squares(values)
         lipschitz = 0.0
         if len(self.points) > 1:
-            lipschitz = float(np.max(np.abs(np.diff(check.values)) / np.diff(self.u)))
-
-        def points():
-            return tuple(
-                ConditionPoint(u, r_sq, growth, approx, r_sq >= growth, r_sq >= approx)
-                for u, r_sq, growth, approx in zip(
-                    self.points,
-                    rate_sq.tolist(),
-                    check.required_growth.tolist(),
-                    self.required_approx.tolist(),
-                )
-            )
-
+            lipschitz = float(np.max(np.abs(np.diff(values)) / np.diff(self.u)))
         return ConditionReport(
-            points=points,
-            all_pass=check.all_pass,
+            points=tuple(
+                ConditionPoint(u, r_sq, g, approx, r_sq >= g, r_sq >= approx)
+                for u, r_sq, g, approx in zip(
+                    self.points, rate_sq.tolist(), growth.tolist(), self.required_approx.tolist()
+                )
+            ),
+            all_pass=bool(np.all(rate_sq >= required)),
             lipschitz_estimate=lipschitz,
-            min_slack=slack if math.isfinite(slack) else math.inf,
+            min_slack=_least_slack(rate_sq, required),
         )
 
 
-class _GridCheck(NamedTuple):
-    """One rate on a _ConditionGrid: r(u), r(u)^2 (None for a trial failed
-    without it), the growth requirement, the verdict."""
-
-    values: np.ndarray
-    rate_sq: np.ndarray | None
-    required_growth: np.ndarray
-    all_pass: bool
+def _least_slack(rate_sq: np.ndarray, required: np.ndarray) -> float:
+    """min r(u)^2 / required(u) over the norms with a positive requirement (inf if none)."""
+    binding = required > 0
+    slack = float(np.min(rate_sq[binding] / required[binding])) if binding.any() else math.inf
+    return slack if math.isfinite(slack) else math.inf
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -331,29 +305,28 @@ def check_rate_conditions(rate: RateFunction) -> ConditionReport:
     r(u)/c_inf}).  Approximation: r(u)^2 >= 4 approx_err(u)^2 (square
     loss), with the ``approx_err`` of the rate's parameters.  Also reports
     the numerical Lipschitz constant of r and the minimal multiplicative
-    slack across the grid.
+    slack across the grid.  This is the one builder of a report; the scale
+    search returns only the slack, and ``drifterm rates`` prints the report.
     """
-    conditions = _ConditionGrid(rate.params)
-    return conditions.report(conditions.check(rate))
+    return _ConditionGrid(rate.params).report(rate)
 
 
-def find_scale_constant(
-    variant: RateVariant, params: RateParameters
-) -> tuple[RateFunction, ConditionReport]:
+def find_scale_constant(variant: RateVariant, params: RateParameters) -> tuple[RateFunction, float]:
     """Double the scale constant from 1 until the rate passes its conditions.
 
     Each trial ties the Lipschitz budget to the scale via k = a^2 n^2, the
     value under which the closed-form rates' derivatives are provably
     controlled.  The grid terms that do not depend on ``a`` are computed
     once; a trial evaluates only the weight covering at its k and the
-    rate's scaled terms.  Returns the first passing rate with its report.
+    rate's scaled terms.  Returns the first passing rate with its least
+    slack, the ``min_slack`` of its :func:`check_rate_conditions` report.
     """
     rate = closed_form_rate(variant, params)  # the preconditions, before any covering
     conditions = _ConditionGrid(params)
     for _ in range(DOUBLINGS):
-        check = conditions.check(rate)
-        if check.all_pass:
-            return rate, conditions.report(check)
+        slack = conditions.slack(rate)
+        if slack is not None:
+            return rate, slack
         rate = closed_form_rate(variant, params, 2.0 * rate.a)
     raise RateError(f"no passing scale constant within {DOUBLINGS} doublings")
 

@@ -98,12 +98,11 @@ def learning_error(
 
 
 def drift_error(spec: ProcessSpec, w: WeightVector, t: int) -> float:
-    """Exact squared distance between the weighted optimum and the time-(t+1) target."""
-    a = population_optimum_weighted(spec, w)
-    b = population_optimum_next(spec, t)
-    if spec.kind is ProcessKind.DRIFTING_VARIANCE:
-        return float((a[0] - b[0]) ** 2)
-    d = a - b
+    """Exact squared distance between the weighted optimum and the time-(t+1) target.
+
+    On the variance-drift kind both optima are the same constant mean, so the
+    difference is zero and the form is exactly 0.0."""
+    d = population_optimum_weighted(spec, w) - population_optimum_next(spec, t)
     return float(d @ law_second_moment(spec.law, spec.p) @ d)
 
 

@@ -70,6 +70,10 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# The fewest grid points that give a slope over n.
+SLOPE_GRID = (64, 128, 256, 512, 1024)
+
+
 class TestRunExperiment:
     def test_degenerate_config_has_no_slope(self):
         cfg = small_config(n_grid=(64,), replications=1)
@@ -110,6 +114,23 @@ class TestRunExperiment:
         a = run_experiment(small_config(base_seed=1))
         b = run_experiment(small_config(base_seed=2))
         assert rows_to_csv(a.rows) != rows_to_csv(b.rows)
+
+    def test_manifest_json_is_the_run_manifest(self, tmp_path):
+        cfg = small_config(n_grid=SLOPE_GRID, slope_band=(-2.0, 0.0))
+        res = run_experiment(cfg, out_dir=str(tmp_path))
+        assert res.slope is not None
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert {"outliers", "slope", "slope_pass"} <= set(manifest)
+        assert manifest == res.manifest
+
+    def test_slope_pass_reads_the_slope_band_alone(self):
+        res = run_experiment(small_config(n_grid=SLOPE_GRID))
+        slope = res.slope.slope
+        assert res.slope_pass is None  # no band
+        around = run_experiment(small_config(n_grid=SLOPE_GRID, slope_band=(slope - 0.1, slope + 0.1)))
+        assert around.slope.slope == slope
+        assert around.slope_pass is True
+        assert run_experiment(small_config(n_grid=SLOPE_GRID, slope_band=(0.0, 0.5))).slope_pass is False
 
 
 POOL_OPENS_AFTER_ROW_0 = """
@@ -831,11 +852,11 @@ class TestBuildRate:
     @pytest.mark.parametrize("key", sorted(RATE_PINS), ids=lambda key: "-".join(map(str, key)))
     def test_pinned_scale_and_slack(self, key):
         klass, family, n = key
-        rate, report = build_rate(*rate_config(klass, family, n))
-        a, slack = RATE_PINS[key]
+        rate, slack = build_rate(*rate_config(klass, family, n))
+        a, pinned = RATE_PINS[key]
         assert rate.a == a
-        assert report.all_pass
-        assert report.min_slack == pytest.approx(slack, rel=1e-12)
+        assert check_rate_conditions(rate).all_pass
+        assert slack == pytest.approx(pinned, rel=1e-12)
 
     @pytest.mark.parametrize("klass", ["step", "step_q8", "relu"])
     def test_brown_weights_exceed_n_on_ar1(self, klass):
@@ -882,15 +903,15 @@ class TestBuildRate:
         # the condition grid runs up to c1 = 3
         cfg, spec = rate_config(klass, "brown", 256)
         iid = replace(spec, core=DependenceCore())
-        rate, report = build_rate(replace(cfg, process=iid), iid)
+        rate, found = build_rate(replace(cfg, process=iid), iid)
         assert rate.domain == (1 / 16, 3.0)
         assert rate.a == a
-        assert report.min_slack == pytest.approx(slack, rel=1e-12)
+        assert found == pytest.approx(slack, rel=1e-12)
 
     def test_no_params_means_full_uniform_window(self):
-        rate, report = build_rate(*rate_config("linear", "uniform", 256, params=None))
+        rate, slack = build_rate(*rate_config("linear", "uniform", 256, params=None))
         assert rate.a == 16.0
-        assert report.min_slack == pytest.approx(1.0785815587459853, rel=1e-12)
+        assert slack == pytest.approx(1.0785815587459853, rel=1e-12)
 
     def test_coverings_evaluated_once_per_point_and_once_per_trial(self, monkeypatch):
         calls = {"log_n1_w": 0, "log_ninf_h": 0}
@@ -911,7 +932,7 @@ class TestBuildRate:
         monkeypatch.setattr(harness, "find_scale_constant", counting_search)
         workload = json.loads((WORKLOADS / "step_mc.json").read_text())
         cfg = config_from_dict(workload["config"])
-        rate, report = build_rate(cfg, replace(cfg.process, n=1024))
+        rate, _ = build_rate(cfg, replace(cfg.process, n=1024))
         trials = int(math.log2(rate.a)) + 1
         assert trials > 1
         assert calls["log_n1_w"] == trials
@@ -931,10 +952,8 @@ class TestBuildRate:
         assert built == []
         assert sorted(res.manifest["rate_min_slack"]) == sorted(res.manifest["rate_constants"])
         for n in cfg.n_grid:
-            rate, _ = build_rate(cfg, replace(cfg.process, n=n))
-            report = check_rate_conditions(rate)
-            assert res.manifest["rate_min_slack"][str(n)] == report.min_slack
-        assert len(report.points) == len(built) > 0  # the points are built when read
+            rate, slack = build_rate(cfg, replace(cfg.process, n=n))
+            assert res.manifest["rate_min_slack"][str(n)] == slack == check_rate_conditions(rate).min_slack
 
 
 class TestConfigValidation:

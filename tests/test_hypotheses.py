@@ -453,6 +453,11 @@ class TestNetFits:
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
 
+    def test_seed_list_must_match_the_block(self):
+        paths = simulate(linear_spec(64, p=1), [1, 2, 3])
+        with pytest.raises(HypothesisError, match=r"^seed: a list of 1 seeds for a block of 3 rows$"):
+            fit_weighted_erm(paths, uniform_w(64), HypothesisClassSpec.relu(4, 1, 1.0), seed=[7])
+
     def test_parameters_stay_in_box(self):
         spec = linear_spec(64)
         path = simulate(spec, 11)
@@ -841,6 +846,13 @@ class TestL2Distance:
         value, se, mode = l2_distance(block, g, CovariateLaw.INTERVAL)
         assert mode == "exact" and se.tolist() == [0.0] * len(block)
         assert repr(value.tolist()) == repr([l2_distance(fit, g, CovariateLaw.INTERVAL)[0] for fit in block])
+
+    def test_seed_list_must_match_the_block(self):
+        # a network block on the ball law is measured row by row, by Monte Carlo
+        paths = simulate(linear_spec(64, p=1), [1, 2, 3])
+        block = fit_weighted_erm(paths, uniform_w(64), HypothesisClassSpec.relu(4, 1, 1.0), seed=[4, 5, 6])
+        with pytest.raises(HypothesisError, match=r"^seed: a list of 2 seeds for a block of 3 rows$"):
+            l2_distance(block, 0.0, CovariateLaw.BALL, draws=100, seed=[7, 8])
 
     def test_step_vs_multivariate_linear_stays_monte_carlo(self):
         f, g = step_fit([0.2, 0.8]), linear_fit([0.5, 0.1])

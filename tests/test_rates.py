@@ -148,9 +148,9 @@ class TestConditionChecks:
             log_ninf_h=class_covering(HypothesisClassSpec.linear(1.0), p=2),
             c_inf=math.sqrt(1 / 6),
         )
-        rate, report = find_scale_constant(RateVariant.I, params)
-        assert report.all_pass
-        assert report.min_slack >= 1.0
+        rate, slack = find_scale_constant(RateVariant.I, params)
+        assert check_rate_conditions(rate).all_pass
+        assert slack >= 1.0
         assert rate.a >= 1.0
 
     def test_zero_rate_fails_everywhere(self):
@@ -171,7 +171,8 @@ class TestConditionChecks:
             log_ninf_h=step["log_ninf_h"],
             approx_err=step["approx_err"],
         )
-        rate, report = find_scale_constant(RateVariant.I, params)
+        rate, _ = find_scale_constant(RateVariant.I, params)
+        report = check_rate_conditions(rate)
         assert report.all_pass
         assert all(p.approx_ok for p in report.points)
 
@@ -291,9 +292,11 @@ class TestSharedEvaluatorOracle:
     )
     def test_scale_search_matches_reference(self, name, variant):
         params = oracle_setups()[name]
-        rate, report = find_scale_constant(variant, params)
+        rate, slack = find_scale_constant(variant, params)
         a, expected = reference_scale_constant(variant, params)
         assert rate.a == a
+        assert slack == expected.min_slack
+        report = check_rate_conditions(rate)
         assert report.points == expected.points
         assert report.min_slack == expected.min_slack
         assert report.lipschitz_estimate == expected.lipschitz_estimate

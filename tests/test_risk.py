@@ -170,6 +170,12 @@ class TestDriftError:
     def test_variance_kind_always_zero(self):
         spec = variance_spec()
         assert drift_error(spec, uniform_w(spec.n), spec.n) == 0.0
+        # both optima are the mean, whatever the weights
+        for family, param in [(WeightFamily.EXPONENTIAL, 0.01), (WeightFamily.BROWN_DES, 0.5)]:
+            for mean in (0.0, 0.3):
+                spec = variance_spec(mean=mean)
+                w = make_weights(WeightSpec(family, t=spec.n, n=spec.n, param=param))
+                assert drift_error(spec, w, spec.n) == 0.0
 
     def test_switch_drift_quarter_gap(self):
         spec = ProcessSpec(
