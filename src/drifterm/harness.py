@@ -21,8 +21,12 @@ BLOCK_PATH_ELEMENTS path rows (replications x (n + 1)), so its memory
 stays near a megabyte: 254 replications at n = 128, 3 at n = 8192.
 On glibc, freed block arrays stay on the heap for the next block (mmap
 threshold 1 MiB, trim threshold 4 MiB, which caps what a process keeps),
-so a block does not fault in fresh pages.  Results do not depend on that,
-on the block size, the worker count or the completion order.
+so a block does not fault in fresh pages.  With ``jobs > 1`` the blocks
+after the first path run in one pool of worker processes per process: the
+first pooled call opens it, later calls with the same ``jobs`` reuse it, a
+call with another ``jobs`` replaces it, and it is closed at exit.  A worker
+keeps only caches and heap between calls.  Results do not depend on any of
+that, on the block size, the worker count or the completion order.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ BLOCK_PATH_ELEMENTS = 2**15
 # process keeps.
 _MMAP_THRESHOLD_BYTES = 32 * BLOCK_PATH_ELEMENTS  # 1 MiB
 _TRIM_THRESHOLD_BYTES = 4 * _MMAP_THRESHOLD_BYTES  # 4 MiB
+
+# (pid, jobs, executor, exit finalizer) of the live worker pool, or None:
+# opened by the first pooled call, owned by the process that opened it.
+_pool = None
 
 # Fewest distinct x values for a log-log slope against each x field.
 SLOPE_MIN_POINTS = {"n": 5, "n_eff": 3, "param": 3}
@@ -265,6 +273,36 @@ def _retain_freed_memory() -> bool:
                 and mallopt(m_mmap_threshold, _MMAP_THRESHOLD_BYTES))
 
 
+def _worker_pool(jobs: int):
+    """This process's pool of ``jobs`` workers, opened on first use and reused
+    after.  A pool of another size is closed first; one inherited through a
+    fork is only forgotten, since its manager thread stayed in the parent."""
+    global _pool
+    if _pool is not None and _pool[:2] != (os.getpid(), jobs):
+        _close_pool()
+    if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never pays for it
+        from multiprocessing.util import Finalize
+
+        # Closed at exit by multiprocessing's exit hook: an atexit hook here,
+        # and the exit path of a multiprocessing child, which runs no atexit
+        # hook and would otherwise wait on its workers forever.  Priority 20
+        # runs it before the queues' own finalizers (10) stop their feeders.
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs),
+                 Finalize(None, _close_pool, exitpriority=20))
+    return _pool[2]
+
+
+def _close_pool() -> None:
+    """Shut the live pool down, if this process opened it, and forget it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        _, _, executor, at_exit = pool
+        at_exit.cancel()
+        executor.shutdown()
+
+
 def _block_task(payload: tuple) -> list:
     """One block of replications of one grid n: simulate its paths at once,
     then fit and measure them under each weight of the cell.  Outcomes run
@@ -355,11 +393,15 @@ def run_experiment(
     BLOCK_PATH_ELEMENTS path rows.  A block's paths are simulated at once and
     fitted under every weight of the sweep, each row bit for bit what its
     path alone gives.  With ``jobs > 1`` the first replication runs in this
-    process and the rest in ``jobs`` workers forked after it, so the workers
-    start with what that path imported or memoised; a pool chunk holds about
-    8 paths.  A cell's path seeds, and the PCG64 seed words that each path's
-    generator starts from, are hashed once for all its replications.  The
-    rows do not depend on ``jobs`` or on the block size.  Rows come in
+    process and the rest in a pool of ``jobs`` workers; a pool chunk holds
+    about 8 paths.  The pool outlives the call: the first pooled call opens it
+    after its first path, so the workers start with what that path imported
+    or memoised, and later calls with the same ``jobs`` reuse it.  If the
+    pooled part raises, the pool is closed and the error propagates.  A
+    cell's path seeds, and the PCG64 seed words that each path's generator
+    starts from, are hashed once for all its replications.  The rows do not
+    depend on ``jobs``, on the block size or on what earlier calls left in
+    the workers.  Rows come in
     (n, weight, replication) order.  Row-level failures (an
     exception, or a non-finite learning or excess value) are recorded in the
     manifest and tolerated up to 1% of the rows; beyond that the run aborts.
@@ -398,16 +440,17 @@ def run_experiment(
         cells.append((n, path_seeds, meta))
 
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never pays for it
-
-        # forked after one path, so no worker imports scipy.signal again
+        # a new pool forks after one path, so no worker imports scipy.signal again
         outcomes = _block_task(_paths(payloads[0], 0, 1))
         tail = _paths(payloads[0], 1)
         rest = ([tail] if tail[1] else []) + payloads[1:]
         paths = sum(len(p[1]) for p in rest)
         chunk = max(1, round(8 * len(rest) / max(1, paths)))  # about 8 paths per chunk
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes += chain.from_iterable(pool.map(_block_task, rest, chunksize=chunk))
+        try:
+            outcomes += chain.from_iterable(_worker_pool(jobs).map(_block_task, rest, chunksize=chunk))
+        except BaseException:  # a pool in an unknown state is never reused
+            _close_pool()
+            raise
     else:
         outcomes = [outcome for p in payloads for outcome in _block_task(p)]
 

@@ -19,7 +19,7 @@ from drifterm.mixing import MixingProfile, m_beta
 from drifterm.processes import ProcessSpec, simulate
 from drifterm.risk import risk_report
 from drifterm.weights import WeightFamily, WeightSpec, make_weights
-from test_harness import RATE_PINS, WORKLOADS, rate_config
+from test_harness import RATE_PINS, WORKLOADS, exited, rate_config
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +312,35 @@ def test_slopes_on_an_n_eff_sweep_reproduce_the_run(capsys, tmp_path):
     code, out = run_cli(capsys, "slopes", "--results", str(out_dir / "rows.csv"), "--x", "n_eff")
     assert code == 0
     assert json.loads(out) == manifest["slope"]
+
+
+RUN_THEN_LIST_WORKERS = """
+import json, multiprocessing, sys
+from drifterm.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(child.pid for child in multiprocessing.active_children())))
+raise SystemExit(code)
+"""
+
+# sha256 of the stdout of ``drifterm run --config configs/linear_rate_ar1.json``, at every --jobs.
+AR1_RUN_STDOUT = "3d0edc9a6e6d66dbb647b181f2a9be0465622a8e0a1799dedc247dcd34de91d3"
+
+
+def test_pooled_run_exits_clean_and_leaves_no_worker_running(tmp_path):
+    """``drifterm run --jobs 2`` prints what it always printed, writes nothing to
+    stderr, and its workers are gone once it has exited."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "linear_rate_ar1.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_THEN_LIST_WORKERS, "run", "--config", str(config),
+         "--jobs", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *summary, workers = proc.stdout.splitlines(keepends=True)
+    assert hashlib.sha256("".join(summary).encode()).hexdigest() == AR1_RUN_STDOUT
+    workers = json.loads(workers)
+    assert len(workers) == 2 and all(exited(pid) for pid in workers)
 
 
 FIT = ("fit", "--data", "path.csv", "--weights", "w.json", "--class", "cls.json",

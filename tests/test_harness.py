@@ -4,9 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,6 +76,15 @@ def small_config(**overrides):
 
 # The fewest grid points that give a slope over n.
 SLOPE_GRID = (64, 128, 256, 512, 1024)
+
+
+@pytest.fixture
+def own_pool():
+    """No live pool before or after the test: a test that patches the harness
+    forks its workers after its patches, and no later test runs on them."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
 
 
 class TestRunExperiment:
@@ -164,6 +177,7 @@ class TestRowPool:
         )
         assert json.loads(out.stdout) == [False, [True]]
 
+    @pytest.mark.usefixtures("own_pool")
     def test_failing_row_0_gives_the_same_result_for_every_jobs(self, monkeypatch):
         cfg = small_config(n_grid=(64,), replications=100)
         first_seed = seed_sequence_seed(cfg.base_seed, 0, 0, 0, 0)
@@ -192,7 +206,8 @@ def three_param_config(**overrides):
 
 
 IMPORTS_OF_SETUP = """
-import json, sys
+import atexit, json, sys, threading
+hooks = atexit._ncallbacks()
 import drifterm.cli
 from drifterm import harness
 from drifterm.harness import config_from_dict
@@ -200,7 +215,8 @@ config_from_dict(json.load(sys.stdin)["config"])
 print(json.dumps([[name for name in ("concurrent.futures", "multiprocessing", "scipy", "numpy.random",
                                     "hashlib", "difflib")
                    if name in sys.modules],
-                  harness._retain_freed_memory.cache_info().currsize]))
+                  harness._retain_freed_memory.cache_info().currsize,
+                  harness._pool, threading.active_count(), atexit._ncallbacks() - hooks]))
 """
 
 
@@ -208,14 +224,15 @@ def test_setup_imports_no_pool_and_no_scipy():
     """Importing the CLI and building a workload config, the set-up that every
     command pays, loads neither the process pool nor scipy nor numpy.random,
     nor hashlib (a config is hashed only when a run writes its manifest) nor
-    difflib (only an unknown key needs it), and leaves the allocator as it was."""
+    difflib (only an unknown key needs it), leaves the allocator as it was,
+    and opens no pool, starts no thread and registers no exit hook."""
     env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", IMPORTS_OF_SETUP],
         input=(WORKLOADS / "step_mc.json").read_text(),
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(out.stdout) == [[], 0]
+    assert json.loads(out.stdout) == [[], 0, None, 1, 0]
 
 
 class TestSharedPath:
@@ -273,6 +290,7 @@ class TestSharedPath:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.usefixtures("own_pool")
 class TestSharedPathFailures:
     """A failure stays with its rows: a path's simulation fails all its weights, a fit only its own."""
 
@@ -440,6 +458,7 @@ class TestRowSeeds:
         seeds = harness._row_seeds(12345, 2, 0, range(200), 0)
         assert seeds.tolist() == [seed_sequence_seed(12345, 2, 0, rep, 0) for rep in range(200)]
 
+    @pytest.mark.usefixtures("own_pool")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_row_and_failure_seeds_are_plain_ints(self, monkeypatch, jobs):
         """Rows, failures and outliers carry the int seed, whatever the path was built from."""
@@ -660,9 +679,11 @@ class TestBlocks:
         assert [harness._block_size(n) for n in (1, 127, 128, 8191, 8192, 40_000)] == [
             16384, 256, 254, 4, 3, 1]
 
+    @pytest.mark.usefixtures("own_pool")
     def test_pool_takes_one_warm_up_path_then_chunks_of_about_8_paths(self, monkeypatch):
         """At n = 8192 a block holds 3 paths; the warm-up before the fork runs one
-        replication and each pool chunk holds 3 blocks, 9 paths."""
+        replication and each pool chunk holds 3 blocks, 9 paths.  A second call
+        takes its warm-up path too, and runs on the same pool."""
         workload = json.loads((WORKLOADS / "neff_ar1_pool.json").read_text())
         cfg = config_from_dict(workload["config"])
         events = []
@@ -676,15 +697,12 @@ class TestBlocks:
             def __init__(self, max_workers):
                 events.append(("pool", max_workers))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, payloads, chunksize):
                 events.append(("map", chunksize, [len(p[1]) for p in payloads]))
                 return map(fn, payloads)
+
+            def shutdown(self):  # the fixture's close
+                pass
 
         monkeypatch.setattr(harness, "_block_task", task)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -694,11 +712,146 @@ class TestBlocks:
         _, chunk, sizes = events[2]
         assert sizes == [2] + [3] * 65 + [2]
         assert chunk == 3
+        del events[:]
+        assert run_experiment(cfg, jobs=2).rows == res.rows
+        assert events[:2] == [("task", 1), ("map", chunk, sizes)]
+        assert {e[0] for e in events[2:]} == {"task"}  # no second pool
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused(self, jobs):
         with pytest.raises(HarnessError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
             run_experiment(small_config(), jobs=jobs)
+
+
+def live_workers() -> set[int]:
+    """Pids of this process's live pool workers, its only multiprocessing children."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def exited(pid: int) -> bool:
+    """Whether the process ``pid`` has exited and been reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def pooled_call_in_child(cfg, expected_csv, conn) -> None:
+    """A forked child's pooled call: whether it gives ``expected_csv``, and its workers."""
+    res = run_experiment(cfg, jobs=2)
+    conn.send((rows_to_csv(res.rows) == expected_csv, sorted(live_workers())))
+
+
+TWO_POOLED_CALLS = """
+import json, multiprocessing, sys
+from drifterm import harness
+cfg = harness.config_from_dict(json.load(sys.stdin))
+first, second = (harness.run_experiment(cfg, jobs=2).rows for _ in range(2))
+assert first == second
+print(json.dumps(sorted(child.pid for child in multiprocessing.active_children())))
+"""
+
+
+@pytest.mark.usefixtures("own_pool")
+class TestWorkerPool:
+    """One pool per process: the first pooled call opens it, later calls reuse it."""
+
+    cfg = three_param_config(process=replace(small_config().process, core=DependenceCore(kind="ar1", phi=0.6)))
+
+    def test_two_calls_run_on_the_same_workers(self):
+        first = run_experiment(self.cfg, jobs=2)
+        workers = live_workers()
+        assert run_experiment(self.cfg, jobs=2).rows == first.rows
+        assert len(workers) == 2 and live_workers() == workers
+
+    def test_another_jobs_replaces_the_pool(self):
+        run_experiment(self.cfg, jobs=2)
+        old = live_workers()
+        run_experiment(self.cfg, jobs=3)
+        new = live_workers()
+        assert len(new) == 3 and new.isdisjoint(old)
+        assert all(exited(pid) for pid in old)
+
+    def test_a_killed_idle_worker_fails_the_next_call_and_no_later_one(self):
+        serial = rows_to_csv(run_experiment(self.cfg, jobs=1).rows)
+        run_experiment(self.cfg, jobs=2)
+        workers = live_workers()
+        os.kill(min(workers), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not all(exited(pid) for pid in workers):  # the pool sees it and ends the other worker
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            run_experiment(self.cfg, jobs=2)
+        assert rows_to_csv(run_experiment(self.cfg, jobs=2).rows) == serial
+        fresh = live_workers()
+        assert len(fresh) == 2 and fresh.isdisjoint(workers)
+
+    def test_a_pooled_map_that_raises_closes_the_pool(self, monkeypatch):
+        """A block that cannot be sent to a worker fails its call and closes the
+        pool; the next call runs on fresh workers."""
+        serial = rows_to_csv(run_experiment(self.cfg, jobs=1).rows)
+        run_experiment(self.cfg, jobs=2)
+        workers = live_workers()
+        real = harness._block_task
+
+        def unsendable(payload):
+            return real(payload)
+
+        monkeypatch.setattr(harness, "_block_task", unsendable)
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            run_experiment(self.cfg, jobs=2)
+        assert harness._pool is None and all(exited(pid) for pid in workers)
+        monkeypatch.undo()
+        assert rows_to_csv(run_experiment(self.cfg, jobs=2).rows) == serial
+        assert live_workers().isdisjoint(workers)
+
+    def test_a_forked_child_opens_a_pool_of_its_own(self):
+        expected = rows_to_csv(run_experiment(self.cfg, jobs=2).rows)
+        workers = live_workers()
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(
+            target=pooled_call_in_child, args=(self.cfg, expected, writer))
+        child.start()
+        try:
+            same_rows, child_workers = reader.recv() if reader.poll(60) else (None, [])
+            child.join(60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0 and same_rows
+        assert len(child_workers) == 2 and workers.isdisjoint(child_workers)
+        assert all(exited(pid) for pid in child_workers)
+        assert rows_to_csv(run_experiment(self.cfg, jobs=2).rows) == expected
+        assert live_workers() == workers
+
+    def test_rows_do_not_depend_on_pool_history(self, tmp_path):
+        """An i.i.d. call opens the pool; an AR(1) call runs on it before and
+        after another i.i.d. call on another n grid."""
+        iid = small_config(n_grid=(96, 160, 320), replications=5)
+        runs = [("iid", iid), ("ar1", self.cfg), ("iid", iid), ("ar1", self.cfg)]
+        serial = {}
+        for name, cfg in dict(runs).items():
+            run_experiment(cfg, jobs=1, out_dir=str(tmp_path / name))
+            serial[name] = [(tmp_path / name / f).read_bytes() for f in ("rows.csv", "manifest.json")]
+        workers = None
+        for i, (name, cfg) in enumerate(runs):
+            out = tmp_path / f"{i}-{name}"
+            run_experiment(cfg, jobs=2, out_dir=str(out))
+            workers = workers or live_workers()
+            assert live_workers() == workers
+            assert [(out / f).read_bytes() for f in ("rows.csv", "manifest.json")] == serial[name]
+
+    def test_a_fresh_interpreter_exits_clean_and_leaves_no_worker_running(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(drifterm.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", TWO_POOLED_CALLS],
+                             input=json.dumps(workload_smoke("neff_ar1_pool")),
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+        workers = json.loads(out.stdout)
+        assert len(workers) == 2 and all(exited(pid) for pid in workers)
 
 
 def glibc() -> bool:
