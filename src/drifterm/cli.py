@@ -32,6 +32,7 @@ from .harness import (
     fit_slope,
     rows_from_csv,
     run_experiment,
+    write_json,
 )
 from .hypotheses import FittedHypothesis, HypothesisClassSpec, HypothesisError, fit_weighted_erm
 from .mixing import MixingError, k_rho, m_beta
@@ -62,11 +63,6 @@ _USER_ERRORS = (
 )
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
 def _cmd_weights(args) -> int:
     family = WeightFamily(args.family)
     spec = WeightSpec(family, t=args.t, n=args.n, param=args.param)
@@ -89,7 +85,7 @@ def _cmd_weights(args) -> int:
         net = build_weight_net(family, args.t, args.net_eps)
         out["net"] = {"epsilon": args.net_eps, "size": len(net),
                       "params": [s.param for s in net]}
-    _emit(out)
+    write_json(out, sys.stdout)
     return 0
 
 
@@ -97,7 +93,7 @@ def _cmd_mixing(args) -> int:
     cfg = config_from_dict(_read_json(args.config))
     profile = mixing_profile(cfg.process)
     mb = m_beta(profile, cfg.process.n, cfg.delta)
-    _emit({
+    write_json({
         "profile": cfg.process.core.kind,
         "n": cfg.process.n,
         "delta": cfg.delta,
@@ -105,7 +101,7 @@ def _cmd_mixing(args) -> int:
         "m_beta": mb.m,
         "m_beta_satisfied": mb.satisfied,
         "k_rho": k_rho(profile),
-    })
+    }, sys.stdout)
     return 0
 
 
@@ -180,10 +176,9 @@ def _cmd_fit(args) -> int:
         out["layers"] = [{"W": Wm.tolist(), "b": bv.tolist()} for Wm, bv in fit.layers]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(out, f, indent=2, sort_keys=True)
-            f.write("\n")
+            write_json(out, f)
     else:
-        _emit(out)
+        write_json(out, sys.stdout)
     return 0
 
 
@@ -195,13 +190,13 @@ def _cmd_rates(args) -> int:
     table = [{"u": float(u), "r": rate(float(u)),
               "certificate": bound_certificate(rate, float(u), cfg.delta)}
              for u in np.geomspace(*rate.domain, args.grid)]
-    _emit({
+    write_json({
         "variant": cfg.rate_variant.value,
         "n": cfg.process.n,
         "a": rate.a,
         "rate_table": table,
         "condition_report": dataclasses.asdict(check_rate_conditions(rate)),
-    })
+    }, sys.stdout)
     return 0
 
 
@@ -210,7 +205,7 @@ def _cmd_risk(args) -> int:
     fit = _read_fit(args.fit)
     w = _read_weights(args.w, spec.n)
     report = risk_report(fit, spec, w, args.t)
-    _emit({**dataclasses.asdict(report), "decomposition_ok": report.decomposition_ok})
+    write_json({**dataclasses.asdict(report), "decomposition_ok": report.decomposition_ok}, sys.stdout)
     return 0
 
 
@@ -236,7 +231,7 @@ def _cmd_run(args) -> int:
         summary["slope_stderr"] = result.slope.stderr
         summary["r2"] = result.slope.r2
         summary["slope_pass"] = result.slope_pass
-    _emit(summary)
+    write_json(summary, sys.stdout)
     return 0
 
 
@@ -244,14 +239,14 @@ def _cmd_slopes(args) -> int:
     with open(args.results, "r", encoding="utf-8") as f:
         rows = rows_from_csv(f.read())
     slope = fit_slope(rows, args.x, args.y, min_points=args.min_points)
-    _emit(dataclasses.asdict(slope))
+    write_json(dataclasses.asdict(slope), sys.stdout)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     with open(args.results, "r", encoding="utf-8") as f:
         rows = rows_from_csv(f.read())
-    _emit({"c_cal": calibrate_ccal(rows), "rows": len(rows)})
+    write_json({"c_cal": calibrate_ccal(rows), "rows": len(rows)}, sys.stdout)
     return 0
 
 

@@ -733,5 +733,10 @@ def write_result(result: ExperimentResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "rows.csv"), "w", encoding="utf-8", newline="\n") as f:
         f.write(rows_to_csv(result.rows))
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(result.manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        write_json(result.manifest, f)
+
+
+def write_json(obj, f) -> None:
+    """``obj`` to the text file ``f`` as indented, key-sorted JSON and a newline, as drifterm writes all JSON."""
+    json.dump(obj, f, indent=2, sort_keys=True)
+    f.write("\n")

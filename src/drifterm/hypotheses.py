@@ -622,23 +622,22 @@ def l2_distance(
     g,
     law: CovariateLaw,
     *,
-    p: int = 1,
     draws: int = MC_DRAWS_DEFAULT,
     seed=0,
 ) -> tuple[float, float, str]:
     """Squared L2 distance between two hypotheses under the covariate law.
 
     Returns (value, stderr, mode).  Linear pairs are exact on every law:
-    the quadratic form in the law's second-moment matrix at dimension p.
+    the quadratic form in the law's second-moment matrix at f's dimension.
     Under the uniform interval law every pairing of univariate linear,
     step, constant and ReLU hypotheses is exact: f - g is affine,
     d(z) = s z + c, on each piece of the merged breakpoints, and a piece of
     width w and midpoint m adds w (d(m)^2 + (s w)^2 / 12), a form that
     does not cancel when f is close to g.  Off the interval law (the ball
     law) every other pairing is Monte Carlo over ``draws`` fresh covariate
-    draws, with its stderr.  ``seed`` seeds those draws: an int, for a
-    block also a list of per-row ints, or a zero-argument callable that
-    returns one, called only where a draw is made.
+    draws in the larger dimension of f and g, with its stderr.  ``seed``
+    seeds them: an int, for a block also a list of per-row ints, or a
+    zero-argument callable that returns one, called only where a draw is made.
 
     For a ``FitBlock`` the value and stderr are arrays, one entry per row,
     each as that row's fit alone gives it: a linear or step block takes the
@@ -647,18 +646,19 @@ def l2_distance(
     """
     block = isinstance(f, FitBlock)
     if f.coef is not None and (coef := _linear_coef(g)) is not None:
-        value = _quadratic_form(f.coef - coef, law_second_moment(law, p))
+        value = _quadratic_form(f.coef - coef, law_second_moment(law, f.coef.shape[-1]))
     elif law is CovariateLaw.INTERVAL and not (block and f.coef is None and f.bins is None):
         value = _piece_sum(*_difference_pieces(_piecewise(f), _piecewise(_as_hypothesis(g))))
     elif block:
         seeds = functools.cache(lambda: _per_row(seed, f.size))
         values, stderrs, modes = zip(*(
-            l2_distance(fit, g, law, p=p, draws=draws, seed=lambda r=r: seeds()[r]) for r, fit in enumerate(f)
+            l2_distance(fit, g, law, draws=draws, seed=lambda r=r: seeds()[r]) for r, fit in enumerate(f)
         ))
         return np.array(values), np.array(stderrs), modes[0]
     else:
-        z = sample_covariates(law, p, draws, np.random.default_rng(seed() if callable(seed) else seed))
-        sq = (f.predict(z) - _as_hypothesis(g).predict(z)) ** 2
+        g, rng = _as_hypothesis(g), np.random.default_rng(seed() if callable(seed) else seed)
+        z = sample_covariates(law, max(f.p, g.p), draws, rng)
+        sq = (f.predict(z) - g.predict(z)) ** 2
         return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(draws)), "monte_carlo"
     return (value, np.zeros(f.size), "exact") if block else (float(value), 0.0, "exact")
 

@@ -94,7 +94,7 @@ def learning_error(
     stderr per row, as arrays, against a target computed once for the block.
     """
     target = _population_target(spec, population_optimum_weighted(spec, w))
-    return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)
+    return l2_distance(fit, target, spec.law, draws=draws, seed=seed)
 
 
 def drift_error(spec: ProcessSpec, w: WeightVector, t: int) -> float:
@@ -124,7 +124,7 @@ def excess_risk(
     callable that returns one, called only where a draw is made.
     """
     target = _population_target(spec, population_optimum_next(spec, t))
-    return l2_distance(fit, target, spec.law, p=spec.p, draws=draws, seed=seed)
+    return l2_distance(fit, target, spec.law, draws=draws, seed=seed)
 
 
 def _discrepancy(

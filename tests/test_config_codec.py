@@ -283,6 +283,15 @@ def without_key(path: str, base=BASE) -> dict:
         # a relu class reads no b_bound: its box is param_bound
         (with_key("hypothesis", RELU | {"b_bound": 2.0}),
          r"^hypothesis: relu class" + UNREAD.format("b_bound", r"1\.0", r"2\.0")),
+        (with_key("process.core", {"kind": "garch"}), r"^process\.core: unknown core kind 'garch'$"),
+        (with_key("process.core", {"kind": "markov", "flip": 1.0}),
+         r"^process\.core: flip probability must be in \(0,1\), got 1\.0$"),
+        (with_key("process.n", 0), r"^process: n and p must be >= 1$"),
+        (with_key("process.p", 0), r"^process: n and p must be >= 1$"),
+        (with_key("process.law", "interval"), r"^process: interval law is univariate$"),
+        (with_key("process", VARIANCE | {"var_start": 0.0}), r"^process: variances must be positive$"),
+        (with_key("process.noise_sd", -0.1), r"^process: noise_sd must be >= 0$"),
+        (with_key("replications", 0), r"^need at least one replication$"),
     ],
 )
 def test_bad_configs_name_the_field(data, message):

@@ -4,16 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import drifterm
 from drifterm.harness import config_from_dict, config_hash
-from drifterm.processes import DependenceCore
 from drifterm.weights import WeightFamily, make_weights
-from test_acceptance import N_GRID, baseline_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -27,15 +24,6 @@ def load(name: str):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_every_config_loads(path):
     config_from_dict(json.loads(path.read_text()))
-
-
-@pytest.mark.parametrize(
-    "name, core",
-    [("linear_rate.json", None), ("linear_rate_ar1.json", DependenceCore(kind="ar1", phi=0.6))],
-)
-def test_linear_rate_is_the_baseline(name, core):
-    cfg = load(name)
-    assert replace(cfg, process=replace(cfg.process, n=N_GRID[0])) == baseline_config(core)
 
 
 def test_effective_sample_size_targets():

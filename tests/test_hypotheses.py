@@ -283,6 +283,11 @@ class TestLinearFits:
         fit = fit_weighted_erm(path, uniform_w(64), HypothesisClassSpec.linear(1.0))
         np.testing.assert_allclose(fit.coef, [0.3, -0.2], atol=1e-8)
 
+    def test_weight_length_must_be_n(self):
+        path = simulate(linear_spec(64), 3)
+        with pytest.raises(HypothesisError, match=r"^weight length 63 != n=64$"):
+            fit_weighted_erm(path, uniform_w(63), HypothesisClassSpec.linear(1.0))
+
     def test_first_order_optimality(self):
         spec = linear_spec(256)
         path = simulate(spec, 5)
@@ -725,13 +730,13 @@ HINGE = net_fit([([[1.0]], [-0.5]), ([[1.0]], [0.0])])
 class TestL2Distance:
     def test_identical_is_zero(self):
         f = linear_fit([0.3, -0.2])
-        v, se, mode = l2_distance(f, f, CovariateLaw.BALL, p=2)
+        v, se, mode = l2_distance(f, f, CovariateLaw.BALL)
         assert v == 0.0 and mode == "exact"
 
     def test_isotropic_scaling(self):
         f, g = linear_fit([0.5, 0.0]), linear_fit([0.1, 0.3])
         lam = 1 / 6  # the ball law's E[Z Z^T] = I / (3p) at p = 2
-        v, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=2)
+        v, _, _ = l2_distance(f, g, CovariateLaw.BALL)
         d = np.array([0.4, -0.3])
         assert v == pytest.approx(float(d @ d) * lam)
 
@@ -856,7 +861,7 @@ class TestL2Distance:
 
     def test_step_vs_multivariate_linear_stays_monte_carlo(self):
         f, g = step_fit([0.2, 0.8]), linear_fit([0.5, 0.1])
-        _, se, mode = l2_distance(f, g, CovariateLaw.BALL, p=2, draws=2000)
+        _, se, mode = l2_distance(f, g, CovariateLaw.BALL, draws=2000)
         assert mode == "monte_carlo" and se > 0
 
 
@@ -996,7 +1001,7 @@ class TestSupNormLinkConstant:
         c_inf = HypothesisClassSpec.linear(1.0).rate_inputs(spec)["c_inf"]
         coef = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
         f, g = linear_fit(data.draw(coef)), linear_fit(data.draw(coef))
-        l2, _, _ = l2_distance(f, g, CovariateLaw.BALL, p=p)
+        l2, _, _ = l2_distance(f, g, CovariateLaw.BALL)
         assert sup_distance(f, g) <= math.sqrt(l2) / c_inf * (1 + 1e-12) + 1e-15  # d^2 may underflow
 
     @given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))

@@ -38,6 +38,10 @@ class TestMBeta:
         with pytest.raises(MixingError):
             m_beta(MixingProfile.iid(), 10, 1.5)
 
+    def test_n_below_one(self):
+        with pytest.raises(MixingError, match="^n must be >= 1, got 0$"):
+            m_beta(MixingProfile.iid(), 0, 0.05)
+
     @given(
         n1=st.integers(10, 2000),
         n2=st.integers(10, 2000),
@@ -75,6 +79,11 @@ class TestKRho:
         prof = MixingProfile(beta=lambda k: 0.0, rho_rate=0.5)
         assert [prof.rho(k) for k in range(4)] == [1.0, 0.5, 0.25, 0.125]
         assert MixingProfile.iid().rho(1) == 0.0
+
+    @pytest.mark.parametrize("phi", [1.0, -1.5])
+    def test_ar1_needs_phi_inside_the_unit_interval(self, phi):
+        with pytest.raises(MixingError, match=rf"^need \|phi\| < 1, got {phi}$"):
+            MixingProfile.ar1(phi)
 
 
 def markov_tv_beta(P, k):
@@ -207,4 +216,6 @@ class TestBernsteinTail:
             blocked_bernstein_tail(0.0, 1.0, 1, w, 1.0, 0.5)
         with pytest.raises(MixingError):
             blocked_bernstein_tail(1.0, 1.0, 0, w, 1.0, 0.5)
+        with pytest.raises(MixingError, match=r"^long-run correlation sum must be >= 1, got 0\.5$"):
+            blocked_bernstein_tail(1.0, 1.0, 1, w, 0.5, 0.5)
 

@@ -298,6 +298,10 @@ class TestPopulationOptima:
             population_optimum_weighted(spec, w), population_optimum_next(spec, spec.n)
         )
 
+    def test_weight_length_must_be_n(self):
+        with pytest.raises(ProcessSpecError, match=r"^weight length 199 != n=200$"):
+            population_optimum_weighted(linear_spec(), uniform_w(199))
+
 
 class TestMixingProfileOfSpec:
     def test_iid_profile(self):
@@ -343,6 +347,15 @@ def test_sigma2_path_endpoints():
     var = sigma2_path(spec)
     assert var[0] == 1.0 and var[-1] == 11.0
     assert len(var) == 2001
+
+
+def test_each_path_refuses_the_other_kind():
+    variance = ProcessSpec(ProcessKind.DRIFTING_VARIANCE, 10, 1, CovariateLaw.INTERVAL, DependenceCore(),
+                           y_bound=5.0)
+    with pytest.raises(ProcessSpecError, match="^coefficient path is defined for the drifting-linear kind$"):
+        beta_path(variance)
+    with pytest.raises(ProcessSpecError, match="^variance path is defined for the variance-drift kind$"):
+        sigma2_path(linear_spec())
 
 
 def test_second_moment_smallest_eigenvalue():

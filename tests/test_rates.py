@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drifterm.rates import (
+    DOUBLINGS,
     ConditionPoint,
     ConditionReport,
     RateError,
@@ -130,6 +131,20 @@ class TestClosedFormRates:
             # r(u) >= u everywhere once the growth condition can hold
             assert np.all(vals >= grid - 1e-12)
 
+    @pytest.mark.parametrize(
+        "variant, overrides, error, message",
+        [
+            (RateVariant.I, {"n": 1}, RateError, "need n >= 2 for a positive log factor"),
+            (RateVariant.II, {"n": 100, "k_rho": 200.0, "c_inf": 1.0}, RatePreconditionError,
+             "correlation constant exceeds n"),
+            (RateVariant.II, {"n": 100, "m_beta": 200, "c_inf": 1.0}, RatePreconditionError,
+             "sup-norm dependence constant 200 exceeds n=100"),
+        ],
+    )
+    def test_variant_conditions_on_n(self, variant, overrides, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            closed_form_rate(variant, make_params(**overrides))
+
     @pytest.mark.parametrize("a", [0.5, math.nan])
     def test_scale_below_one_rejected(self, a):
         with pytest.raises(RateError, match="need a >= 1"):
@@ -202,6 +217,15 @@ class TestConditionChecks:
         blows_up = make_params(log_ninf_h=lambda eps, u: np.where(u > 0.5, math.inf, 0.0))
         with pytest.raises(RateError, match=message + re.escape(str(first)) + "$"):
             check_rate_conditions(closed_form_rate(RateVariant.I, blows_up))
+        # a weight covering that is not finite at the scale of the trial's budget
+        with pytest.raises(RateError, match="^covering function undefined at the required scale$"):
+            find_scale_constant(RateVariant.I, make_params(log_n1_w=lambda eps: math.inf))
+
+    def test_scale_search_gives_up_after_its_doublings(self):
+        # an approximation error no rate reaches at any scale constant
+        hopeless = make_params(approx_err=lambda u: 1e100)
+        with pytest.raises(RateError, match=f"^no passing scale constant within {DOUBLINGS} doublings$"):
+            find_scale_constant(RateVariant.I, hopeless)
 
     def test_preconditions_checked_before_any_covering(self):
         def forbidden(eps, w_l2):
@@ -335,6 +359,12 @@ class TestCertificates:
         c1 = bound_certificate(rate, u, 0.1, d1)
         c2 = bound_certificate(rate, u, 0.1, d2)
         assert c1 + d2 - d1 == pytest.approx(c2, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_outside_the_unit_interval_refused(self, delta):
+        rate = closed_form_rate(RateVariant.I, make_params())
+        with pytest.raises(RateError, match=r"^delta must be in \(0,1\)$"):
+            bound_certificate(rate, 0.1, delta)
 
     def test_unweighted_scale_proportional_to_log_over_n(self):
         ratios = []

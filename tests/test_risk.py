@@ -212,6 +212,11 @@ class TestDiscrepancy:
         cls = HypothesisClassSpec.linear(1.0)
         assert discrepancy(spec, cls, 5, 17) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("s, t", [(0, 5), (5, 258)])
+    def test_times_outside_the_path_refused(self, s, t):
+        with pytest.raises(RiskError, match=r"^times must lie in 1\.\.n\+1$"):
+            discrepancy(linear_spec(), HypothesisClassSpec.linear(1.0), s, t)
+
     def test_telescoping_sum(self):
         spec = variance_spec(var_start=1.0, var_end=11.0)
         cls = HypothesisClassSpec.step(1, 1.0)

@@ -15,6 +15,7 @@ from drifterm.weights import (
     class_constants,
     class_rate_inputs,
     covering_number_bound,
+    exponential_norms,
     exponential_spikiness,
     make_weights,
     theta_for_n_eff,
@@ -296,8 +297,19 @@ def test_theta_for_n_eff_refuses_rates_at_or_above_range(target):
         theta_for_n_eff(target, 8192)
 
 
+@pytest.mark.parametrize("target", [0.5, 8193.0])
+def test_theta_for_n_eff_refuses_an_unreachable_n_eff(target):
+    with pytest.raises(WeightDomainError, match=rf"^reachable n_eff is \[1, t\], got {target} with t=8192$"):
+        theta_for_n_eff(target, 8192)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0])
+def test_exponential_norms_need_a_positive_theta(theta):
+    with pytest.raises(WeightDomainError, match="^theta must be > 0$"):
+        exponential_norms(theta, 10)
+
+
 def test_theta_for_n_eff_roundtrip():
-    from drifterm.weights import exponential_norms
 
     for target in (16.0, 64.0, 256.0, 1024.0):
         theta = theta_for_n_eff(target, 8192)
